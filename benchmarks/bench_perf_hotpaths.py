@@ -1,26 +1,23 @@
 """Hot-path perf trajectory: indexed reactor vs the seed linear scans.
 
-Times plan computation, purge/rollback/bisect mitigation, raw VM
+Times plan computation, purge/rollback/bisect mitigation, fused VM
 throughput, the checkpoint *write path* (``record_update``/persist-hook
 throughput with and without the PR 1 indexes' incremental maintenance),
-the *cluster* write path (physical delta shipping vs replica
-re-execution at replication 2/3, plus compacted-rebase vs full-replay
-heal times, digest-identical by construction), the experiment-matrix
-sweep (serial loop vs process-pool fan-out, summary-identical by
-construction) and the fault-injection sweep (recovery success rate +
-mean recovery time over every enumerable crash site; 100% verification
-required) on deterministic synthetic state (see
+live-traffic serving through a mitigation, and the fault-injection sweep
+(recovery success rate + mean recovery time over every enumerable crash
+site; 100% verification required) on deterministic synthetic state (see
 :mod:`repro.harness.hotpaths`), and writes ``results/BENCH_hotpaths.json``
-so subsequent PRs can track the numbers.
+so subsequent PRs can track the numbers.  The cluster write path and
+heal are measured end to end by ``bench/run.py``.
 
 Run standalone (not part of the pytest matrix benchmarks)::
 
-    PYTHONPATH=src python benchmarks/bench_perf_hotpaths.py           # full, 50k updates + 12x4 matrix
-    PYTHONPATH=src python benchmarks/bench_perf_hotpaths.py --quick   # 5k-update smoke + 6-cell matrix
-    PYTHONPATH=src python benchmarks/bench_perf_hotpaths.py --no-matrix
+    PYTHONPATH=src python benchmarks/bench_perf_hotpaths.py           # full, 50k updates
+    PYTHONPATH=src python benchmarks/bench_perf_hotpaths.py --quick   # 5k-update smoke
+    PYTHONPATH=src python benchmarks/bench_perf_hotpaths.py --no-inject
 
 or via the CLI: ``python -m repro bench-hotpaths [--quick]`` (micro
-benches only; the matrix stage runs two full sweeps and is script-only).
+benches only; the injection sweep stage is script-only).
 """
 
 from __future__ import annotations
@@ -36,7 +33,6 @@ sys.path.insert(
 
 from repro.harness.hotpaths import (
     bench_inject_sweep,
-    bench_matrix_sweep,
     render_summary,
     run_hotpaths,
     write_report,
@@ -50,26 +46,18 @@ DEFAULT_OUT = os.path.join(
 FULL_UPDATES = 50_000
 QUICK_UPDATES = 5_000
 
-#: quick-mode matrix subset: cheap cells, still covering two solutions
-QUICK_MATRIX_FIDS = ["f2", "f4", "f10"]
-QUICK_MATRIX_SOLUTIONS = ["pmcriu", "arckpt"]
-
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--quick", action="store_true",
         help=f"smoke check: {QUICK_UPDATES} updates instead of "
-             f"{FULL_UPDATES}, and a small matrix subset",
+             f"{FULL_UPDATES}",
     )
     parser.add_argument("--updates", type=int, default=None,
                         help="override the synthetic log size")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--vm-iters", type=int, default=50_000)
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="matrix fan-out width (default: CPU count)")
-    parser.add_argument("--no-matrix", action="store_true",
-                        help="skip the serial-vs-parallel matrix timing")
     parser.add_argument("--no-inject", action="store_true",
                         help="skip the fault-injection sweep stage")
     parser.add_argument("--out", default=DEFAULT_OUT,
@@ -83,18 +71,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     report = run_hotpaths(
         n_updates=n_updates, seed=args.seed, vm_iters=args.vm_iters,
     )
-    if not args.no_matrix:
-        if args.quick:
-            report["matrix"] = bench_matrix_sweep(
-                jobs=args.jobs,
-                fids=QUICK_MATRIX_FIDS,
-                solutions=QUICK_MATRIX_SOLUTIONS,
-                seeds=(args.seed,),
-            )
-        else:
-            report["matrix"] = bench_matrix_sweep(
-                jobs=args.jobs, seeds=(args.seed,)
-            )
     if not args.no_inject:
         report["inject_sweep"] = bench_inject_sweep(
             seed=args.seed, max_per_site=1 if args.quick else 3,

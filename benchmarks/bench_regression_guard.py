@@ -9,15 +9,16 @@ floor, not an equality:
 
 * each indexed-vs-reference speedup must stay above a floor AND above a
   small fraction of the committed 50k-scale speedup (a real regression
-  — reintroducing a linear scan, a full-pool probe restore — collapses
-  the ratio by orders of magnitude, far below any band here);
-* both pool-equivalence oracles (``pool_identical``) must still hold;
+  — reintroducing a linear scan — collapses the ratio by orders of
+  magnitude, far below any band here);
+* the pool-equivalence oracle (``pool_identical``) must still hold;
 * the checkpoint write-path index overhead may not explode past the
   committed overhead by more than an absolute budget;
-* the committed matrix parallel speedup is sanity-checked only when the
-  committed run had more than one CPU (a single-core runner measures
-  process-pool overhead, not parallelism — that check is skipped, as is
-  the whole section when the committed report predates it).
+* live-traffic serving must keep its p99 lead over stop-the-world.
+
+The fused VM's lead over table dispatch is pinned in
+``tests/test_vm_fused.py``; the cluster write path and heal are measured
+end to end by ``bench/run.py``.
 
 Exits non-zero listing every violated band, so CI fails the PR.
 
@@ -50,8 +51,8 @@ DEFAULT_BASELINE = os.path.join(
 #: scale (the reference scans are quadratic), so the relative band is
 #: additionally capped: a committed 13000x rollback speedup measures in
 #: the low hundreds at 5k, and a real regression — a reintroduced
-#: linear scan, a full-pool probe restore — collapses any of these
-#: ratios to ~1, far below every band here.
+#: linear scan — collapses any of these ratios to ~1, far below every
+#: band here.
 RELATIVE_FLOOR = 0.05
 RELATIVE_CAP = 10.0
 
@@ -64,15 +65,6 @@ HARD_FLOOR = 3.0
 #: land in the hundreds)
 OVERHEAD_BUDGET_PCT = 75.0
 
-#: the fused VM must beat per-step table dispatch by at least this
-#: factor.  The full-scale target is 2x; the hard floor sits below it
-#: because a loaded CI runner eats into the margin, while a real
-#: regression (fused silently degrading to per-step dispatch) lands at
-#: ~1.0, well under any band here
-FUSED_HARD_FLOOR = 1.5
-FUSED_RELATIVE_FLOOR = 0.25
-FUSED_RELATIVE_CAP = 4.0
-
 #: non-quarantined traffic during an active mitigation must see a p99
 #: at least this much lower than stop-the-world serving.  The committed
 #: target is >= 5x; the hard floor sits below it because the measured
@@ -82,16 +74,6 @@ FUSED_RELATIVE_CAP = 4.0
 LIVE_HARD_FLOOR = 2.5
 LIVE_RELATIVE_FLOOR = 0.25
 LIVE_RELATIVE_CAP = 5.0
-
-#: the delta engine's replication path (time above the replication-1
-#: floor) must beat replica re-execution by at least this factor at
-#: replication 3.  The acceptance target is >= 3x; the hard floor sits
-#: at 2 because the ratio divides by a small time gap and swings with
-#: runner load, while a real regression (delta shipping silently
-#: re-executing the guest) lands at ~1
-CLUSTER_HARD_FLOOR = 2.0
-CLUSTER_RELATIVE_FLOOR = 0.25
-CLUSTER_RELATIVE_CAP = 3.0
 
 
 class _Checks:
@@ -134,25 +116,11 @@ def _speedup_floor(committed: Optional[float]) -> float:
     return max(HARD_FLOOR, min(committed * RELATIVE_FLOOR, RELATIVE_CAP))
 
 
-def _fused_floor(committed: Optional[float]) -> float:
-    if committed is None:
-        return FUSED_HARD_FLOOR
-    return max(FUSED_HARD_FLOOR,
-               min(committed * FUSED_RELATIVE_FLOOR, FUSED_RELATIVE_CAP))
-
-
 def _live_floor(committed: Optional[float]) -> float:
     if committed is None:
         return LIVE_HARD_FLOOR
     return max(LIVE_HARD_FLOOR,
                min(committed * LIVE_RELATIVE_FLOOR, LIVE_RELATIVE_CAP))
-
-
-def _cluster_floor(committed: Optional[float]) -> float:
-    if committed is None:
-        return CLUSTER_HARD_FLOOR
-    return max(CLUSTER_HARD_FLOOR,
-               min(committed * CLUSTER_RELATIVE_FLOOR, CLUSTER_RELATIVE_CAP))
 
 
 def run_guard(baseline_path: str, n_updates: int, seed: int) -> int:
@@ -174,21 +142,6 @@ def run_guard(baseline_path: str, n_updates: int, seed: int) -> int:
                      _speedup_floor(committed.get("speedup")))
         checks.flag(f"mitigation.{mode}.pool_identical",
                     cell["pool_identical"])
-
-    # ---- probe engine -------------------------------------------------
-    probe = fresh["probe_engine"]
-    committed_probe = baseline.get("probe_engine", {}).get("speedup")
-    checks.bound("probe_engine.speedup", probe["speedup"],
-                 _speedup_floor(committed_probe))
-    checks.flag("probe_engine.pool_identical", probe["pool_identical"])
-
-    # ---- vm_fused (superinstruction engine vs table oracle) -----------
-    vm = fresh["vm"]
-    committed_fused = baseline.get("vm", {}).get("fused_speedup")
-    checks.bound("vm_fused.speedup", vm["fused_speedup"],
-                 _fused_floor(committed_fused))
-    checks.flag("vm_fused.engines_identical",
-                vm.get("engines_identical", False))
 
     # ---- write path ---------------------------------------------------
     fresh_overhead = fresh["write_path"]["record_update"][
@@ -235,31 +188,6 @@ def run_guard(baseline_path: str, n_updates: int, seed: int) -> int:
     checks.flag("live_traffic.digests_identical",
                 live.get("digests_identical", False))
     checks.flag("live_traffic.recovered", live.get("recovered", False))
-
-    # ---- cluster (delta replication vs replica re-execution) ----------
-    cluster = fresh["cluster"]
-    committed_cluster = baseline.get("cluster", {}).get("repl_speedup_r3")
-    checks.bound("cluster.repl_speedup_r3", cluster["repl_speedup_r3"],
-                 _cluster_floor(committed_cluster))
-    # bench_cluster raises outright on a cross-engine digest mismatch;
-    # the flag additionally fails CI if the oracle gets skipped or its
-    # result misreported
-    checks.flag("cluster.digests_identical",
-                cluster.get("digests_identical", False))
-    checks.bound("cluster.heal_speedup", cluster["heal"]["speedup"], 1.0)
-
-    # ---- matrix (committed numbers only; no re-run here) --------------
-    matrix = baseline.get("matrix")
-    if matrix is None:
-        checks.skip("matrix.speedup", "no committed matrix section")
-    elif matrix.get("cpu_count", 1) <= 1:
-        checks.skip("matrix.speedup",
-                    "committed run had cpu_count == 1 (pool overhead, "
-                    "not parallelism)")
-    else:
-        checks.bound("matrix.speedup", matrix["speedup"], 1.0)
-        checks.flag("matrix.summaries_identical",
-                    matrix.get("summaries_identical", False))
 
     # ---- inject sweep (committed crash-safety record) -----------------
     sweep = baseline.get("inject_sweep")

@@ -10,12 +10,13 @@ supervisor runs the promotion protocol:
    shards answer as usual, writes aimed at the sick arc fail over,
 3. *mitigate* — the local Arthas reactor discards the poisoned state
    (and, were every rung to fail, the *rebuild* phase would abandon
-   the pool and re-replicate it from the surviving replicas),
+   the pool and re-base it from a live mirror),
 4. *cascade* — requests causally after a discarded one are reverted
    on whatever node applied them, until the cut is causally
    consistent,
-5. *resync/handoff* — the healed node replays the oplog tail it
-   missed and rejoins as a replica (demoted, never re-promoted).
+5. *resync/handoff* — the healed node is re-based from a live mirror
+   plus the delta tail it missed and rejoins as a replica (demoted,
+   never re-promoted).
 
 Run:  python examples/distributed_recovery.py
 """

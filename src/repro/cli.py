@@ -44,7 +44,6 @@ from repro.harness.experiment import (
     run_experiment,
 )
 from repro.harness.report import render_bars, render_table
-from repro.lang.fuse import VM_ENGINES
 
 
 def _cmd_list_faults(_args) -> int:
@@ -108,11 +107,7 @@ def _report_result(result) -> None:
 
 
 def _cmd_run(args) -> int:
-    result = run_experiment(
-        args.fault, args.solution, seed=args.seed,
-        bisect_engine=args.bisect_engine,
-        vm_engine=args.vm_engine,
-    )
+    result = run_experiment(args.fault, args.solution, seed=args.seed)
     _report_result(result)
     return 0 if (result.mitigation and result.mitigation.recovered) else 1
 
@@ -441,7 +436,6 @@ def _cmd_cluster_sweep(args) -> int:
     import json
     import os
 
-    from repro.distributed.cluster import DEFAULT_REPLICATION_ENGINE
     from repro.harness.cluster_sweep import check_against, run_cluster_sweep
 
     def progress(cell) -> None:
@@ -451,7 +445,6 @@ def _cmd_cluster_sweep(args) -> int:
 
     report = run_cluster_sweep(
         sweep_seed=args.seed, quick=args.quick, progress=progress,
-        engine=args.replication_engine or DEFAULT_REPLICATION_ENGINE,
     )
     print(report.summary())
 
@@ -481,9 +474,7 @@ def _cmd_cluster_sweep(args) -> int:
 
 def _cmd_cluster_status(args) -> int:
     from repro.detector.monitor import Detector
-    from repro.distributed.cluster import (
-        DEFAULT_REPLICATION_ENGINE, Cluster, ClusterClient,
-    )
+    from repro.distributed.cluster import Cluster, ClusterClient
     from repro.distributed.shardmgr import ShardManager
     from repro.faults.registry import scenario_by_id
     from repro.harness.experiment import ExperimentContext
@@ -492,8 +483,6 @@ def _cmd_cluster_status(args) -> int:
     cluster = Cluster(
         n_nodes=args.nodes, n_clients=1,
         adapter_cls=scenario.adapter_cls(), seed=args.seed, replication=2,
-        replication_engine=args.replication_engine
-        or DEFAULT_REPLICATION_ENGINE,
     )
     client = ClusterClient(cluster, 0)
     for key in range(40):
@@ -546,14 +535,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--solution", default="arthas",
                        choices=list(SOLUTIONS) + list(EXTRA_SOLUTIONS))
     run_p.add_argument("--seed", type=int, default=0)
-    run_p.add_argument("--bisect-engine", default="incremental",
-                       choices=["incremental", "snapshot"],
-                       help="probe engine for arthas-bi (snapshot is the "
-                            "full-restore oracle)")
-    run_p.add_argument("--vm-engine", default="fused",
-                       choices=list(VM_ENGINES),
-                       help="PMLang VM engine (table is the per-step "
-                            "dispatch oracle)")
 
     matrix_p = sub.add_parser("matrix",
                               help="all registered faults for one solution")
@@ -597,9 +578,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench_p.add_argument("--out", default="results/BENCH_hotpaths.json",
                          help="report path ('-' to skip writing)")
     bench_p.add_argument("--only", default=None,
-                         choices=["plan", "mitigation", "probe_engine",
-                                  "vm", "write_path", "live_traffic",
-                                  "cluster"],
+                         choices=["plan", "mitigation", "vm",
+                                  "write_path", "live_traffic"],
                          help="run a single section (partial reports "
                               "omit the summary block; --profile then "
                               "profiles just that section)")
@@ -690,10 +670,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "against the committed report at --out")
     csweep_p.add_argument("--out", default="results/cluster_sweep.json",
                           help="JSON report path ('-' to skip writing)")
-    csweep_p.add_argument("--replication-engine", default=None,
-                          choices=["reexec", "delta"],
-                          help="replication engine under test (default: "
-                               "the cluster default, currently delta)")
 
     cstatus_p = sub.add_parser(
         "cluster-status",
@@ -704,9 +680,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="fault scenario to wedge shard 0 with")
     cstatus_p.add_argument("--nodes", type=int, default=3)
     cstatus_p.add_argument("--seed", type=int, default=0)
-    cstatus_p.add_argument("--replication-engine", default=None,
-                           choices=["reexec", "delta"],
-                           help="replication engine for the demo cluster")
     return parser
 
 

@@ -17,20 +17,21 @@ This package implements that sketch at laptop scale:
   (each with its own pool, checkpoint log, trace and analyzer metadata),
   a client layer that stamps every request with a vector clock, and an
   operation log mapping requests to checkpoint sequence ranges.
-* :mod:`repro.distributed.recovery` — the coordinator: mitigate the
-  failing node with the local Arthas reactor, map its reverted sequence
-  numbers back to client requests, and cascade-revert every request that
-  causally follows a discarded one (Fidge/Mattern happens-before over
-  the vector clocks), node by node, until the closure is empty.
+* :mod:`repro.distributed.recovery` — the coordinator: map the failing
+  node's locally reverted sequence numbers back to client requests, and
+  cascade-revert every request that causally follows a discarded one
+  (Fidge/Mattern happens-before over the vector clocks), node by node,
+  until the closure is empty.
 
 Beyond the sketch, the package now serves *through* failures:
 
 * :mod:`repro.distributed.ring` — consistent-hash placement with
   virtual nodes; replica promotion is a ring status flag, so failover
   moves no data.
-* :mod:`repro.distributed.shardmgr` — the shard supervisor: journaled
-  promote → mitigate → cascade → resync/handoff phases, each
-  crash-retried and idempotent, with per-shard health scores.
+* :mod:`repro.distributed.shardmgr` — the shard supervisor and the one
+  heal path: journaled promote → mitigate → rebuild → cascade →
+  resync/handoff phases, each crash-retried and idempotent, with
+  per-shard health scores.
 """
 
 from repro.distributed.cluster import (
@@ -39,7 +40,7 @@ from repro.distributed.cluster import (
     OpRecord,
     ShardUnavailable,
 )
-from repro.distributed.recovery import DistributedReactor, DistributedRecoveryReport
+from repro.distributed.recovery import DistributedReactor
 from repro.distributed.ring import HashRing
 from repro.distributed.shardmgr import HealReport, NodeHealth, ShardManager
 
@@ -49,7 +50,6 @@ __all__ = [
     "OpRecord",
     "ShardUnavailable",
     "DistributedReactor",
-    "DistributedRecoveryReport",
     "HashRing",
     "HealReport",
     "NodeHealth",

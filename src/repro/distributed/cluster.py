@@ -2,9 +2,8 @@
 
 Each node is one fully-equipped system deployment (its own pool,
 allocator, checkpoint log and PM-address trace).  Requests are routed
-by a consistent-hash ring (:mod:`repro.distributed.ring`); every
-mutation is applied primary-then-replica across a replica set of size
-``replication`` and recorded in a cluster-wide operation log carrying:
+by a consistent-hash ring (:mod:`repro.distributed.ring`) and every
+mutation is recorded in a cluster-wide operation log carrying:
 
 * the issuing client and its vector clock at send time, and
 * for *every node that applied it*, the span of checkpoint-log
@@ -12,48 +11,40 @@ mutation is applied primary-then-replica across a replica set of size
 
 The per-node sequence spans let the coordinator translate "node i
 reverted sequence numbers S" into "these client operations were
-discarded" — and, because an op's replica spans are recorded too, the
-cascade can revert an orphan on a demoted node's *replicas* even while
+discarded" — and, because an op's mirror spans are recorded too, the
+cascade can revert an orphan on a demoted node's *mirrors* even while
 the demoted node itself is down.  The vector clocks define which other
 operations causally depend on the discarded ones.
 
 Routing during a failure: marking a node down on the ring makes the
 next live preference node the primary for its keys — replica
 promotion is a ring flag, not a data migration.  A healed node is
-re-synced from the oplog tail (:meth:`Cluster.replay_missed`) and
-rejoins demoted: replica duty first, primary duty only when the ring
-has no better candidate.
+re-based (:meth:`Cluster.rebase_node`) and rejoins demoted: replica
+duty first, primary duty only when the ring has no better candidate.
 
-Two replication engines
------------------------
+Physical replication
+--------------------
 
-``replication_engine`` selects how a mutation reaches the other nodes
-(mirroring ``vm_engine``/``PROBE_ENGINES``: the slow engine stays as the
-oracle):
-
-* ``"reexec"`` — the original engine: the guest program runs through
-  the VM on the primary *and every replica-set member* (R× VM work per
-  op); a healed node replays its oplog share the same way.
-* ``"delta"`` — physical replication: the primary wraps the op in a
-  dirty-word pool epoch, captures the op's word delta + allocator
-  metadata ops + checkpoint record stream + trace slice as a
-  :class:`ReplicaDelta`, and the other nodes apply it as raw pool
-  writes plus a record batch — no guest re-execution.  Deltas are
-  group-committed (``replication_batch`` deltas per replica round,
-  drained early whenever a node must serve a read or execute as
-  primary), and the acked prefix is periodically folded into a
-  :class:`BaseImage` (:meth:`Cluster.compact`) so a healed node
-  installs ``base + delta tail`` instead of replaying its whole share.
+A mutation executes once, on its primary, inside a dirty-word pool
+epoch.  The op's word delta, allocator metadata ops, checkpoint record
+stream and trace slice are captured as a :class:`ReplicaDelta`, and the
+other nodes apply it as raw pool writes plus a record batch — no guest
+re-execution.  Deltas are group-committed (``replication_batch`` deltas
+per replica round, drained early whenever a node must serve a read or
+execute as primary), and the acked prefix is periodically folded into a
+:class:`BaseImage` (:meth:`Cluster.compact`), so a healed node installs
+``base + delta tail`` instead of replaying its whole share.
 
 A physical word delta is only byte-exact between nodes whose op
 histories are *aligned* — per-node counters (``m_time``), first-fit
 allocator layout and checkpoint seqs are all history-dependent — so
-under the delta engine every live node mirrors every oplog op in oplog
-order (``replication`` keeps its routing/ack/vector-clock meaning on
-the ring, and routed lookups still touch only their primary).  At
-``replication == n_nodes`` the two engines are byte-identical per node;
-diverged or rebuilt nodes are never patched in place but *re-based*
-from a base image captured off a live aligned mirror.
+every live node mirrors every oplog op in oplog order (``replication``
+keeps its routing/ack/vector-clock meaning on the ring, and routed
+lookups still touch only their primary).  At ``replication ==
+n_nodes`` this is byte-identical per node to re-executing each op on
+every node (the oracle in ``tests/oracles``); diverged or rebuilt
+nodes are never patched in place but *re-based* from a base image
+captured off a live aligned mirror.
 """
 
 from __future__ import annotations
@@ -68,12 +59,6 @@ from repro.systems.common import ABSENT, SystemAdapter
 from repro.systems.memcached import MemcachedAdapter
 
 VectorClock = Tuple[int, ...]
-
-#: selectable replication engines; "reexec" is the oracle
-REPLICATION_ENGINES = ("reexec", "delta")
-
-#: module default, applied when ``Cluster(replication_engine=None)``
-DEFAULT_REPLICATION_ENGINE = "delta"
 
 #: deltas per group-commit round when ``replication_batch`` is unset
 DEFAULT_REPLICATION_BATCH = 8
@@ -130,14 +115,14 @@ class OpRecord:
     first_seq: int
     last_seq: int
     #: node id -> (first_seq, last_seq) on *every* node that applied
-    #: the op (primary and replicas; grown again when a healed node
-    #: replays it during re-sync)
+    #: the op (primary and mirrors; credited again when a healed node
+    #: is re-based)
     spans: Dict[int, Tuple[int, int]] = field(default_factory=dict)
     #: set by the coordinator when the operation is discarded by recovery
     discarded: bool = False
     #: nodes where the discard has been physically reverted; lets the
-    #: cascade skip nodes that already reverted and lets re-sync revert
-    #: a span the node missed while it was down
+    #: cascade skip nodes that already reverted, and a rebase inherits
+    #: the entries of the mirror it copies
     reverted_on: Set[int] = field(default_factory=set)
 
     def span_on(self, node_id: int) -> Optional[Tuple[int, int]]:
@@ -215,17 +200,8 @@ class Cluster:
         seed: int = 0,
         replication: Optional[int] = None,
         vnodes: int = 64,
-        replication_engine: Optional[str] = None,
         replication_batch: Optional[int] = None,
     ):
-        if replication_engine is None:
-            replication_engine = DEFAULT_REPLICATION_ENGINE
-        if replication_engine not in REPLICATION_ENGINES:
-            raise ValueError(
-                f"unknown replication engine {replication_engine!r}; "
-                f"pick from {REPLICATION_ENGINES}"
-            )
-        self.replication_engine = replication_engine
         self.replication_batch = (
             DEFAULT_REPLICATION_BATCH
             if replication_batch is None
@@ -350,31 +326,7 @@ class Cluster:
         node_ids = self.replica_nodes_for(key)
         if not node_ids:
             raise ShardUnavailable(key)
-        if self.replication_engine == "delta":
-            return self._apply_delta(client, kind, key, value, node_ids)
-        spans: Dict[int, Tuple[int, int]] = {}
-        try:
-            for nid in node_ids:
-                first = self.nodes[nid].ckpt.log.max_seq() + 1
-                try:
-                    spans[nid] = self._apply_on(nid, kind, key, value)
-                except BaseException:
-                    # the op wedged mid-apply on this node: whatever it
-                    # already recorded is durable damage — keep the
-                    # partial span so assessment can find it
-                    last = self.nodes[nid].ckpt.log.max_seq()
-                    if last >= first:
-                        spans[nid] = (first, last)
-                    raise
-        except BaseException:
-            # partial-failure atomicity: nodes earlier in the chain have
-            # already applied the op.  Roll it forward into the oplog
-            # with the spans it actually produced, so damage assessment
-            # never loses an applied op.
-            if spans:
-                self._log_op(client, kind, key, value, node_ids, spans)
-            raise
-        return self._log_op(client, kind, key, value, node_ids, spans)
+        return self._apply_delta(client, kind, key, value, node_ids)
 
     def _log_op(
         self,
@@ -385,8 +337,9 @@ class Cluster:
         node_ids: List[int],
         spans: Dict[int, Tuple[int, int]],
     ) -> OpRecord:
-        """Stamp clocks and append one (possibly partial) op record."""
-        anchor = node_ids[0] if node_ids[0] in spans else next(iter(spans))
+        """Stamp clocks and append one op record (``spans`` holds at
+        least the primary's span)."""
+        first_seq, last_seq = spans[node_ids[0]]
         record = OpRecord(
             op_id=self._next_op_id,
             client=client,
@@ -395,8 +348,8 @@ class Cluster:
             key=key,
             value=value,
             vc=self._stamp(client, node_ids),
-            first_seq=spans[anchor][0],
-            last_seq=spans[anchor][1],
+            first_seq=first_seq,
+            last_seq=last_seq,
             spans=spans,
         )
         self._next_op_id += 1
@@ -405,23 +358,8 @@ class Cluster:
             self._ops_by_node.setdefault(nid, []).append(record)
         return record
 
-    def _apply_on(
-        self, node_id: int, kind: str, key: int, value: Optional[int]
-    ) -> Tuple[int, int]:
-        """Apply one mutation on one node, returning its seq span."""
-        node = self.nodes[node_id]
-        first = node.ckpt.log.max_seq() + 1
-        if kind == "insert":
-            node.insert(key, value)
-            self.oracles[node_id][key] = value
-        else:
-            node.delete(key)
-            self.oracles[node_id].pop(key, None)
-        last = node.ckpt.log.max_seq()
-        return (first, last)
-
     # ------------------------------------------------------------------
-    # delta replication engine
+    # delta replication
     # ------------------------------------------------------------------
     def _apply_delta(
         self,
@@ -527,10 +465,8 @@ class Cluster:
         commit) and eagerly whenever a node must be current: before it
         serves a routed read, before it executes as primary, and before
         damage assessment walks its spans.  Returns the number of
-        (node, delta) applications performed; no-op under ``reexec``.
+        (node, delta) applications performed.
         """
-        if self.replication_engine != "delta":
-            return 0
         if node_id is not None:
             if self.ring.is_down(node_id):
                 return 0
@@ -553,7 +489,7 @@ class Cluster:
         mid-delta is diverged and is flagged for rebase instead of
         being patched further.
         """
-        if self.replication_engine != "delta" or node_id in self._needs_rebase:
+        if node_id in self._needs_rebase:
             return 0
         start = self._applied[node_id]
         if start < self._horizon:
@@ -637,9 +573,8 @@ class Cluster:
     def ops_on_node(self, node_id: int) -> List[OpRecord]:
         """Ops that produced checkpoint records on ``node_id`` (as
         primary or replica), in op_id order — served from the per-node
-        index, not an oplog scan.  Under the delta engine the node is
-        drained first so queued deltas are credited before assessment
-        reads the spans."""
+        index, not an oplog scan.  The node is drained first so queued
+        deltas are credited before assessment reads the spans."""
         self.drain(node_id)
         return list(self._ops_by_node.get(node_id, ()))
 
@@ -671,54 +606,18 @@ class Cluster:
         return out
 
     # ------------------------------------------------------------------
-    # re-sync
+    # rebuild, compaction & rebase
     # ------------------------------------------------------------------
-    def replay_missed(self, node_id: int, tick=None) -> int:
-        """Replay oplog-tail ops a healed node missed while down.
-
-        An op is replayed iff the node belongs to the key's replica set
-        *as it will stand once the node is marked up* (catch-up runs
-        before the handoff flips the ring flag, so eligibility is
-        computed against a what-if down set rather than by mutating the
-        ring mid-phase), the op is not discarded, and the node has no
-        span for it yet.  Replays run in op_id order; each records its
-        span only after the apply completes, so a crash-and-retry
-        re-applies the op (idempotently) instead of losing it.  ``tick``
-        is called before each replay — the shard supervisor threads the
-        ``cluster.resync`` injection site through it.  Returns the
-        number of ops replayed (the node's resync lag).
-        """
-        if self.replication_engine == "delta":
-            raise RuntimeError(
-                "replay_missed re-executes the guest per op; the delta "
-                "engine heals via rebase_node (base image + delta tail)"
-            )
-        replayed = 0
-        down = self.ring.down - {node_id}
-        for op in self.oplog:
-            if op.discarded or node_id in op.spans:
-                continue
-            members = self.ring.replica_set(op.key, self.replication, down=down)
-            if node_id not in members:
-                continue
-            if tick is not None:
-                tick()
-            span = self._apply_on(node_id, op.kind, op.key, op.value)
-            op.spans[node_id] = span
-            self._ops_by_node.setdefault(node_id, []).append(op)
-            replayed += 1
-        return replayed
-
     def rebuild_node(self, node_id: int) -> None:
         """Replace a node's deployment with a fresh pool (re-replication).
 
         Local mitigation's last resort: the damaged pool is abandoned
-        and the node's durable state is re-derived from the cluster —
-        once the spans recorded against the old pool are forgotten,
-        :meth:`replay_missed` replays every eligible oplog op from the
-        surviving replicas (R >= 2 keeps each op on a live pool, so no
-        cluster op is lost).  Node-local state that never entered the
-        oplog is the fault's blast radius and dies with the pool.
+        and the spans recorded against it are forgotten.  A fresh pool
+        shares no history with the delta stream, so the node is flagged
+        and no delta lands until :meth:`rebase_node` re-aligns it from a
+        live mirror — no cluster op is lost.  Node-local state that
+        never entered the oplog is the fault's blast radius and dies
+        with the pool.
         """
         adapter = type(self.nodes[node_id])(seed=self.seed + node_id)
         adapter.start()
@@ -727,14 +626,8 @@ class Cluster:
         for op in self._ops_by_node.pop(node_id, []):
             op.spans.pop(node_id, None)
             op.reverted_on.discard(node_id)
-        if self.replication_engine == "delta":
-            # a fresh pool shares no history with the stream: flag the
-            # node so no delta lands until rebase_node re-aligns it
-            self._needs_rebase.add(node_id)
+        self._needs_rebase.add(node_id)
 
-    # ------------------------------------------------------------------
-    # oplog compaction & rebase (delta engine)
-    # ------------------------------------------------------------------
     def compact(self) -> int:
         """Fold the fully-acked delta prefix into a new base image.
 
@@ -744,11 +637,9 @@ class Cluster:
         into a fresh capture, so the step is idempotent), then advances
         the horizon and truncates the stream.  Nodes whose pointer fell
         behind the new horizon (down at compaction time) are flagged for
-        rebase.  Returns the number of deltas folded; 0 under ``reexec``
-        or when no aligned live source exists.
+        rebase.  Returns the number of deltas folded; 0 when nothing is
+        queued or no aligned live source exists.
         """
-        if self.replication_engine != "delta":
-            return 0
         self.drain()
         if not self._delta_log:
             return 0
@@ -810,21 +701,19 @@ class Cluster:
     def rebase_node(self, node_id: int, tick=None) -> Tuple[int, int]:
         """Re-align a healed/rebuilt node: install ``base + delta tail``.
 
-        The delta-engine replacement for :meth:`replay_missed` +
-        catch-up reverts: instead of re-executing the node's oplog
-        share, the current base image (captured fresh off a live mirror
-        when none is cached) is installed wholesale — pool words,
-        allocator metadata, checkpoint-log clone, transaction counter,
-        trace — and the delta tail past the base is drained on top.
-        ``tick`` is called once per op credited from the base, which
-        threads the supervisor's ``cluster.resync`` injection site
-        through the same cadence the re-execution engine had; a crash
-        mid-rebase retries from scratch (every step reinstalls).
-        Returns ``(credited, reverted)``: ops credited to the node and
-        how many of those carry an inherited revert.
+        Instead of re-executing the node's oplog share, the current base
+        image (captured fresh off a live mirror when none is cached) is
+        installed wholesale — pool words, allocator metadata,
+        checkpoint-log clone, transaction counter, trace — and the delta
+        tail past the base is drained on top.  The mirror's reverts come
+        with the image, so any revert the node owed while it was down is
+        settled too.  ``tick`` is called once per op credited from the
+        base, which threads the supervisor's ``cluster.resync``
+        injection site through the rebase; a crash mid-rebase retries
+        from scratch (every step reinstalls).  Returns ``(credited,
+        reverted)``: ops credited to the node and how many of those
+        carry an inherited revert.
         """
-        if self.replication_engine != "delta":
-            raise RuntimeError("rebase_node requires the delta engine")
         base = self._base
         if base is None:
             self.drain()

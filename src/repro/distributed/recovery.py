@@ -4,23 +4,23 @@ Protocol, in the terms of Elnozahy et al.'s rollback-recovery survey
 (which the paper cites as the blueprint):
 
 1. **Local recovery.**  The failing node runs its local Arthas reactor
-   (slice x trace x checkpoint log, purge mode) exactly as in the
-   single-node case.
+   exactly as in the single-node case — the shard supervisor
+   (:mod:`repro.distributed.shardmgr`) drives it after promoting the
+   node's keys to their mirrors.
 2. **Damage assessment.**  The reverted sequence numbers are mapped back
    through the operation log to the client requests they discarded.
 3. **Causal cascade.**  Any request whose vector clock is causally after
    a discarded request (the client observed discarded state before
-   issuing it) is *orphaned*: the coordinator reverts its checkpoint
-   entries on every live node that applied it, transactions included.
-   New orphans found there cascade in turn, until a fixpoint.
+   issuing it) is *orphaned*: the coordinator reverts it on every live
+   node that applied it.  New orphans found there cascade in turn,
+   until a fixpoint.
 
-The cascade is *promotion-aware*: operations are replicated, so a
+The cascade is *promotion-aware*: operations are mirrored, so a
 discarded or orphaned op is reverted on each node in its span map —
 which is how an orphan whose primary is down (demoted, mid-mitigation)
-still gets cleaned up through its replica's log.  Nodes that are down
-when the cascade runs are recorded as owing a revert; re-sync settles
-the debt (:meth:`DistributedReactor.catchup_reverts`) before replaying
-the ops the node missed.
+still gets cleaned up through its mirrors.  Nodes that are down when the
+cascade runs are skipped; re-sync re-bases them from a live mirror that
+already carries the reverts.
 
 The result is a causally consistent cut: no surviving request depends
 on discarded state.
@@ -28,30 +28,9 @@ on discarded state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Set, Tuple
+from typing import List, Set, Tuple
 
-from repro.detector.monitor import Detector, RunOutcome
 from repro.distributed.cluster import Cluster, OpRecord, vc_less
-from repro.harness.simclock import ReexecDelay, SimClock
-from repro.reactor.plan import distance_policy
-from repro.reactor.revert import Reverter
-from repro.reactor.server import ReactorServer
-
-
-@dataclass
-class DistributedRecoveryReport:
-    """What the coordinator did across the cluster."""
-
-    recovered: bool
-    failing_node: int
-    local_attempts: int = 0
-    discarded_ops: List[OpRecord] = field(default_factory=list)
-    cascaded_ops: List[OpRecord] = field(default_factory=list)
-    rounds: int = 0
-
-    def discarded_keys(self) -> Set[int]:
-        return {op.key for op in self.discarded_ops + self.cascaded_ops}
 
 
 class DistributedReactor:
@@ -61,66 +40,6 @@ class DistributedReactor:
         self.cluster = cluster
 
     # ------------------------------------------------------------------
-    def mitigate(
-        self,
-        failing_node: int,
-        fault_iid: int,
-        verify: Callable[[], None],
-        seed: int = 0,
-    ) -> DistributedRecoveryReport:
-        """Recover ``failing_node`` from ``fault_iid``, then cascade.
-
-        ``verify`` is the failing node's symptom check (raises a guest
-        trap while the symptom persists), as in single-node re-execution.
-        """
-        node = self.cluster.nodes[failing_node]
-        detector = Detector()
-
-        def reexec() -> RunOutcome:
-            node.restart()
-            return detector.observe(
-                node.machine, lambda: (node.recover(), verify())
-            )
-
-        server = ReactorServer(node.module, analysis=node.analysis)
-        plan = server.compute_plan(
-            node.guid_map, node.trace, node.ckpt.log, fault_iid,
-            policy=distance_policy(max_distance=8),
-        )
-        reverter = Reverter(
-            node.ckpt.log, node.pool, node.allocator,
-            reexec=reexec, clock=SimClock(), reexec_delay=ReexecDelay(seed),
-        )
-        local = reverter.mitigate_purge(plan)
-        report = DistributedRecoveryReport(
-            recovered=local.recovered,
-            failing_node=failing_node,
-            local_attempts=local.attempts,
-        )
-        if not local.recovered:
-            return report
-
-        discarded, cascaded, rounds = self.cascade_from(
-            failing_node, set(local.reverted_seqs)
-        )
-        report.discarded_ops = discarded
-        report.cascaded_ops = cascaded
-        report.rounds = rounds
-
-        # every touched peer re-runs recovery over its final state
-        touched = {
-            nid
-            for op in discarded + cascaded
-            for nid in op.reverted_on
-            if nid != failing_node and not self.cluster.is_down(nid)
-        }
-        for node_id in touched:
-            peer = self.cluster.nodes[node_id]
-            peer.restart()
-            peer.recover()
-        return report
-
-    # ------------------------------------------------------------------
     def cascade_from(
         self, failing_node: int, reverted_seqs: Set[int]
     ) -> Tuple[List[OpRecord], List[OpRecord], int]:
@@ -128,13 +47,12 @@ class DistributedReactor:
 
         ``reverted_seqs`` are the checkpoint sequence numbers the local
         mitigation reverted *on the failing node*.  Maps them to the
-        client ops they discarded, reverts those ops' replica spans,
+        client ops they discarded, reverts them on every live mirror,
         then cascades orphans to a fixpoint.  Returns
         ``(discarded, cascaded, rounds)``.
         """
         # every live mirror must be current before reverts — guest-level
-        # mutations outside the delta stream — execute on it (no-op
-        # under the re-execution engine)
+        # mutations outside the delta stream — execute on it
         self.cluster.drain()
         discarded = self.cluster.ops_overlapping_seqs(
             failing_node, set(reverted_seqs)
@@ -164,23 +82,6 @@ class DistributedReactor:
             self.cluster.note_out_of_band()
         return discarded, cascaded, rounds
 
-    def catchup_reverts(self, node_id: int) -> int:
-        """Settle the revert debt a node accrued while it was down.
-
-        Ops the cascade discarded carry spans on this node that nobody
-        could revert at cascade time.  Reverting by seq is a pure
-        function of the node's log, so a crashed-and-retried catchup
-        converges.  Returns the number of ops reverted here.
-        """
-        reverted = 0
-        for op in self.cluster.ops_on_node(node_id):
-            if not op.discarded or node_id in op.reverted_on:
-                continue
-            self._revert_op_on(op, node_id)
-            op.reverted_on.add(node_id)
-            reverted += 1
-        return reverted
-
     # ------------------------------------------------------------------
     def _orphans_of(self, discarded: List[OpRecord]) -> List[OpRecord]:
         """Not-yet-discarded ops causally after any discarded op."""
@@ -197,8 +98,8 @@ class DistributedReactor:
     def _revert_spans(self, op: OpRecord) -> None:
         """Revert an op on every live node in its span map.
 
-        Down nodes are skipped — their spans stay owed in
-        ``op.reverted_on``'s complement until re-sync settles them.
+        Down nodes are skipped: re-sync re-bases them from a live mirror,
+        which already carries the revert.
         """
         for node_id in op.spans:
             if node_id in op.reverted_on:
@@ -212,10 +113,6 @@ class DistributedReactor:
         for node_id in op.spans:
             self.cluster.oracles[node_id].pop(op.key, None)
 
-    def _revert_op(self, op: OpRecord) -> None:
-        """Back-compat single-op entry: revert every live span."""
-        self._revert_spans(op)
-
     def _revert_op_on(self, op: OpRecord, node_id: int) -> None:
         """Revert one operation on one node by logical anti-entropy.
 
@@ -228,7 +125,7 @@ class DistributedReactor:
         the key to its last surviving write — the same causally
         consistent cut, reached through the system's own front door.
         Idempotent (a pure function of the log), so a crashed-and-
-        retried catchup converges.
+        retried cascade converges.
         """
         if node_id not in op.spans:
             return

@@ -19,22 +19,23 @@ that leave the cluster serving throughout:
 2b. **rebuild** — when every ladder rung fails (some faults are beyond
    local repair — the single-node study recovers them only from
    snapshots), the supervisor abandons the pool and *re-replicates*:
-   a fresh deployment whose state the resync phase replays wholesale
-   from the surviving replicas.  The cluster's replicas are a snapshot
-   that is always current.
+   a fresh deployment whose state the resync phase re-bases wholesale
+   from a live mirror.  The cluster's mirrors are a snapshot that is
+   always current.
 3. **cascade** — damage assessment + the promotion-aware causal
    cascade (:meth:`DistributedReactor.cascade_from`): reverted seqs map
    to discarded client ops, orphans are reverted through every live
    replica's log — including orphans whose primary is the demoted node
    itself.
-4. **resync + handoff** — settle the revert debt the node accrued
-   while down, replay the oplog tail it missed, then demote it (sticky
-   replica duty) and mark it up.
+4. **resync + handoff** — re-base the node from a live mirror's base
+   image plus the delta tail it missed (which also settles every revert
+   the cascade could not apply while it was down), then demote it
+   (sticky replica duty), mark it up and compact the delta stream.
 
 Each phase records completion in a per-node journal and every
 externally-visible effect is idempotent (ring flags are sets, reverts
-are pure functions of the log, replays record their span only after
-applying), so a *second* fault arriving mid-promotion — modeled by the
+are pure functions of the log, a rebase reinstalls from scratch), so a
+*second* fault arriving mid-promotion — modeled by the
 ``cluster.promote`` / ``cluster.resync`` / ``cluster.handoff`` crash
 sites — converges on retry instead of splitting the brain.
 
@@ -138,7 +139,6 @@ class HealReport:
     discarded_ops: List[OpRecord] = field(default_factory=list)
     cascaded_ops: List[OpRecord] = field(default_factory=list)
     cascade_rounds: int = 0
-    resync_reverted: int = 0
     resync_replayed: int = 0
     crash_retries: int = 0
     demoted: bool = False
@@ -280,12 +280,12 @@ class ShardManager:
         """When the ladder cannot repair the pool, re-replicate instead.
 
         The damaged pool is abandoned (:meth:`Cluster.rebuild_node`) and
-        resync later replays the node's whole oplog share from the
-        surviving replicas — the cluster analogue of the single-node
-        snapshot rung, except the "snapshot" is the replicas and is
-        always current.  No cluster op is lost; the node-local state the
-        pool held outside the oplog is the fault's blast radius.  A
-        no-op (journaled ``rebuilt=False``) when mitigation succeeded.
+        resync later re-bases the node from a live mirror — the cluster
+        analogue of the single-node snapshot rung, except the "snapshot"
+        is the mirrors and is always current.  No cluster op is lost;
+        the node-local state the pool held outside the oplog is the
+        fault's blast radius.  A no-op (journaled ``rebuilt=False``)
+        when mitigation succeeded.
         """
         journal = self.journal(node_id)
         if journal.done("rebuild"):
@@ -370,12 +370,14 @@ class ShardManager:
         Two crash-retried steps around the ``cluster.resync`` /
         ``cluster.handoff`` sites:
 
-        * catch-up — revert the discards the cascade owed this node,
-          then replay the non-discarded oplog tail it missed (spans
-          recorded only after an apply completes, so a mid-replay crash
-          re-applies idempotently);
+        * catch-up — :meth:`Cluster.rebase_node` installs a live
+          mirror's base image plus the delta tail, which carries every
+          discard the cascade applied while this node was down; the
+          rebase reinstalls from scratch, so a mid-rebase crash retries
+          cleanly;
         * handoff — demote (sticky) + mark up, in that order, so the
-          node never fronts reads between the two flags.
+          node never fronts reads between the two flags, then compact
+          the delta stream.
         """
         journal = self.journal(node_id)
         h = self.health[node_id]
@@ -386,19 +388,10 @@ class ShardManager:
 
             def catchup() -> StepResult:
                 faultinject.fire("cluster.resync")
-                if self.cluster.replication_engine == "delta":
-                    # physical heal: install base image + delta tail;
-                    # the tick keeps the cluster.resync cadence (one
-                    # firing per credited op) of the re-execution path
-                    replayed, reverted = self.cluster.rebase_node(
-                        node_id,
-                        tick=lambda: faultinject.fire("cluster.resync"),
-                    )
-                else:
-                    reverted = self.reactor.catchup_reverts(node_id)
-                    replayed = self.cluster.replay_missed(
-                        node_id, tick=lambda: faultinject.fire("cluster.resync")
-                    )
+                # the tick fires the site once per credited op
+                replayed, reverted = self.cluster.rebase_node(
+                    node_id, tick=lambda: faultinject.fire("cluster.resync"),
+                )
                 return StepResult(
                     recovered=True, notes=f"reverted={reverted} replayed={replayed}",
                     attempts=replayed,

@@ -8,8 +8,8 @@ resync/handoff).  The ISSUE's acceptance bar is checked per cell:
 
 * **recovery** — the sick node's supervised ladder recovers (or, when
   every rung fails, the ``rebuild`` phase abandons the pool and resync
-  re-replicates the node's whole oplog share from live replicas), the
-  node rejoins demoted, and its oplog tail is replayed;
+  re-bases the node from a live mirror), the node rejoins demoted, and
+  the delta tail it missed is applied;
 * **digest equality** — the cell is run twice with identical traffic:
   a *promoted* run that serves a read/write window between promotion
   and mitigation (online re-recovery), and a *quiesced* oracle run
@@ -44,11 +44,6 @@ journaled phases must converge on retry in both runs, and a crashed
 shipping round must re-apply idempotently when the serving client
 retries it.
 
-The sweep runs under the cluster's default replication engine
-(physical delta shipping); ``engine=`` selects the re-execution oracle
-instead, and the committed report records which engine produced it so
-the drift check never compares across engines.
-
 Digests are compared across the two in-process runs; the committed
 report (``results/cluster_sweep.json``) records the stable per-cell
 outcome contract, and ``python -m repro cluster-sweep --quick --check``
@@ -66,12 +61,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro import faultinject
 from repro.detector.monitor import Detector, LeakMonitor, RunOutcome
 from repro.detector.signature import FailureSignature
-from repro.distributed.cluster import (
-    DEFAULT_REPLICATION_ENGINE,
-    Cluster,
-    ClusterClient,
-    vc_less,
-)
+from repro.distributed.cluster import Cluster, ClusterClient, vc_less
 from repro.distributed.shardmgr import ShardManager
 from repro.errors import InjectedCrash, Trap
 from repro.faultinject import InjectionPlan, InjectionSpec
@@ -100,7 +90,7 @@ CRASH_CELLS: Tuple[Tuple[str, int], ...] = (
     ("cluster.resync", 1),
     ("cluster.resync", 2),
     ("cluster.handoff", 1),
-    # delta-engine sites: a crashed shipping round is retried by the
+    # replication sites: a crashed shipping round is retried by the
     # serving client (idempotent re-apply); a crashed compaction is
     # retried by the handoff journal step (fresh capture)
     ("cluster.ship_delta", 1),
@@ -247,7 +237,6 @@ class ClusterSweepReport:
     sweep_seed: int
     n_nodes: int = N_NODES
     replication: int = REPLICATION
-    replication_engine: str = DEFAULT_REPLICATION_ENGINE
     cells: List[CellOutcome] = field(default_factory=list)
     wall_seconds: float = 0.0
 
@@ -261,7 +250,6 @@ class ClusterSweepReport:
             "sweep_seed": self.sweep_seed,
             "n_nodes": self.n_nodes,
             "replication": self.replication,
-            "replication_engine": self.replication_engine,
             "wall_seconds": round(self.wall_seconds, 2),
             "cells_total": len(self.cells),
             "cells_manifested": len(manifested),
@@ -308,7 +296,6 @@ def _run_mode(
     mode: str,
     crash_spec: Optional[Tuple[str, int]] = None,
     skip_keys: frozenset = frozenset(),
-    engine: str = DEFAULT_REPLICATION_ENGINE,
 ) -> ModeResult:
     """Build a fresh cluster, wedge ``target`` with the scenario, heal.
 
@@ -334,7 +321,6 @@ def _run_mode(
         adapter_cls=scenario.adapter_cls(),
         seed=seed,
         replication=REPLICATION,
-        replication_engine=engine,
     )
     clients = [ClusterClient(cluster, i) for i in range(N_CLIENTS)]
     node = cluster.nodes[target]
@@ -606,21 +592,19 @@ def _run_cell(
     target: int,
     seed: int,
     crash_spec: Optional[Tuple[str, int]] = None,
-    engine: str = DEFAULT_REPLICATION_ENGINE,
 ) -> CellOutcome:
     site = f"{crash_spec[0]}#{crash_spec[1]}" if crash_spec else ""
     # fault-free control: its post-heal losses are the system's, not the
     # cluster's, and get excluded from both fault runs' serving bar
-    control = _run_mode(_fresh_scenario(fid), target, seed, "control",
-                        engine=engine)
+    control = _run_mode(_fresh_scenario(fid), target, seed, "control")
     skip = frozenset(control.lost_keys)
     promoted = _run_mode(
         _fresh_scenario(fid), target, seed, "promoted",
-        crash_spec=crash_spec, skip_keys=skip, engine=engine,
+        crash_spec=crash_spec, skip_keys=skip,
     )
     quiesced = _run_mode(
         _fresh_scenario(fid), target, seed, "quiesced",
-        crash_spec=crash_spec, skip_keys=skip, engine=engine,
+        crash_spec=crash_spec, skip_keys=skip,
     )
     scenario = scenario_by_id(fid)
     cell = CellOutcome(
@@ -675,7 +659,6 @@ def run_cluster_sweep(
     sweep_seed: int = DEFAULT_SWEEP_SEED,
     quick: bool = False,
     progress=None,
-    engine: str = DEFAULT_REPLICATION_ENGINE,
 ) -> ClusterSweepReport:
     """Run the cluster fault sweep; deterministic per seed.
 
@@ -691,26 +674,16 @@ def run_cluster_sweep(
     crash_cells = (
         QUICK_CRASH_CELLS if quick else CRASH_CELLS
     ) if CRASH_FID in fids else ()
-    if engine != "delta":
-        # the delta-engine sites never fire under re-execution: the
-        # cells would fail their injections_fired bar vacuously
-        crash_cells = tuple(
-            c for c in crash_cells
-            if c[0] not in ("cluster.ship_delta", "cluster.compact")
-        )
-    report = ClusterSweepReport(
-        sweep_seed=sweep_seed, replication_engine=engine
-    )
+    report = ClusterSweepReport(sweep_seed=sweep_seed)
     t0 = time.time()
     for fid in fids:
-        cell = _run_cell(fid, target_shard(fid), sweep_seed, engine=engine)
+        cell = _run_cell(fid, target_shard(fid), sweep_seed)
         report.cells.append(cell)
         if progress is not None:
             progress(cell)
     for site, occ in crash_cells:
         cell = _run_cell(
             CRASH_FID, CRASH_TARGET, sweep_seed, crash_spec=(site, occ),
-            engine=engine,
         )
         report.cells.append(cell)
         if progress is not None:
@@ -723,8 +696,7 @@ def check_against(report: ClusterSweepReport, committed: dict) -> List[str]:
     """Drift check: every cell of this (quick) sweep must match the
     committed report's outcome contract for the same cell."""
     problems: List[str] = []
-    for field_name in ("sweep_seed", "n_nodes", "replication",
-                       "replication_engine"):
+    for field_name in ("sweep_seed", "n_nodes", "replication"):
         mine = getattr(report, field_name)
         theirs = committed.get(field_name)
         if theirs != mine:

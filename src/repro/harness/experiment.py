@@ -73,7 +73,7 @@ class ExperimentContext:
         self.state: Dict[str, object] = {}
         self.op_index = 0
         #: cooperative yield point threaded to host-side mitigation
-        #: loops (probe engines, plan joins); the live-traffic server
+        #: loops (the probe engine, plan joins); the live-traffic server
         #: installs a throttled gate checkpoint here for the duration
         #: of a mitigation window
         self.yield_fn: Optional[Callable[[], None]] = None
@@ -185,8 +185,6 @@ def run_experiment(
     supervised: bool = False,
     inject_plan: Optional[faultinject.InjectionPlan] = None,
     max_crash_retries: int = 6,
-    bisect_engine: str = "incremental",
-    vm_engine: str = "fused",
 ) -> ExperimentResult:
     """Run one (fault, solution) experiment end to end.
 
@@ -218,7 +216,6 @@ def run_experiment(
         seed=seed,
         with_tracing=arthas_like,
         with_checkpoint=arthas_like or solution == "arckpt",
-        vm_engine=vm_engine,
     )
     adapter.start()
     ctx = ExperimentContext(adapter, scenario, seed)
@@ -353,7 +350,6 @@ def run_experiment(
             run = _mitigate_arthas(
                 ctx, scenario, outcome, reexec, mclock, delay,
                 mode=_ARTHAS_MODES[solution], batch_size=batch_size,
-                bisect_engine=bisect_engine,
             )
         elif solution == "pmcriu":
             assert pmcriu is not None
@@ -422,7 +418,6 @@ def _make_reexec(ctx, scenario, detector, monitor) -> Callable[[], RunOutcome]:
 
 def _make_rounds_runner(
     ctx, reexec, mclock: SimClock, delay, batch_size: int,
-    bisect_engine: str = "incremental",
     server: Optional[ReactorServer] = None,
 ):
     """Build the detector/reactor rounds driver shared by the legacy and
@@ -434,7 +429,7 @@ def _make_rounds_runner(
     deleted items exposes the bad flush timestamp that deleted them),
     which the detector reports and the reactor re-slices from.  ``mode``
     picks the Reverter strategy: ``"purge"``, ``"rollback"`` or
-    ``"bisect"`` (the latter running on ``bisect_engine``).
+    ``"bisect"``.
     """
     adapter = ctx.adapter
     log = adapter.ckpt.log
@@ -492,7 +487,7 @@ def _make_rounds_runner(
             if mode == "rollback":
                 mres = reverter.mitigate_rollback(plan)
             elif mode == "bisect":
-                mres = reverter.mitigate_bisect(plan, engine=bisect_engine)
+                mres = reverter.mitigate_bisect(plan)
             else:
                 mres = reverter.mitigate_purge(plan, batch_size=batch_size)
             run.attempts += mres.attempts
@@ -529,7 +524,6 @@ def _mitigate_arthas(
     delay,
     mode: str,
     batch_size: int,
-    bisect_engine: str = "incremental",
 ) -> MitigationRun:
     adapter = ctx.adapter
     solution = {v: k for k, v in _ARTHAS_MODES.items()}[mode]
@@ -544,9 +538,7 @@ def _mitigate_arthas(
     #: per-mode attempt budget; exhausting it in purge or bisect mode
     #: triggers the paper's fallback to conservative rollback (§4.5)
     primary_max_attempts = 60 if mode != "rollback" else 200
-    rounds = _make_rounds_runner(
-        ctx, reexec, mclock, delay, batch_size, bisect_engine=bisect_engine
-    )
+    rounds = _make_rounds_runner(ctx, reexec, mclock, delay, batch_size)
 
     rounds(run, seen_faults, outcome.fault.iid, mode, primary_max_attempts)
     if not run.recovered and mode != "rollback" and mclock.now < MITIGATION_TIMEOUT:

@@ -1,6 +1,6 @@
 """Hot-path micro-benchmarks: indexed reactor vs the seed linear scans.
 
-Three measurements feed ``results/BENCH_hotpaths.json`` so later PRs have
+These measurements feed ``results/BENCH_hotpaths.json`` so later PRs have
 a perf trajectory:
 
 * **plan** — ``compute_plan`` (slice x trace x log join) over a large
@@ -13,9 +13,16 @@ a perf trajectory:
   :class:`~repro.checkpoint.reference.LinearScanReverter` on *identical*
   synthetic states; the durable pool image and allocator metadata must
   come out byte-identical, otherwise the run aborts;
-* **vm** — raw PMLang interpreter throughput (steps/second), recorded
-  trajectory-only (no reference implementation is kept for the old
-  if/elif dispatch chain).
+* **vm** — fused PMLang VM throughput (steps/second), recorded
+  trajectory-only; ``tests/test_vm_fused.py`` pins the ratio over the
+  table-dispatch oracle in ``tests/oracles``;
+* **write_path** — checkpoint ``record_update``/persist-hook throughput
+  with and without the index maintenance, against the seed write log;
+* **live_traffic** — p50/p99 for non-quarantined requests during a
+  mitigation, quarantine-scoped vs stop-the-world serving.
+
+The cluster write path and heal are measured end to end by
+``bench/run.py``, not here.
 
 The synthetic state is built directly against the pool/allocator/log —
 no interpreter in the loop — so the log size is an exact parameter.  It
@@ -261,54 +268,6 @@ def bench_mitigation(
         )
         out[mode] = row
     return out
-
-
-# ----------------------------------------------------------------------
-# probe-engine benchmark
-# ----------------------------------------------------------------------
-def bench_probe_engine(n_updates: int, seed: int = 0) -> Dict[str, object]:
-    """Incremental probe engine vs the snapshot-restore oracle.
-
-    Runs the *same* production :class:`~repro.reactor.revert.Reverter`
-    bisect twice on identical fresh states — once with the incremental
-    delta engine (per-probe cost O(words dirtied)), once with the
-    snapshot oracle (full-pool restore + prefix replay per probe) — and
-    requires the final durable image, allocator metadata and every
-    ``MitigationResult`` field to come out identical.  The two engines
-    share the search and memoization logic, so any divergence is a state
-    -movement bug, and the run aborts rather than report a speedup.
-    """
-    rows: Dict[str, object] = {}
-    images = {}
-    outcomes = {}
-    for engine in ("incremental", "snapshot"):
-        state = build_synthetic_state(n_updates, seed=seed)
-        reverter = Reverter(
-            state.log, state.pool, state.allocator, state.reexec()
-        )
-        start = time.perf_counter()
-        result = reverter.mitigate_bisect(state.make_plan(), engine=engine)
-        rows[engine + "_seconds"] = time.perf_counter() - start
-        if not result.recovered:
-            raise RuntimeError(f"bisect ({engine} engine) did not recover")
-        images[engine] = state.durable_image()
-        outcomes[engine] = (
-            result.attempts,
-            result.reverted_seqs,
-            result.recovered,
-            result.notes,
-        )
-    if images["incremental"] != images["snapshot"]:
-        raise RuntimeError("probe engines left divergent pool state")
-    if outcomes["incremental"] != outcomes["snapshot"]:
-        raise RuntimeError("probe engines disagree on the MitigationResult")
-    rows["pool_identical"] = True
-    rows["attempts"] = outcomes["incremental"][0]
-    rows["reverted_updates"] = len(outcomes["incremental"][1])
-    rows["speedup"] = (
-        rows["snapshot_seconds"] / max(rows["incremental_seconds"], 1e-9)
-    )
-    return rows
 
 
 # ----------------------------------------------------------------------
@@ -679,56 +638,6 @@ def bench_write_path(n_updates: int, seed: int = 0) -> Dict[str, object]:
 
 
 # ----------------------------------------------------------------------
-# parallel-matrix benchmark
-# ----------------------------------------------------------------------
-def bench_matrix_sweep(
-    jobs: Optional[int] = None,
-    fids: Optional[List[str]] = None,
-    solutions: Optional[List[str]] = None,
-    seeds: Tuple[int, ...] = (0,),
-) -> Dict[str, object]:
-    """Wall-clock of the experiment matrix, serial loop vs process pool.
-
-    Runs the same cell set twice — ``jobs=1`` (the exact serial path)
-    and ``jobs=N`` (default: CPU count) — and *requires* the two sweeps
-    to produce summary-identical cells; the timing is only meaningful if
-    the fan-out is exact.  Speedup scales with available cores: on a
-    single-CPU host the pool adds spawn overhead and the ratio sits
-    near (or below) 1.
-    """
-    from repro.harness.matrix import (
-        comparable_summary,
-        expand_matrix,
-        run_matrix,
-    )
-
-    n_jobs = jobs if jobs is not None else (os.cpu_count() or 1)
-    specs = expand_matrix(fids=fids, solutions=solutions, seeds=seeds)
-    serial = run_matrix(specs, jobs=1)
-    parallel = run_matrix(specs, jobs=n_jobs)
-    ser = {k: comparable_summary(v) for k, v in serial.summaries().items()}
-    par = {k: comparable_summary(v) for k, v in parallel.summaries().items()}
-    if ser != par:
-        diverged = [k for k in ser if ser[k] != par.get(k)]
-        raise RuntimeError(
-            "parallel matrix diverged from the serial loop — fan-out bug: "
-            + ", ".join("/".join(map(str, k)) for k in diverged[:8])
-        )
-    if serial.n_errors or parallel.n_errors:
-        raise RuntimeError("matrix sweep had error cells; timings invalid")
-    return {
-        "cells": len(specs),
-        "seeds": list(seeds),
-        "jobs": n_jobs,
-        "cpu_count": os.cpu_count(),
-        "serial_seconds": serial.wall_seconds,
-        "parallel_seconds": parallel.wall_seconds,
-        "speedup": serial.wall_seconds / max(parallel.wall_seconds, 1e-9),
-        "summaries_identical": True,
-    }
-
-
-# ----------------------------------------------------------------------
 # injection-sweep benchmark
 # ----------------------------------------------------------------------
 def bench_inject_sweep(
@@ -776,42 +685,16 @@ def spin(n):
 
 
 def bench_vm(n_iters: int = 50_000) -> Dict[str, object]:
-    """Interpreter steps/second on a pure-compute loop (dispatch cost).
-
-    Runs the *same* module through both VM engines — the table-dispatch
-    oracle and the fused superinstruction/segment compiler — and
-    requires identical results and step counts; the fused engine is the
-    headline number, the ratio is the dispatch-elimination payoff.
-    """
+    """Fused VM steps/second on a pure-compute loop (dispatch cost)."""
     module = compile_module("vmspin", _VM_SRC)
-    rows: Dict[str, Dict[str, float]] = {}
-    outcomes = {}
-    for engine in ("table", "fused"):
-        machine = Machine(module, vm_engine=engine)
-        start = time.perf_counter()
-        result = machine.call("spin", n_iters, step_budget=100 * n_iters)
-        seconds = time.perf_counter() - start
-        outcomes[engine] = (result, machine.steps_executed)
-        rows[engine] = {
-            "steps": machine.steps_executed,
-            "seconds": seconds,
-            "steps_per_second": machine.steps_executed / max(seconds, 1e-9),
-        }
-    if outcomes["table"] != outcomes["fused"]:
-        raise RuntimeError(
-            f"vm engines diverged: table {outcomes['table']} vs "
-            f"fused {outcomes['fused']}"
-        )
-    fused, table = rows["fused"], rows["table"]
+    machine = Machine(module)
+    start = time.perf_counter()
+    machine.call("spin", n_iters, step_budget=100 * n_iters)
+    seconds = time.perf_counter() - start
     return {
-        "steps": fused["steps"],
-        "seconds": fused["seconds"],
-        "steps_per_second": fused["steps_per_second"],
-        "table_seconds": table["seconds"],
-        "table_steps_per_second": table["steps_per_second"],
-        "fused_speedup":
-            fused["steps_per_second"] / max(table["steps_per_second"], 1e-9),
-        "engines_identical": True,
+        "steps": machine.steps_executed,
+        "seconds": seconds,
+        "steps_per_second": machine.steps_executed / max(seconds, 1e-9),
     }
 
 
@@ -908,203 +791,10 @@ def bench_live_traffic(
 
 
 # ----------------------------------------------------------------------
-# cluster replication engines: physical delta shipping vs re-execution
-# ----------------------------------------------------------------------
-def bench_cluster(
-    n_ops: int = 200,
-    seed: int = 0,
-    n_nodes: int = 3,
-    rounds: int = 5,
-) -> Dict[str, object]:
-    """Cluster write path: delta shipping vs replica re-execution.
-
-    Runs one deterministic mixed workload (inserts, deletes, lookups,
-    derived inserts) through a fresh cluster per configuration —
-    re-execution at replication 1 (the no-replication floor: one guest
-    execution per op), re-execution and delta at replication 2 and 3 —
-    and a heal comparison: rebuilding a node by full oplog re-execution
-    versus installing the compacted base image plus delta tail.
-
-    ``repl_speedup`` isolates what the engines actually differ on, the
-    *replication* path: time above the replication-1 floor, reexec over
-    delta.  ``client_speedup`` is the honest end-to-end ratio — bounded
-    well under the replication-path number because the primary still
-    executes the guest once per op under either engine.
-
-    At replication 3 the two engines must leave byte-identical per-node
-    pool digests and equal structural digests; the bench aborts on a
-    mismatch because the throughput numbers would then compare diverged
-    clusters.
-    """
-    from repro.distributed.cluster import Cluster, ClusterClient
-    from repro.faults.registry import scenario_by_id
-    from repro.harness.supervisor import pool_digest
-
-    adapter_cls = scenario_by_id("f1").adapter_cls()
-
-    def run(engine: str, replication: int) -> Tuple[Cluster, float]:
-        cluster = Cluster(
-            n_nodes=n_nodes, n_clients=2, adapter_cls=adapter_cls,
-            seed=seed, replication=replication,
-            replication_engine=engine,
-        )
-        clients = [ClusterClient(cluster, i) for i in range(2)]
-        rng = random.Random(seed)
-        keyspace = max(16, n_ops // 2)
-        gc.collect()
-        gc.disable()
-        try:
-            t0 = time.perf_counter()
-            for i in range(n_ops):
-                key = rng.randrange(keyspace)
-                roll = rng.random()
-                if roll < 0.55:
-                    clients[i % 2].insert(key, 700 + i)
-                elif roll < 0.75:
-                    clients[i % 2].lookup(key)
-                elif roll < 0.90:
-                    clients[1].derived_insert(key, key + keyspace)
-                else:
-                    clients[0].delete(key)
-            cluster.drain()
-            return cluster, time.perf_counter() - t0
-        finally:
-            gc.enable()
-
-    def digests(cluster: Cluster) -> List[Tuple[int, int]]:
-        cluster.drain()
-        return [
-            (pool_digest(node.pool, node.allocator),
-             node.ckpt.log.structural_digest())
-            for node in cluster.nodes
-        ]
-
-    configs = (
-        ("reexec", 1),
-        ("reexec", 2), ("delta", 2),
-        ("reexec", 3), ("delta", 3),
-    )
-    # the replication-path ratio divides by the small gap between the
-    # delta time and the replication-1 floor, so a single noisy round
-    # would swing it wildly: time every configuration once per round
-    # (paired — all five share the round's machine conditions), compute
-    # the ratios per round, and report the median across rounds.  The
-    # first round warms caches and is discarded.
-    times: Dict[str, List[float]] = {}
-    clusters: Dict[str, Cluster] = {}
-    for round_no in range(rounds + 1):
-        for engine, replication in configs:
-            label = f"{engine}_r{replication}"
-            cluster, took = run(engine, replication)
-            if round_no == 0:
-                continue
-            clusters[label] = cluster
-            times.setdefault(label, []).append(took)
-
-    def median(values: List[float]) -> float:
-        ordered = sorted(values)
-        mid = len(ordered) // 2
-        if len(ordered) % 2:
-            return ordered[mid]
-        return (ordered[mid - 1] + ordered[mid]) / 2.0
-
-    throughput: Dict[str, Dict[str, float]] = {
-        label: {
-            "seconds": median(samples),
-            "ops_per_second": n_ops / max(median(samples), 1e-9),
-        }
-        for label, samples in times.items()
-    }
-    if digests(clusters["reexec_r3"]) != digests(clusters["delta_r3"]):
-        raise RuntimeError(
-            "cluster bench: delta and re-execution engines left different "
-            "per-node digests at replication 3 — the delta path diverged"
-        )
-
-    def repl_speedup(replication: int) -> float:
-        ratios = [
-            (reexec - floor) / max(delta - floor, 1e-9)
-            for floor, reexec, delta in zip(
-                times["reexec_r1"],
-                times[f"reexec_r{replication}"],
-                times[f"delta_r{replication}"],
-            )
-        ]
-        return median(ratios)
-
-    def client_speedup(replication: int) -> float:
-        ratios = [
-            reexec / max(delta, 1e-9)
-            for reexec, delta in zip(
-                times[f"reexec_r{replication}"],
-                times[f"delta_r{replication}"],
-            )
-        ]
-        return median(ratios)
-
-    # heal: rebuild one node by full oplog re-execution vs installing
-    # the compacted base + delta tail (both at full replication, so the
-    # two heals re-derive the same op set); per-round timing, median
-    # across rounds, same rationale as the throughput ratios
-    full_samples: List[float] = []
-    compacted_samples: List[float] = []
-    for _ in range(max(rounds, 1)):
-        reexec_cluster, _ = run("reexec", n_nodes)
-        gc.collect()
-        t0 = time.perf_counter()
-        reexec_cluster.rebuild_node(1)
-        replayed = reexec_cluster.replay_missed(1)
-        full_samples.append(time.perf_counter() - t0)
-
-        delta_cluster, _ = run("delta", n_nodes)
-        folded = delta_cluster.compact()
-        gc.collect()
-        t0 = time.perf_counter()
-        delta_cluster.rebuild_node(1)
-        credited, _ = delta_cluster.rebase_node(1)
-        compacted_samples.append(time.perf_counter() - t0)
-        healed = [
-            (pool_digest(node.pool, node.allocator),
-             node.ckpt.log.structural_digest())
-            for node in (delta_cluster.nodes[0], delta_cluster.nodes[1])
-        ]
-        if healed[0] != healed[1]:
-            raise RuntimeError(
-                "cluster bench: compacted rebase left the healed node "
-                "diverged from its live mirror"
-            )
-    full_replay_s = median(full_samples)
-    compacted_s = median(compacted_samples)
-
-    return {
-        "n_ops": n_ops,
-        "n_nodes": n_nodes,
-        "seed": seed,
-        "throughput": throughput,
-        "repl_speedup_r2": repl_speedup(2),
-        "repl_speedup_r3": repl_speedup(3),
-        "client_speedup_r2": client_speedup(2),
-        "client_speedup_r3": client_speedup(3),
-        "digests_identical": True,
-        "heal": {
-            "full_replay_s": full_replay_s,
-            "compacted_s": compacted_s,
-            "speedup": full_replay_s / max(compacted_s, 1e-9),
-            "replayed_ops": replayed,
-            "deltas_folded": folded,
-            "credited_ops": credited,
-        },
-    }
-
-
-# ----------------------------------------------------------------------
 # top-level runner
 # ----------------------------------------------------------------------
 #: sections ``run_hotpaths(only=...)`` / ``bench-hotpaths --only`` accept
-SECTIONS = (
-    "plan", "mitigation", "probe_engine", "vm", "write_path",
-    "live_traffic", "cluster",
-)
+SECTIONS = ("plan", "mitigation", "vm", "write_path", "live_traffic")
 
 
 def run_hotpaths(
@@ -1140,24 +830,17 @@ def run_hotpaths(
         report["plan"] = bench_plan(n_updates, seed=seed, rounds=rounds)
     if wanted("mitigation"):
         report["mitigation"] = bench_mitigation(n_updates, seed=seed)
-    if wanted("probe_engine"):
-        report["probe_engine"] = bench_probe_engine(n_updates, seed=seed)
     if wanted("vm"):
         report["vm"] = bench_vm(vm_iters)
     if wanted("write_path"):
         report["write_path"] = bench_write_path(n_updates, seed=seed)
     if wanted("live_traffic"):
         report["live_traffic"] = bench_live_traffic(seed=seed)
-    if wanted("cluster"):
-        report["cluster"] = bench_cluster(
-            n_ops=max(120, n_updates // 250), seed=seed
-        )
     if only is not None:
         return report
 
     plan = report["plan"]
     mitigation = report["mitigation"]
-    probe_engine = report["probe_engine"]
     vm = report["vm"]
     write_path = report["write_path"]
     indexed = float(plan["indexed_seconds"]) + sum(
@@ -1170,17 +853,13 @@ def run_hotpaths(
         "indexed_plan_plus_mitigation_seconds": indexed,
         "reference_plan_plus_mitigation_seconds": ref,
         "plan_plus_mitigation_speedup": ref / max(indexed, 1e-9),
-        "probe_engine_speedup": probe_engine["speedup"],
         "vm_steps_per_second": vm["steps_per_second"],
-        "vm_fused_speedup": vm["fused_speedup"],
         "write_path_updates_per_second":
             write_path["record_update"]["indexed_updates_per_second"],
         "write_path_index_overhead_pct":
             write_path["record_update"]["index_overhead_pct"],
         "live_traffic_stw_over_scoped_p99_ratio":
             report["live_traffic"]["stw_over_scoped_p99_ratio"],
-        "cluster_repl_speedup_r3": report["cluster"]["repl_speedup_r3"],
-        "cluster_heal_speedup": report["cluster"]["heal"]["speedup"],
     }
     return report
 
@@ -1206,20 +885,11 @@ def render_summary(report: Dict[str, object]) -> str:
             f"reference {row['reference_seconds']:.4f}s   "
             f"({row['speedup']:.1f}x, pool identical)"
         )
-    pe = report.get("probe_engine")
-    if pe is not None:
-        lines.append(
-            f"  probes  :  incremental {pe['incremental_seconds']:.4f}s   "
-            f"snapshot {pe['snapshot_seconds']:.4f}s   "
-            f"({pe['speedup']:.1f}x, {pe['attempts']} attempts, "
-            f"pool identical)"
-        )
     vm = report.get("vm")
     if vm is not None:
         lines.append(
             f"  vm:        {vm['steps_per_second']:,.0f} steps/s fused "
-            f"({vm['steps']} steps, {vm['fused_speedup']:.1f}x over table "
-            f"at {vm['table_steps_per_second']:,.0f}/s, engines identical)"
+            f"({vm['steps']} steps)"
         )
     wp = report.get("write_path")
     if wp is not None:
@@ -1250,27 +920,6 @@ def render_summary(report: Dict[str, object]) -> str:
             f"({lt['stw_over_scoped_p99_ratio']:.1f}x, "
             f"{lt['quarantine']['quarantine']['stream_keys']} keys "
             f"quarantined, digests identical)"
-        )
-    cl = report.get("cluster")
-    if cl is not None:
-        r3_delta = cl["throughput"]["delta_r3"]
-        r3_reexec = cl["throughput"]["reexec_r3"]
-        lines.append(
-            f"  cluster:   R=3 delta {r3_delta['ops_per_second']:,.0f} "
-            f"ops/s vs reexec {r3_reexec['ops_per_second']:,.0f} ops/s "
-            f"(replication path {cl['repl_speedup_r3']:.1f}x, end-to-end "
-            f"{cl['client_speedup_r3']:.2f}x); heal compacted "
-            f"{cl['heal']['compacted_s']:.3f}s vs full replay "
-            f"{cl['heal']['full_replay_s']:.3f}s "
-            f"({cl['heal']['speedup']:.1f}x, digests identical)"
-        )
-    mx = report.get("matrix")
-    if mx is not None:
-        lines.append(
-            f"  matrix:    {mx['cells']} cells  serial "
-            f"{mx['serial_seconds']:.1f}s  parallel({mx['jobs']} jobs) "
-            f"{mx['parallel_seconds']:.1f}s  ({mx['speedup']:.2f}x on "
-            f"{mx['cpu_count']} CPU(s), summaries identical)"
         )
     isw = report.get("inject_sweep")
     if isw is not None:
@@ -1315,9 +964,9 @@ def write_report(report: Dict[str, object], out_path: str) -> None:
     """Persist one report dict as pretty-printed JSON.
 
     Top-level sections already on disk but absent from ``report`` (say,
-    a ``matrix`` timing from a previous full run when only the micro
-    benches were re-run) are carried over rather than clobbered, so the
-    file stays a superset of every section ever benchmarked.
+    the ``inject_sweep`` record from a previous full run when only one
+    micro bench was re-run) are carried over rather than clobbered, so
+    the file stays a superset of every section ever benchmarked.
     """
     merged = dict(report)
     try:

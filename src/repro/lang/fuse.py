@@ -19,8 +19,10 @@ toll for straight-line code:
   ``binop``+``cbr``, ``gep`` chains) into one expression.  The temp is
   never materialised in the register file.
 
-Exactness contract (the "fused" engine must be oracle-equivalent to the
-table engine):
+Exactness contract (fused execution must be indistinguishable from
+per-step table dispatch, which stays in :mod:`repro.lang.interp` as the
+trap fallback and as the path for preemption, injections and the
+dependence recorder; ``tests/oracles`` pins the equivalence):
 
 * Instructions that can trap (``load``/``store`` via
   :meth:`Machine._load`/:meth:`Machine._store`, and every
@@ -30,8 +32,8 @@ table engine):
 * Raw-coded statements can only raise ``KeyError`` (unset register) or
   ``ZeroDivisionError`` (``//``/``%``).  The runner then re-executes the
   faulting instruction through the table path, which performs the exact
-  error conversion (``ReproError`` / ``ArithmeticTrap``) the table
-  engine would; completed prefix steps are committed first, so
+  error conversion (``ReproError`` / ``ArithmeticTrap``) table dispatch
+  would; completed prefix steps are committed first, so
   ``steps_executed`` matches to the step.
 * Instructions carrying a trace GUID keep their trace hooks, compiled
   inline and gated on an attached tracer; GUID-carrying instructions
@@ -40,7 +42,7 @@ table engine):
 * Elided instructions still count toward ``steps_executed`` and the
   step budget; a segment only runs when its full step count fits the
   remaining budget, otherwise the runner falls back to single-stepping
-  so ``HangTrap`` fires on exactly the same step as the table engine.
+  so ``HangTrap`` fires on exactly the same step as table dispatch.
 """
 
 from __future__ import annotations
@@ -48,10 +50,6 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from repro.pmem.pool import PM_BASE
-
-#: engines :class:`~repro.lang.interp.Machine` accepts; "table" is the
-#: original per-step dispatch interpreter, kept as the oracle
-VM_ENGINES = ("table", "fused")
 
 #: ops a fused segment may contain; everything else (calls, returns,
 #: allocation, transactions, yields, panics) single-steps via the table

@@ -44,7 +44,7 @@ from repro.errors import (
     SegfaultTrap,
     Trap,
 )
-from repro.lang.fuse import VM_ENGINES, compile_block_segments
+from repro.lang.fuse import compile_block_segments
 from repro.lang.ir import Function, Instr, Module
 from repro.pmem.allocator import PMAllocator
 from repro.pmem.pool import PM_BASE, PMPool
@@ -162,13 +162,7 @@ class Machine:
         pool_size: int = 1 << 16,
         seed: int = 0,
         step_budget: int = DEFAULT_STEP_BUDGET,
-        vm_engine: str = "fused",
     ):
-        if vm_engine not in VM_ENGINES:
-            raise ValueError(
-                f"unknown vm_engine {vm_engine!r}; expected one of {VM_ENGINES}"
-            )
-        self.vm_engine = vm_engine
         self.module = module
         self.pool = pool if pool is not None else PMPool(pool_size, name=module.name)
         self.allocator = allocator if allocator is not None else PMAllocator(self.pool)
@@ -188,10 +182,10 @@ class Machine:
         #: cooperative yield point: when set, called every
         #: ``step_hook_every`` executed steps, counted on the
         #: machine-lifetime ``steps_executed`` counter so runs of many
-        #: short calls still yield (both engines, same accounting as
-        #: the budget check).  The live-traffic server parks mitigation
-        #: re-executions here so the event loop can serve between probe
-        #: steps.  Must not touch guest state.
+        #: short calls still yield (fused and table paths alike, same
+        #: accounting as the budget check).  The live-traffic server
+        #: parks mitigation re-executions here so the event loop can
+        #: serve between probe steps.  Must not touch guest state.
         self.step_hook: Optional[Callable[[], None]] = None
         self.step_hook_every: int = 0
         self._next_step_hook: int = 0
@@ -315,16 +309,23 @@ class Machine:
         preempt: bool,
         quantum: Tuple[int, int] = (1, 12),
     ) -> None:
-        if (
-            self.vm_engine == "fused"
-            and not preempt
-            and self.dep_recorder is None
-            and not self.injections
-        ):
+        if not preempt and self.dep_recorder is None and not self.injections:
             # no preemption (so no rng draws), no per-instruction host
-            # hooks: the compiled-segment runner is oracle-equivalent
+            # hooks: the compiled-segment runner is step-exact with the
+            # table path
             self._run_fused(threads, step_budget)
             return
+        self._run_table(threads, step_budget, preempt, quantum)
+
+    def _run_table(
+        self,
+        threads: List[Thread],
+        step_budget: int,
+        preempt: bool,
+        quantum: Tuple[int, int] = (1, 12),
+    ) -> None:
+        """Per-step table dispatch: preemptive scheduling, injections and
+        the dependence recorder all need a hook before every instruction."""
         live = [t for t in threads if not t.done]
         if not live:
             return
@@ -365,14 +366,14 @@ class Machine:
     def _run_fused(
         self, threads: List[Thread], step_budget: int
     ) -> None:
-        """Cooperative scheduling over compiled segments (the fused engine).
+        """Cooperative scheduling over compiled segments.
 
         Straight-line runs execute as one closure call
         (:mod:`repro.lang.fuse`); everything else — and any segment that
         would overrun the step budget, or any instruction a segment
         abandoned after a raw-coded ``KeyError``/``ZeroDivisionError`` —
         single-steps through the table path, which owns the exact trap
-        conversions.  Step accounting matches the table engine to the
+        conversions.  Step accounting matches :meth:`_run_table` to the
         step: elided superinstruction temps still count, and a segment
         only runs when its full count fits the remaining budget.
         """

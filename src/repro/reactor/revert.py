@@ -30,7 +30,6 @@ from repro.detector.monitor import RunOutcome
 from repro.errors import AllocationError
 from repro.pmem.allocator import PMAllocator
 from repro.pmem.pool import PMPool
-from repro.pmem.snapshot import restore_snapshot, take_snapshot
 from repro.reactor.plan import Candidate, ReversionPlan
 
 ReexecFn = Callable[[], RunOutcome]
@@ -187,44 +186,6 @@ class _ProbeDelta:
         self.allocator.remove_pre_mutate_hook(self._capture)
 
 
-class _SnapshotProbeEngine:
-    """Oracle probe engine: every seek restores the full baseline
-    snapshot and re-applies the reversion prefix from scratch.
-
-    O(pool + prefix) per probe — this is the seed behaviour, kept as the
-    correctness oracle for the incremental engine (same role
-    ``checkpoint/reference.py`` plays for the log indexes).
-    """
-
-    def __init__(self, reverter: "Reverter", groups: List[List[int]]):
-        self.r = reverter
-        self.groups = groups
-        self.baseline = take_snapshot(reverter.pool, reverter.allocator)
-
-    def seek(self, k: int) -> List[int]:
-        """Move the pool to the state with groups[:k] applied."""
-        restore_snapshot(self.r.pool, self.baseline, self.r.allocator)
-        applied: List[int] = []
-        for group in self.groups[:k]:
-            self.r._maybe_yield()
-            for s in sorted(group, reverse=True):
-                if self.r.revert_update_seq(s, 1, guard_dangling=True):
-                    applied.append(s)
-        return applied
-
-    def begin_reexec(self) -> None:
-        pass  # the next seek's full restore wipes any re-execution dirt
-
-    def end_reexec(self) -> None:
-        pass
-
-    def abort(self) -> None:
-        restore_snapshot(self.r.pool, self.baseline, self.r.allocator)
-
-    def finish(self) -> None:
-        pass
-
-
 class _DeltaProbeEngine:
     """Incremental probe engine: O(delta) state movement between probes.
 
@@ -232,7 +193,8 @@ class _DeltaProbeEngine:
     from probe point ``k`` to ``k'`` applies or undoes only the
     ``|k - k'|`` group deltas in between.  Re-executions run inside their
     own delta and are undone immediately, so every probe point's durable
-    image is byte-identical to what the snapshot oracle would produce.
+    image is byte-identical to restoring a full baseline snapshot and
+    re-applying the prefix (the oracle in ``tests/oracles``).
 
     If a re-execution grew the checkpoint log (recording updates can
     evict ring versions the prefix reconstruction depends on), the
@@ -302,13 +264,6 @@ class _DeltaProbeEngine:
         self.baseline.close()
 
 
-#: engine name -> class, for callers that select by string
-PROBE_ENGINES = {
-    "incremental": _DeltaProbeEngine,
-    "snapshot": _SnapshotProbeEngine,
-}
-
-
 class Reverter:
     """Executes reversion plans against one pool + checkpoint log."""
 
@@ -352,7 +307,7 @@ class Reverter:
         #: write-ahead intent journal; when set, rollback cuts become
         #: resumable after a crash (see :class:`IntentJournal`)
         self.intents = intents
-        #: cooperative yield point for live serving: probe engines call
+        #: cooperative yield point for live serving: the probe engine calls
         #: it per group apply/undo so long host-side seeks (delta
         #: reversion, prefix rebuilds) park the same way long guest
         #: calls do.  Must not touch the pool; ``None`` = run straight.
@@ -756,9 +711,7 @@ class Reverter:
                 return self._finish(result)
         return self._finish(result)
 
-    def mitigate_bisect(
-        self, plan: ReversionPlan, engine: str = "incremental"
-    ) -> MitigationResult:
+    def mitigate_bisect(self, plan: ReversionPlan) -> MitigationResult:
         """Binary-search reversion (the paper's technical-report variant).
 
         When slice nodes alias many sequence numbers, one-at-a-time
@@ -770,18 +723,15 @@ class Reverter:
         full reversion does not help — the caller can then try purge or
         rollback.
 
-        State movement between probe points is pluggable (``engine``):
-
-        * ``"incremental"`` (default) — :class:`_DeltaProbeEngine`; keeps
-          per-group undo deltas and moves between probe prefixes in
-          O(words dirtied), never replaying the pool;
-        * ``"snapshot"`` — :class:`_SnapshotProbeEngine`; the seed's
-          full-restore + re-apply path, kept as the test oracle.
+        State moves between probe points through
+        :class:`_DeltaProbeEngine`, which keeps per-group undo deltas and
+        moves between probe prefixes in O(words dirtied), never replaying
+        the pool.
 
         Probe outcomes are memoized per prefix length, so the final
         ``probe(best)`` (in the seed a guaranteed redundant re-execution)
-        and any repeated midpoint only move state — with *either* engine —
-        leaving the pool in the minimal recovered state.
+        and any repeated midpoint only move state, leaving the pool in
+        the minimal recovered state.
 
         After the search the same forward-dependence pass as purge
         reverts updates computed over the discarded prefix.  The pass is
@@ -808,14 +758,7 @@ class Reverter:
                 groups.append(group)
                 group_cands.append(cand)
 
-        try:
-            engine_cls = PROBE_ENGINES[engine]
-        except KeyError:
-            raise ValueError(
-                f"unknown probe engine {engine!r} "
-                f"(expected one of {sorted(PROBE_ENGINES)})"
-            ) from None
-        eng = engine_cls(self, groups)
+        eng = _DeltaProbeEngine(self, groups)
         memo: Dict[int, RunOutcome] = {}
         applied_by_k: Dict[int, List[int]] = {}
 

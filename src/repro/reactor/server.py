@@ -250,52 +250,28 @@ class ServeRecord:
     retry_after_s: float = 0.0
 
 
-class _CooperativeGate:
-    """Turnstile between the event loop and the mitigation worker thread.
-
-    Strict alternation: the worker calls :meth:`checkpoint` at every
-    yield point (each re-execution, plus the macro-phase boundaries) and
-    blocks; the loop wakes, drains due arrivals, and :meth:`resume`\\ s
-    it.  Exactly one side is ever active, so no shared state needs finer
-    locking.
-    """
-
-    def __init__(self, loop: asyncio.AbstractEventLoop) -> None:
-        self._loop = loop
-        self.wake = asyncio.Event()
-        self._grant = threading.Event()
-        self.checkpoints = 0
-
-    def checkpoint(self) -> None:
-        """Worker side: hand control to the loop, wait to be resumed."""
-        self.checkpoints += 1
-        self._grant.clear()
-        self._loop.call_soon_threadsafe(self.wake.set)
-        self._grant.wait()
-
-    def resume(self) -> None:
-        """Loop side: let the worker run to its next checkpoint."""
-        self.wake.clear()
-        self._grant.set()
-
-
 class WorkerGate:
-    """Thread-only turnstile between a serving thread and a mitigation
-    worker — the synchronous analogue of :class:`_CooperativeGate` for
-    callers without an event loop (the shard supervisor runs a sick
-    node's mitigation in a plain thread while the cluster keeps serving
-    healthy shards from the caller's thread).
+    """Turnstile between a serving side and a mitigation worker thread.
 
-    Strict alternation again: the worker parks at every
-    :meth:`checkpoint`; the serving side observes the park with
-    :meth:`wait_parked`, does its serving turn, and :meth:`resume`\\ s.
-    Exactly one side is ever active, so no shared state needs finer
-    locking.  :meth:`close` retires the gate — late checkpoints become
+    Strict alternation: the worker parks at every :meth:`checkpoint`
+    (each re-execution, plus the macro-phase boundaries); the serving
+    side observes the park, does its serving turn, and
+    :meth:`resume`\\ s it.  Exactly one side is ever active, so no shared
+    state needs finer locking.
+
+    The serving side is either a plain thread, which blocks in
+    :meth:`wait_parked` (the shard supervisor serves healthy shards from
+    the caller's thread while a sick node mitigates), or an asyncio
+    event loop: with ``loop`` given, every park also sets :attr:`wake`
+    on that loop, so the live-traffic server awaits it instead of
+    blocking.  :meth:`close` retires the gate — late checkpoints become
     no-ops, so the worker can finish after the serving side stops
     listening.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, loop: Optional[asyncio.AbstractEventLoop] = None) -> None:
+        self._loop = loop
+        self.wake = asyncio.Event() if loop is not None else None
         self._parked = threading.Event()
         self._grant = threading.Event()
         self.checkpoints = 0
@@ -308,6 +284,8 @@ class WorkerGate:
         self.checkpoints += 1
         self._grant.clear()
         self._parked.set()
+        if self._loop is not None:
+            self._loop.call_soon_threadsafe(self.wake.set)
         self._grant.wait()
 
     def wait_parked(self, timeout: Optional[float] = None) -> bool:
@@ -317,6 +295,8 @@ class WorkerGate:
     def resume(self) -> None:
         """Serving side: let the worker run to its next checkpoint."""
         self._parked.clear()
+        if self.wake is not None:
+            self.wake.clear()
         self._grant.set()
 
     def close(self) -> None:
@@ -384,7 +364,6 @@ class LiveRecoveryServer:
         quarantine_horizon: int = 16,
         yield_every_steps: int = 4_000,
         yield_min_interval_s: float = 0.004,
-        vm_engine: str = "fused",
     ) -> None:
         # imported here, not at module scope: harness.experiment imports
         # ReactorServer from this module
@@ -422,7 +401,6 @@ class LiveRecoveryServer:
         self.scenario = scenario_by_id(fid)
         self.adapter = self.scenario.adapter_cls()(
             seed=seed, with_tracing=True, with_checkpoint=True,
-            vm_engine=vm_engine,
         )
         self.adapter.start()
         self.ctx = ExperimentContext(self.adapter, self.scenario, seed)
@@ -741,7 +719,7 @@ class LiveRecoveryServer:
         self._quarantine_ready = False
         self.detect_index = idx - 1
         start_wall = time.perf_counter()
-        gate = _CooperativeGate(loop)
+        gate = WorkerGate(loop)
         fut = loop.run_in_executor(None, self._mitigate_blocking, gate, outcome)
         preq: List[Tuple[int, Op, float]] = []
         while True:
@@ -781,7 +759,7 @@ class LiveRecoveryServer:
         self._drain_deferred()
         return idx, shift
 
-    def _mitigate_blocking(self, gate: _CooperativeGate, outcome: RunOutcome):
+    def _mitigate_blocking(self, gate: WorkerGate, outcome: RunOutcome):
         """Worker-thread body: confirm, derive quarantine, mitigate."""
         adapter = self.adapter
 
@@ -822,7 +800,7 @@ class LiveRecoveryServer:
                 adapter.machine.step_hook = None
                 adapter.machine.step_hook_every = 0
 
-    def _mitigate_body(self, gate: _CooperativeGate, outcome: RunOutcome):
+    def _mitigate_body(self, gate: WorkerGate, outcome: RunOutcome):
         """Confirm the fault, derive the quarantine, run mitigation."""
         from repro import faultinject
         from repro.harness.experiment import (

@@ -90,14 +90,12 @@ class SystemAdapter:
         with_arthas: bool = True,
         with_tracing: Optional[bool] = None,
         with_checkpoint: Optional[bool] = None,
-        vm_engine: str = "fused",
     ):
         static = self.static_artifacts()
         self.module = static.module
         self.analysis = static.analysis
         self.guid_map = static.guid_map
         self.seed = seed
-        self.vm_engine = vm_engine
         self.pool = PMPool(pool_words or self.POOL_WORDS, name=self.NAME)
         self.allocator = PMAllocator(self.pool)
         self.txman = TransactionManager(self.pool)
@@ -128,7 +126,6 @@ class SystemAdapter:
             txman=self.txman,
             seed=self.seed + self.restarts,
             step_budget=self.STEP_BUDGET,
-            vm_engine=self.vm_engine,
         )
         if self.trace is not None:
             machine.tracer = self.trace.record

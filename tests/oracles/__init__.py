@@ -1,0 +1,20 @@
+"""Reference engines the production fast paths are pinned against.
+
+Each oracle is the slower, obviously-correct implementation a production
+mechanism replaced.  Only equivalence tests import them; production code
+has no hook for selecting one.  Tests swap an oracle in by subclassing or
+with ``monkeypatch`` on the name production code looks up:
+
+* :class:`TableMachine` — per-step table dispatch for every run, never
+  the fused segment runner (patch ``repro.systems.common.Machine``);
+* :class:`SnapshotProbeEngine` — bisect probes by full snapshot restore
+  plus prefix replay (patch ``repro.reactor.revert._DeltaProbeEngine``);
+* :class:`ReexecCluster` — replication by re-executing each op on every
+  replica-set node instead of shipping its word delta.
+"""
+
+from tests.oracles.cluster import ReexecCluster
+from tests.oracles.probe import SnapshotProbeEngine
+from tests.oracles.vm import TableMachine
+
+__all__ = ["ReexecCluster", "SnapshotProbeEngine", "TableMachine"]

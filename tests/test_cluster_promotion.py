@@ -16,18 +16,6 @@ from repro.harness.experiment import ExperimentContext, MitigationRun
 from repro.reactor.server import WorkerGate
 from repro.systems.common import ABSENT
 
-_ClusterImpl = Cluster
-
-
-def Cluster(*args, **kwargs):  # noqa: N802 — drop-in for the class
-    """These tests assert re-execution resync counts (resync_replayed
-    equals the node's oplog share), so they pin the oracle engine; the
-    delta engine's rebase-based heal is covered by
-    test_delta_replication.py."""
-    kwargs.setdefault("replication_engine", "reexec")
-    return _ClusterImpl(*args, **kwargs)
-
-
 def _wedged_cluster(seed=0, n_nodes=3, replication=2, warm=40):
     """A cluster with node 0 wedged by the memcached f1 refcount bug,
     detected and confirmed; ready for the promotion protocol."""
@@ -208,8 +196,8 @@ class TestCrashAtHealSites:
 class TestRebuild:
     def test_failed_ladder_rebuilds_from_replicas(self):
         """When mitigation cannot repair the pool, the supervisor
-        abandons it and resync re-replicates the node's whole oplog
-        share from the surviving replicas."""
+        abandons it and resync re-bases the fresh pool from a live
+        mirror, which holds every oplog op."""
         cluster = Cluster(n_nodes=3, n_clients=2, seed=8, replication=2)
         a = ClusterClient(cluster, 0)
         for key in range(30):
@@ -217,8 +205,6 @@ class TestRebuild:
         mgr = ShardManager(cluster, seed=8)
         mgr.promote(0)
         old_pool = cluster.nodes[0].pool
-        share = [op for op in cluster.oplog if 0 in op.spans]
-        assert share
         journal = mgr.journal(0)
         journal.complete(
             "mitigate", run=MitigationRun(solution="arthas", recovered=False)
@@ -227,10 +213,10 @@ class TestRebuild:
         assert cluster.nodes[0].pool is not old_pool
         journal.complete("cascade", discarded=[], cascaded=[], rounds=0)
         rep = mgr.resync(0)
-        # the fresh pool re-learned every op of the node's replica share
-        assert rep.resync_replayed == len(share)
+        # the fresh pool re-learned every oplog op
+        assert rep.resync_replayed == len(cluster.oplog) == 30
         node0 = cluster.nodes[0]
-        for op in share:
+        for op in cluster.oplog:
             assert 0 in op.spans
             assert node0.lookup(op.key) == op.value
         assert rep.demoted and not cluster.is_down(0)

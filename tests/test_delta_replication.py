@@ -1,11 +1,12 @@
-"""Delta-replication engine tests: physical shipping vs re-execution.
+"""Delta-replication tests: physical shipping vs re-execution.
 
-The delta engine must be *observationally identical* to the logical
-re-execution oracle — byte-identical per-node pool digests, equal
-structural digests, equal oracles — while never re-executing the guest
-on a mirror.  These tests pin that equivalence across guest systems,
-group-commit batch sizes, injected crashes at the two new sites
-(``cluster.ship_delta``, ``cluster.compact``), and the compaction
+Delta shipping must be *observationally identical* to the logical
+re-execution oracle (``tests.oracles.ReexecCluster``) — byte-identical
+per-node pool digests, equal structural digests, equal oracles — while
+never re-executing the guest on a mirror.  These tests pin that
+equivalence across guest systems, group-commit batch sizes, injected
+crashes at the two replication sites (``cluster.ship_delta``,
+``cluster.compact``), a torn op on the primary, and the compaction
 round-trip through ``rebuild_node`` + ``rebase_node``.
 """
 
@@ -19,6 +20,7 @@ from repro.errors import InjectedCrash
 from repro.faultinject import InjectionPlan, InjectionSpec
 from repro.faults.registry import scenario_by_id
 from repro.harness.supervisor import pool_digest
+from tests.oracles import ReexecCluster
 
 #: one fault id per guest system — the scenario is never triggered,
 #: only its adapter class is borrowed for a fault-free workload
@@ -29,7 +31,7 @@ N_OPS = 90
 
 
 def _run_workload(
-    engine: str,
+    cluster_cls,
     adapter_cls,
     n_ops: int = N_OPS,
     replication: int = N_NODES,
@@ -37,10 +39,9 @@ def _run_workload(
     seed: int = 5,
 ) -> Cluster:
     """One deterministic mixed workload through a fresh cluster."""
-    cluster = Cluster(
+    cluster = cluster_cls(
         n_nodes=N_NODES, n_clients=2, adapter_cls=adapter_cls, seed=seed,
-        replication=replication, replication_engine=engine,
-        replication_batch=batch,
+        replication=replication, replication_batch=batch,
     )
     clients = [ClusterClient(cluster, i) for i in range(2)]
     rng = random.Random(seed)
@@ -74,14 +75,14 @@ class TestEngineEquivalence:
     @pytest.mark.parametrize("fid", SYSTEM_FIDS)
     def test_delta_matches_reexec_per_node(self, fid):
         adapter_cls = scenario_by_id(fid).adapter_cls()
-        reexec = _run_workload("reexec", adapter_cls)
-        delta = _run_workload("delta", adapter_cls)
+        reexec = _run_workload(ReexecCluster, adapter_cls)
+        delta = _run_workload(Cluster, adapter_cls)
         assert _digests(delta) == _digests(reexec)
         assert delta.oracles == reexec.oracles
 
     def test_spans_cover_all_mirrors(self):
         adapter_cls = scenario_by_id("f1").adapter_cls()
-        delta = _run_workload("delta", adapter_cls)
+        delta = _run_workload(Cluster, adapter_cls)
         mutations = [op for op in delta.oplog]
         assert mutations
         for op in mutations:
@@ -89,25 +90,20 @@ class TestEngineEquivalence:
 
     def test_batched_equals_unbatched(self):
         adapter_cls = scenario_by_id("f1").adapter_cls()
-        batched = _run_workload("delta", adapter_cls, batch=8)
-        unbatched = _run_workload("delta", adapter_cls, batch=1)
+        batched = _run_workload(Cluster, adapter_cls, batch=8)
+        unbatched = _run_workload(Cluster, adapter_cls, batch=1)
         assert _digests(batched) == _digests(unbatched)
         assert batched.oracles == unbatched.oracles
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError):
-            Cluster(replication_engine="paxos")
 
 
 class TestCrashAtShipDelta:
     def test_crash_then_retry_converges(self):
         adapter_cls = scenario_by_id("f1").adapter_cls()
-        control = _run_workload("delta", adapter_cls, batch=1)
+        control = _run_workload(Cluster, adapter_cls, batch=1)
 
         cluster = Cluster(
             n_nodes=N_NODES, n_clients=2, adapter_cls=adapter_cls, seed=5,
-            replication=N_NODES, replication_engine="delta",
-            replication_batch=1,
+            replication=N_NODES, replication_batch=1,
         )
         clients = [ClusterClient(cluster, i) for i in range(2)]
         rng = random.Random(5)
@@ -151,7 +147,7 @@ class TestCrashAtShipDelta:
         adapter_cls = scenario_by_id("f1").adapter_cls()
         cluster = Cluster(
             n_nodes=N_NODES, n_clients=1, adapter_cls=adapter_cls, seed=5,
-            replication=N_NODES, replication_engine="delta",
+            replication=N_NODES,
             replication_batch=64,  # nothing drains until we say so
         )
         client = ClusterClient(cluster, 0)
@@ -178,8 +174,8 @@ class TestCrashAtShipDelta:
 class TestCrashAtCompact:
     def test_crash_then_retry_converges(self):
         adapter_cls = scenario_by_id("f1").adapter_cls()
-        cluster = _run_workload("delta", adapter_cls)
-        control = _run_workload("delta", adapter_cls)
+        cluster = _run_workload(Cluster, adapter_cls)
+        control = _run_workload(Cluster, adapter_cls)
         n_deltas = len(cluster._delta_log)
         assert n_deltas
 
@@ -198,15 +194,18 @@ class TestCrashAtCompact:
         assert _digests(cluster) == _digests(control)
 
     def test_compact_is_noop_under_reexec(self):
+        # the oracle must really re-execute: were it shipping deltas, the
+        # equivalence above would compare delta shipping with itself
         adapter_cls = scenario_by_id("f1").adapter_cls()
-        cluster = _run_workload("reexec", adapter_cls)
+        cluster = _run_workload(ReexecCluster, adapter_cls)
+        assert cluster._log_pos == 0 and not cluster._delta_log
         assert cluster.compact() == 0
 
 
 class TestCompactionRoundTrip:
     def test_rebuild_then_rebase_from_compacted_base(self):
         adapter_cls = scenario_by_id("f1").adapter_cls()
-        cluster = _run_workload("delta", adapter_cls)
+        cluster = _run_workload(Cluster, adapter_cls)
         folded = cluster.compact()
         assert folded
         n_ops = len(cluster.oplog)
@@ -223,7 +222,7 @@ class TestCompactionRoundTrip:
 
     def test_rebase_installs_tail_past_horizon(self):
         adapter_cls = scenario_by_id("f1").adapter_cls()
-        cluster = _run_workload("delta", adapter_cls, n_ops=40)
+        cluster = _run_workload(Cluster, adapter_cls, n_ops=40)
         cluster.compact()
         # grow a post-compaction tail, then heal through base + tail
         client = ClusterClient(cluster, 0)
@@ -236,44 +235,37 @@ class TestCompactionRoundTrip:
         digests = _digests(cluster)
         assert digests[2] == digests[0]
 
-    def test_replay_missed_refuses_delta_engine(self):
-        adapter_cls = scenario_by_id("f1").adapter_cls()
-        cluster = _run_workload("delta", adapter_cls, n_ops=10)
-        with pytest.raises(RuntimeError):
-            cluster.replay_missed(0)
 
-
-class TestReexecApplyAtomicity:
+class TestTornApplyAtomicity:
     def test_partial_failure_still_logs_applied_spans(self):
+        """An op that tears mid-apply on its primary left durable
+        damage there: it is still logged with the primary's partial
+        span and shipped, so assessment finds it and mirrors align."""
         adapter_cls = scenario_by_id("f1").adapter_cls()
         cluster = Cluster(
             n_nodes=N_NODES, n_clients=1, adapter_cls=adapter_cls, seed=5,
-            replication=N_NODES, replication_engine="reexec",
+            replication=N_NODES, replication_batch=1,
         )
         client = ClusterClient(cluster, 0)
         client.insert(1, 11)
         oplog_before = len(cluster.oplog)
 
-        # make the op fail on its *second* replica: the first replica's
-        # apply is durable, so damage assessment must still see the op
-        members = cluster.ring.replica_set(2, cluster.replication)
-        second = members[1]
-        original = cluster.nodes[second].insert
-        calls = {"n": 0}
+        primary = cluster.nodes[cluster.node_for(2)]
+        original = primary.insert
 
-        def exploding(key, value):
-            calls["n"] += 1
-            raise RuntimeError("replica apply torn")
+        def torn(key, value):
+            original(key, value)  # the write lands, then the op dies
+            raise RuntimeError("primary apply torn")
 
-        cluster.nodes[second].insert = exploding
+        primary.insert = torn
         try:
             with pytest.raises(RuntimeError):
                 client.insert(2, 22)
         finally:
-            cluster.nodes[second].insert = original
-        assert calls["n"] == 1
+            primary.insert = original
         assert len(cluster.oplog) == oplog_before + 1
         op = cluster.oplog[-1]
-        assert op.key == 2
-        assert members[0] in op.spans
-        assert second not in op.spans
+        assert op.key == 2 and op.node == cluster.node_for(2)
+        assert op.first_seq <= op.last_seq
+        assert _digests(cluster) == [_digests(cluster)[0]] * N_NODES
+        assert set(op.spans) == set(range(N_NODES))

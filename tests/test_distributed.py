@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.detector.monitor import Detector
 from repro.distributed.cluster import (
     Cluster,
     ClusterClient,
@@ -13,18 +12,6 @@ from repro.distributed.cluster import (
 )
 from repro.distributed.recovery import DistributedReactor
 from repro.systems.common import ABSENT
-
-_ClusterImpl = Cluster
-
-
-def Cluster(*args, **kwargs):  # noqa: N802 — drop-in for the class
-    """These tests encode the re-execution engine's replica-subset
-    semantics (an op's spans cover exactly its routing replica set), so
-    they pin the oracle engine; the delta engine's full-mirror span
-    behaviour is covered by test_delta_replication.py."""
-    kwargs.setdefault("replication_engine", "reexec")
-    return _ClusterImpl(*args, **kwargs)
-
 
 class TestVectorClocks:
     def test_ordering(self):
@@ -75,8 +62,11 @@ class TestCluster:
         assert rec.first_seq <= rec.last_seq
         node = cluster.nodes[rec.node]
         assert node.ckpt.log.max_seq() >= rec.last_seq
-        # replication: a span on the primary AND each replica
-        assert len(rec.spans) == cluster.replication == 2
+        # the primary's span is recorded when the op executes...
+        assert rec.spans == {rec.node: (rec.first_seq, rec.last_seq)}
+        # ...and every mirror's once its group-commit round drains
+        cluster.drain()
+        assert set(rec.spans) == set(range(cluster.n_nodes))
         assert rec.spans[rec.node] == (rec.first_seq, rec.last_seq)
 
     def test_replicas_hold_the_data(self):
@@ -160,8 +150,8 @@ class TestCluster:
             indexed = cluster.ops_on_node(nid)
             scanned = [op for op in cluster.oplog if nid in op.spans]
             assert indexed == scanned
-        # replication means an op shows up on every node it touched
-        assert sum(len(cluster.ops_on_node(n)) for n in range(3)) == 2 * len(recs)
+        # every live node mirrors every op once drained
+        assert sum(len(cluster.ops_on_node(n)) for n in range(3)) == 3 * len(recs)
 
     def test_delete_records_value_none(self):
         cluster = Cluster(n_nodes=1)
@@ -204,76 +194,51 @@ class TestCluster:
 
 
 def _poisoned_cluster():
-    """Node 0 wedged by the memcached f1 bug; cross-node dependents.
+    """A discarded op on node 0 with cross-node causal dependents.
 
-    replication=1 keeps replica sets disjoint on three nodes, so the
-    seed's causality structure (deps cascade, independents survive) is
-    preserved under ring routing.
+    replication=1 keeps routing replica sets disjoint on three nodes, so
+    the seed's causality structure (deps cascade, independents survive)
+    is preserved under ring routing.  Returns the cluster, the poisoned
+    op, its two dependents, an op concurrent with it, and the seqs node
+    0's local mitigation reverted — the poisoned op's span there (the
+    local ladder itself is exercised in test_cluster_promotion.py).
     """
     cluster = Cluster(n_nodes=3, n_clients=2, replication=1)
     a = ClusterClient(cluster, 0)
     b = ClusterClient(cluster, 1)
-    # warm every node's buckets so later reverts have preimages
     for key in range(30):
         a.insert(key, 500 + key)
-    node0 = cluster.nodes[0]
-    victim = cluster.keys_for_node(0, 1)[0]
-
-    def warm_bucket_key(node_id, bucket, start):
-        key = start
-        while key % 64 != bucket or cluster.node_for(key) != node_id:
-            key += 1
-        return key
-
-    while node0.call("mc_refcount", node0.root, victim) != 0:
-        node0.lookup(victim)
-    node0.reap()
-    # same hash bucket (key % 64), same primary: hits the dangling chain
-    poison_key = warm_bucket_key(0, victim % 64, victim + 64)
-    poison_op = b.insert(poison_key, 999)
-    # b reads the poisoned insert's node, then writes derived data on
-    # other nodes: cross-node causal dependents of the poisoned op
-    warm1 = [k for k in range(30) if cluster.node_for(k) == 1]
-    warm2 = [k for k in range(30) if cluster.node_for(k) == 2]
-    assert len(warm1) >= 2 and len(warm2) >= 1
-    dep1 = b.insert(warm_bucket_key(1, warm1[0] % 64, 10_000), 1000)
-    dep2 = b.insert(warm_bucket_key(2, warm2[0] % 64, 10_000), 1001)
-    # client a keeps working independently (no new reads of node 0);
-    # a *different* warmed bucket, so reverting dep1 never has to
-    # touch a chain link the independent op wrote
-    indep = a.insert(warm_bucket_key(1, warm1[1] % 64, 20_000), 531)
-    probe = warm_bucket_key(0, victim % 64, poison_key + 1)
-    return cluster, poison_op, (dep1, dep2), indep, probe
+    poison_op = b.insert(cluster.keys_for_node(0, 1, start=1000)[0], 999)
+    # client a keeps working without observing the poisoned insert:
+    # concurrent with it, so it must survive the cascade
+    indep = a.insert(cluster.keys_for_node(1, 1, start=20_000)[0], 531)
+    # b issued the poisoned insert, so its later writes on other nodes
+    # are cross-node causal dependents of it
+    dep1 = b.insert(cluster.keys_for_node(1, 1, start=10_000)[0], 1000)
+    dep2 = b.insert(cluster.keys_for_node(2, 1, start=10_000)[0], 1001)
+    first, last = poison_op.spans[0]
+    return cluster, poison_op, (dep1, dep2), indep, set(range(first, last + 1))
 
 
 class TestDistributedRecovery:
     def test_cascading_recovery(self):
-        cluster, poison_op, deps, indep, probe = _poisoned_cluster()
-        node0 = cluster.nodes[0]
-        detector = Detector()
-        outcome = detector.observe(
-            node0.machine, lambda: node0.lookup(probe)
-        )
-        assert not outcome.ok and outcome.fault.kind == "hang"
-
+        cluster, poison_op, deps, indep, seqs = _poisoned_cluster()
         reactor = DistributedReactor(cluster)
-
-        def verify():
-            assert node0.lookup(probe) == ABSENT
-
-        report = reactor.mitigate(0, outcome.fault.iid, verify)
-        assert report.recovered
-        # the poisoned insert was discarded locally
-        assert any(op.op_id == poison_op.op_id for op in report.discarded_ops)
-        # its causal dependents on other nodes were cascaded
-        cascaded_ids = {op.op_id for op in report.cascaded_ops}
+        discarded, cascaded, rounds = reactor.cascade_from(0, seqs)
+        # the poisoned insert was discarded...
+        assert [op.op_id for op in discarded] == [poison_op.op_id]
+        # ...its causal dependents on other nodes were cascaded...
+        cascaded_ids = {op.op_id for op in cascaded}
         assert deps[0].op_id in cascaded_ids
         assert deps[1].op_id in cascaded_ids
-        # ...and are gone from their nodes
-        assert cluster.nodes[deps[0].node].lookup(deps[0].key) == ABSENT
+        assert rounds >= 1
+        # ...and all of them are gone from every live mirror
+        for nid in (1, 2):
+            for op in (poison_op,) + deps:
+                assert cluster.nodes[nid].lookup(op.key) == ABSENT
         # the independent concurrent op survived
-        if indep.op_id not in cascaded_ids:
-            assert cluster.nodes[indep.node].lookup(indep.key) == 531
+        assert indep.op_id not in cascaded_ids
+        assert cluster.nodes[indep.node].lookup(indep.key) == 531
 
     def test_no_cascade_without_dependents(self):
         cluster = Cluster(n_nodes=2, n_clients=1)
@@ -287,19 +252,11 @@ class TestDistributedRecovery:
     def test_dimension_mismatch_surfaces_through_mitigate(self):
         # a tampered (wrong-topology) clock in the oplog must fail the
         # cascade loudly, not silently truncate the comparison
-        cluster, poison_op, deps, indep, probe = _poisoned_cluster()
-        node0 = cluster.nodes[0]
-        detector = Detector()
-        outcome = detector.observe(
-            node0.machine, lambda: node0.lookup(probe)
-        )
-        assert not outcome.ok
+        cluster, poison_op, deps, indep, seqs = _poisoned_cluster()
         deps[0].vc = deps[0].vc + (0,)
         reactor = DistributedReactor(cluster)
         with pytest.raises(ValueError, match="dimension mismatch"):
-            reactor.mitigate(
-                0, outcome.fault.iid, lambda: None
-            )
+            reactor.cascade_from(0, seqs)
 
 
 class TestMixedTopologies:

@@ -1,12 +1,12 @@
 """The incremental probe engine vs the full-restore snapshot oracle.
 
 ``Reverter.mitigate_bisect`` moves between probe points with dirty-word
-epoch deltas (``engine="incremental"``); the seed behaviour — full pool
-restore + prefix replay per probe — survives as ``engine="snapshot"``
-and serves as the oracle here.  The two must be *indistinguishable* from
-outside: identical MitigationResult fields and byte-identical durable
-state, across the synthetic bench states and all twelve real fault
-experiments.
+epoch deltas (``_DeltaProbeEngine``); the seed behaviour — full pool
+restore + prefix replay per probe — survives as
+``tests.oracles.SnapshotProbeEngine``, patched in over the production
+engine here.  The two must be *indistinguishable* from outside:
+identical MitigationResult fields and byte-identical durable state,
+across the synthetic bench states and all twelve real fault experiments.
 
 The perf test pins the reason the incremental engine exists: restoring a
 50k-word pool by rewriting only the dirty words must beat rewriting the
@@ -14,34 +14,50 @@ whole image.
 """
 
 import time
+from contextlib import contextmanager
 
 import pytest
 
 from repro.harness.experiment import run_experiment
 from repro.harness.hotpaths import build_synthetic_state
 from repro.pmem.snapshot import restore_snapshot, take_snapshot
-from repro.reactor.revert import PROBE_ENGINES, Reverter, _NullClock
+from repro.reactor.revert import Reverter, _NullClock
+from tests.oracles import SnapshotProbeEngine
 
 FIDS = [f"f{i}" for i in range(1, 13)]
+
+ENGINES = ("incremental", "snapshot")
+
+
+@contextmanager
+def probe_engine(monkeypatch, engine):
+    """Run bisect on the production engine or on the snapshot oracle."""
+    with monkeypatch.context() as m:
+        if engine == "snapshot":
+            m.setattr(
+                "repro.reactor.revert._DeltaProbeEngine", SnapshotProbeEngine
+            )
+        yield
 
 
 # ----------------------------------------------------------------------
 # equivalence: every observable of the two engines matches
 # ----------------------------------------------------------------------
-def _mitigate(engine, n_updates=800, seed=0, **kwargs):
+def _mitigate(monkeypatch, engine, n_updates=800, seed=0, **kwargs):
     state = build_synthetic_state(n_updates, seed=seed)
     reverter = Reverter(
         state.log, state.pool, state.allocator, state.reexec(), **kwargs
     )
-    result = reverter.mitigate_bisect(state.make_plan(), engine=engine)
+    with probe_engine(monkeypatch, engine):
+        result = reverter.mitigate_bisect(state.make_plan())
     return state, result
 
 
 @pytest.mark.parametrize("seed", [0, 7, 11])
-def test_engines_equivalent_on_synthetic_state(seed):
+def test_engines_equivalent_on_synthetic_state(seed, monkeypatch):
     images, results = [], []
-    for engine in ("incremental", "snapshot"):
-        state, result = _mitigate(engine, seed=seed)
+    for engine in ENGINES:
+        state, result = _mitigate(monkeypatch, engine, seed=seed)
         assert result.recovered, engine
         images.append(state.durable_image())
         results.append(result)
@@ -53,7 +69,7 @@ def test_engines_equivalent_on_synthetic_state(seed):
 
 
 @pytest.mark.parametrize("fid", FIDS)
-def test_engines_equivalent_on_real_faults(fid):
+def test_engines_equivalent_on_real_faults(fid, monkeypatch):
     """Both engines end every real experiment in the same final state.
 
     ``pool_digest`` fingerprints the durable image + allocator metadata,
@@ -61,13 +77,12 @@ def test_engines_equivalent_on_real_faults(fid):
     probe is skipped: the digest is taken before it and the probe roughly
     doubles the runtime.
     """
-    runs = [
-        run_experiment(
-            fid, "arthas-bi", seed=0, consistency_probe=False,
-            bisect_engine=engine,
-        ).mitigation
-        for engine in ("incremental", "snapshot")
-    ]
+    runs = []
+    for engine in ENGINES:
+        with probe_engine(monkeypatch, engine):
+            runs.append(run_experiment(
+                fid, "arthas-bi", seed=0, consistency_probe=False,
+            ).mitigation)
     a, b = runs
     assert a is not None and b is not None
     assert a.recovered and b.recovered
@@ -77,20 +92,11 @@ def test_engines_equivalent_on_real_faults(fid):
     )
 
 
-def test_unknown_engine_rejected():
-    state = build_synthetic_state(200, seed=0)
-    reverter = Reverter(
-        state.log, state.pool, state.allocator, state.reexec()
-    )
-    with pytest.raises(ValueError):
-        reverter.mitigate_bisect(state.make_plan(), engine="nope")
-
-
 # ----------------------------------------------------------------------
 # memoization: no probe point is ever re-executed
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("engine", sorted(PROBE_ENGINES))
-def test_bisect_reexecutes_each_probe_point_once(engine):
+@pytest.mark.parametrize("engine", ENGINES)
+def test_bisect_reexecutes_each_probe_point_once(engine, monkeypatch):
     state = build_synthetic_state(800, seed=0)
     inner = state.reexec()
     calls = []
@@ -102,7 +108,8 @@ def test_bisect_reexecutes_each_probe_point_once(engine):
     reverter = Reverter(
         state.log, state.pool, state.allocator, counting_reexec
     )
-    result = reverter.mitigate_bisect(state.make_plan(), engine=engine)
+    with probe_engine(monkeypatch, engine):
+        result = reverter.mitigate_bisect(state.make_plan())
     assert result.recovered
     # one re-execution per attempt; the final probe(best) that lands the
     # pool on the winning state is a memo hit and must not re-execute

@@ -1,23 +1,28 @@
-"""The fused superinstruction VM engine vs the table-dispatch oracle.
+"""The fused superinstruction VM vs the table-dispatch oracle.
 
-``Machine(vm_engine="fused")`` — the default — compiles straight-line
-runs of fusable opcodes into Python closures and elides single-use
-temporaries into their consumers; ``vm_engine="table"`` is the original
-per-step dict-dispatch interpreter, kept as the oracle (mirroring the
-``PROBE_ENGINES`` pattern).  The two must be indistinguishable from
-outside: identical results, identical ``steps_executed``, identical
+:class:`Machine` compiles straight-line runs of fusable opcodes into
+Python closures and elides single-use temporaries into their consumers;
+``tests.oracles.TableMachine`` single-steps every instruction through
+the per-step dict-dispatch table.  The two must be indistinguishable
+from outside: identical results, identical ``steps_executed``, identical
 fault attribution (trap type, iid, step of occurrence), identical
 ``HangTrap`` budget accounting — across compute kernels, trap programs
-and all twelve real fault experiments.
+and all twelve real fault experiments.  A timing pin keeps the reason
+the fused path exists: it must stay well ahead of table dispatch.
 """
+
+import time
 
 import pytest
 
 from repro.errors import ArithmeticTrap, HangTrap, SegfaultTrap
 from repro.harness.experiment import run_experiment
 from repro.lang.compiler import compile_module
-from repro.lang.fuse import VM_ENGINES
 from repro.lang.interp import Machine
+from tests.oracles import TableMachine
+
+#: machine class per VM path under comparison
+VMS = {"fused": Machine, "table": TableMachine}
 
 FIDS = [f"f{i}" for i in range(1, 13)]
 
@@ -36,8 +41,8 @@ def spin(n):
 def _run_both(src, fname, *args, step_budget=None):
     module = compile_module("t", src)
     outcomes = {}
-    for engine in VM_ENGINES:
-        machine = Machine(module, vm_engine=engine)
+    for engine, cls in VMS.items():
+        machine = cls(module)
         result = machine.call(fname, *args, step_budget=step_budget)
         outcomes[engine] = (result, machine.steps_executed)
     return outcomes
@@ -47,8 +52,8 @@ def _trap_both(src, fname, trap_cls, *args):
     """Both engines trap identically: kind, iid and step of occurrence."""
     module = compile_module("t", src)
     observed = {}
-    for engine in VM_ENGINES:
-        machine = Machine(module, vm_engine=engine)
+    for engine, cls in VMS.items():
+        machine = cls(module)
         with pytest.raises(trap_cls):
             machine.call(fname, *args)
         fault = machine.last_fault
@@ -135,8 +140,8 @@ def f(a):
 def test_hang_budget_parity(budget):
     module = compile_module("t", _SPIN_SRC)
     steps = {}
-    for engine in VM_ENGINES:
-        machine = Machine(module, vm_engine=engine)
+    for engine, cls in VMS.items():
+        machine = cls(module)
         with pytest.raises(HangTrap):
             machine.call("spin", 10_000, step_budget=budget)
         steps[engine] = machine.steps_executed
@@ -144,39 +149,66 @@ def test_hang_budget_parity(budget):
 
 
 # ----------------------------------------------------------------------
-# engine selection plumbing
+# the production machine runs compiled segments
 # ----------------------------------------------------------------------
-def test_unknown_vm_engine_rejected():
+def test_default_engine_is_fused(monkeypatch):
     module = compile_module("t", "def f():\n    return 1\n")
-    with pytest.raises(ValueError):
-        Machine(module, vm_engine="nope")
+    entered = []
+    real = Machine._run_fused
+
+    def spy(self, threads, step_budget):
+        entered.append(step_budget)
+        return real(self, threads, step_budget)
+
+    monkeypatch.setattr(Machine, "_run_fused", spy)
+    assert Machine(module).call("f") == 1
+    assert entered
+    # the oracle never does
+    entered.clear()
+    assert TableMachine(module).call("f") == 1
+    assert not entered
 
 
-def test_default_engine_is_fused():
-    module = compile_module("t", "def f():\n    return 1\n")
-    assert Machine(module).vm_engine == "fused"
+def test_fused_beats_table_dispatch():
+    """Fused must stay at least 1.5x ahead of per-step table dispatch on
+    the spin loop (about 8x measured on an idle x86-64 core).  Falling
+    back to per-step dispatch lands at ~1x, far under the margin."""
+    module = compile_module("vmspin", _SPIN_SRC)
+    n_iters = 20_000
+    best = {}
+    for engine, cls in VMS.items():
+        for _ in range(3):
+            machine = cls(module)
+            t0 = time.perf_counter()
+            machine.call("spin", n_iters, step_budget=100 * n_iters)
+            took = time.perf_counter() - t0
+            best[engine] = min(best.get(engine, took), took)
+    assert best["fused"] * 1.5 < best["table"], (
+        f"fused {best['fused']:.4f}s vs table {best['table']:.4f}s — "
+        f"the fused VM regressed toward per-step dispatch"
+    )
 
 
 # ----------------------------------------------------------------------
 # equivalence on the real fault experiments
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("fid", FIDS)
-def test_engines_equivalent_on_real_faults(fid):
-    """Both engines end every real experiment in the same final state.
+def test_engines_equivalent_on_real_faults(fid, monkeypatch):
+    """Both VMs end every real experiment in the same final state.
 
     ``pool_digest`` fingerprints the durable image + allocator metadata,
     so digest equality is byte-level state equality.  The consistency
     probe is skipped: the digest is taken before it and the probe
     roughly doubles the runtime.
     """
-    runs = [
-        run_experiment(
-            fid, "arthas-bi", seed=0, consistency_probe=False,
-            vm_engine=engine,
+    a = run_experiment(
+        fid, "arthas-bi", seed=0, consistency_probe=False
+    ).mitigation
+    with monkeypatch.context() as m:
+        m.setattr("repro.systems.common.Machine", TableMachine)
+        b = run_experiment(
+            fid, "arthas-bi", seed=0, consistency_probe=False
         ).mitigation
-        for engine in ("fused", "table")
-    ]
-    a, b = runs
     assert a is not None and b is not None
     assert a.recovered and b.recovered
     assert a.pool_digest == b.pool_digest
