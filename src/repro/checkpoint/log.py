@@ -24,8 +24,8 @@ The derived indexes absorb the staging tail lazily, in one merge pass
 
 * the first query — every reactor-facing query method flushes, and the
   ``entries``/``events``/``tx_members`` attributes are flush-on-access
-  properties so even direct consumers (serialization, the reference
-  scans, tests) always observe the merged log; or
+  properties so even direct consumers (serialization, the linear-scan
+  test oracles) always observe the merged log; or
 * every ``staging_limit`` records (default ``STAGING_LIMIT`` = 4096),
   bounding the merge latency any single record can hit.
 
@@ -77,8 +77,8 @@ indexes are:
   for the reactor's divergence repair.
 
 All queries preserve the exact result (including list/dict ordering) of
-the original linear scans; :mod:`repro.checkpoint.reference` keeps the
-scan implementations for equivalence testing and benchmarking.
+the original linear scans; ``tests/oracles/checkpoint.py`` keeps the
+scan implementations for equivalence testing.
 Deserialized logs (``instrument.artifacts``) call
 :meth:`CheckpointLog.rebuild_indexes` after populating the raw state.
 """

@@ -10,7 +10,9 @@ Subcommands:
 * ``matrix-all`` — the full fault x solution sweep in parallel, with
   per-family recoverability and a JSON report under ``results/``.
 * ``analyze`` — static-analysis statistics for one target system.
-* ``bench-hotpaths`` — indexed-vs-linear-scan hot-path benchmark.
+* ``serve-bench`` — live-traffic p50/p99 during a mitigation,
+  quarantine-scoped vs stop-the-world; exits non-zero when the p99
+  ratio falls below its floor.
 * ``inject-sweep`` — crash/torn/bitflip injection at every enumerable
   site of the recovery pipeline; exits non-zero unless every cell ends
   verified-consistent.
@@ -255,53 +257,11 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _profile_report_path(out: str) -> str:
+def _cmd_serve_bench(args) -> int:
+    import json
     import os
 
-    if out == "-":
-        return "results/BENCH_hotpaths_profile.txt"
-    root, _ = os.path.splitext(out)
-    return root + "_profile.txt"
-
-
-def _cmd_bench_hotpaths(args) -> int:
-    from repro.harness.hotpaths import render_summary, run_and_write
-
-    n_updates = args.updates
-    if n_updates is None:
-        n_updates = 5_000 if args.quick else 50_000
-    profiler = None
-    if args.profile:
-        import cProfile
-
-        profiler = cProfile.Profile()
-        profiler.enable()
-    report = run_and_write(
-        n_updates=n_updates, seed=args.seed,
-        out_path=None if args.out == "-" else args.out,
-        only=args.only,
-    )
-    if profiler is not None:
-        import io
-        import os
-        import pstats
-
-        profiler.disable()
-        buf = io.StringIO()
-        stats = pstats.Stats(profiler, stream=buf)
-        stats.sort_stats("cumulative").print_stats(args.profile_top)
-        stats.sort_stats("tottime").print_stats(args.profile_top)
-        path = _profile_report_path(args.out)
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        with open(path, "w") as f:
-            f.write(buf.getvalue())
-        print(f"wrote {path}", file=sys.stderr)
-    print(render_summary(report))
-    return 0
-
-
-def _cmd_serve_bench(args) -> int:
-    from repro.harness.hotpaths import bench_live_traffic, write_report
+    from repro.harness.serve_bench import P99_RATIO_FLOOR, bench_live_traffic
 
     if args.quick:
         params = dict(n_requests=240, keyspace=192, release_after=96)
@@ -334,10 +294,15 @@ def _cmd_serve_bench(args) -> int:
         f"digests identical"
     )
     if args.out != "-":
-        # write only the live_traffic section; write_report's
-        # setdefault-merge keeps every other benched section intact
-        write_report({"live_traffic": section}, args.out)
+        os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
+        with open(args.out, "w") as f:
+            json.dump(section, f, indent=2, sort_keys=True)
+            f.write("\n")
         print(f"wrote {args.out}", file=sys.stderr)
+    if section["stw_over_scoped_p99_ratio"] < P99_RATIO_FLOOR:
+        print(f"p99 ratio below the {P99_RATIO_FLOOR}x floor",
+              file=sys.stderr)
+        return 1
     return 0
 
 
@@ -566,29 +531,6 @@ def build_parser() -> argparse.ArgumentParser:
                            choices=["memcached", "redis", "cceh",
                                     "pelikan", "pmemkv", "levelhash"])
 
-    bench_p = sub.add_parser(
-        "bench-hotpaths",
-        help="time the indexed reactor hot paths vs the seed linear scans",
-    )
-    bench_p.add_argument("--quick", action="store_true",
-                         help="5k-update smoke run instead of 50k")
-    bench_p.add_argument("--updates", type=int, default=None,
-                         help="override the synthetic log size")
-    bench_p.add_argument("--seed", type=int, default=0)
-    bench_p.add_argument("--out", default="results/BENCH_hotpaths.json",
-                         help="report path ('-' to skip writing)")
-    bench_p.add_argument("--only", default=None,
-                         choices=["plan", "mitigation", "vm",
-                                  "write_path", "live_traffic"],
-                         help="run a single section (partial reports "
-                              "omit the summary block; --profile then "
-                              "profiles just that section)")
-    bench_p.add_argument("--profile", action="store_true",
-                         help="run under cProfile and write a top-N "
-                              "cumulative/tottime report next to the JSON")
-    bench_p.add_argument("--profile-top", type=int, default=30,
-                         help="entries per sort order in the profile report")
-
     serve_p = sub.add_parser(
         "serve-bench",
         help="live-traffic recovery server: p50/p99 under fire, "
@@ -603,9 +545,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="stream length (default 300; --quick 240)")
     serve_p.add_argument("--quick", action="store_true",
                          help="smaller keyspace/stream (CI smoke mode)")
-    serve_p.add_argument("--out", default="results/BENCH_hotpaths.json",
-                         help="report path, merged as the live_traffic "
-                              "section ('-' to skip writing)")
+    serve_p.add_argument("--out", default="results/serve_bench.json",
+                         help="JSON report path ('-' to skip writing)")
 
     sweep_p = sub.add_parser(
         "inject-sweep",
@@ -693,7 +634,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "matrix": _cmd_matrix,
         "matrix-all": _cmd_matrix_all,
         "analyze": _cmd_analyze,
-        "bench-hotpaths": _cmd_bench_hotpaths,
         "serve-bench": _cmd_serve_bench,
         "inject-sweep": _cmd_inject_sweep,
         "fuzz-sweep": _cmd_fuzz_sweep,

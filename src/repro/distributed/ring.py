@@ -116,16 +116,11 @@ class HashRing:
                     break
         return out
 
-    def primary_for(self, key: int, down: Optional[Set[int]] = None) -> Optional[int]:
+    def primary_for(self, key: int) -> Optional[int]:
         """First live, non-demoted preference node (demoted nodes only
         front reads when every live candidate is demoted).  ``None``
-        when the whole replica chain is down.  ``down`` overrides the
-        ring's own down set — the re-sync path asks "who will serve
-        this key once the healing node is back up" without flipping the
-        real flag mid-phase (a crash there would leave a half-recovered
-        node fronting reads)."""
-        down = self.down if down is None else down
-        live = [n for n in self.preference_list(key) if n not in down]
+        when the whole replica chain is down."""
+        live = [n for n in self.preference_list(key) if n not in self.down]
         if not live:
             return None
         for nid in live:
@@ -133,24 +128,20 @@ class HashRing:
                 return nid
         return live[0]
 
-    def replica_set(
-        self, key: int, r: int, down: Optional[Set[int]] = None
-    ) -> List[int]:
+    def replica_set(self, key: int, r: int) -> List[int]:
         """The primary plus the next live preference nodes, ≤ r total.
 
         Demoted nodes are replica-eligible — a healed node resumes
         replica duty for its old arc the moment it is marked up.
-        ``down`` overrides the ring's down set, as in ``primary_for``.
         """
-        down = self.down if down is None else down
-        primary = self.primary_for(key, down=down)
+        primary = self.primary_for(key)
         if primary is None:
             return []
         out = [primary]
         for nid in self.preference_list(key):
             if len(out) >= r:
                 break
-            if nid in down or nid == primary:
+            if nid in self.down or nid == primary:
                 continue
             out.append(nid)
         return out

@@ -28,8 +28,7 @@ Determinism: ``run_experiment`` depends only on the cell spec, so the
 parallel sweep must produce summary-*equal* cells to the serial loop at
 every seed — modulo the few fields that record measured wall-clock time
 (the slicer times itself; :func:`comparable_summary` zeroes them for
-comparison).  ``tests/test_matrix_parallel.py`` and the matrix section
-of ``benchmarks/bench_perf_hotpaths.py`` enforce exactly that.
+comparison).  ``tests/test_matrix_parallel.py`` enforces exactly that.
 """
 
 from __future__ import annotations

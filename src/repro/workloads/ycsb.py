@@ -41,7 +41,7 @@ def zipf_keys(
     ``1/rank**theta``); theta=0 degenerates to uniform.  The CDF is
     memoized per ``(keyspace, theta)``; ``use_cache=False`` rebuilds it
     from scratch (the oracle path — draws must come out identical, which
-    ``bench_write_path.ycsb`` asserts on every run).
+    ``tests/test_live_server.py`` pins).
     """
     rng = random.Random(seed)
     if use_cache:

@@ -10,11 +10,27 @@ with ``monkeypatch`` on the name production code looks up:
 * :class:`SnapshotProbeEngine` — bisect probes by full snapshot restore
   plus prefix replay (patch ``repro.reactor.revert._DeltaProbeEngine``);
 * :class:`ReexecCluster` — replication by re-executing each op on every
-  replica-set node instead of shipping its word delta.
+  replica-set node instead of shipping its word delta;
+* :mod:`~tests.oracles.checkpoint` — the seed's linear-scan
+  checkpoint-log queries (``entries_overlapping``, ``expected_word``,
+  ``newest_free_covering`` ...), each taking the log as first argument;
+* :class:`LinearScanReverter` — a ``Reverter`` whose range
+  reconstruction, rollback and dangling-pointer guard run those scans;
+* :func:`reference_compute_plan` — the seed plan join: re-slice every
+  round (PDG caches cleared) and join traced addresses by full scan.
 """
 
+from tests.oracles import checkpoint
+from tests.oracles.checkpoint import LinearScanReverter, reference_compute_plan
 from tests.oracles.cluster import ReexecCluster
 from tests.oracles.probe import SnapshotProbeEngine
 from tests.oracles.vm import TableMachine
 
-__all__ = ["ReexecCluster", "SnapshotProbeEngine", "TableMachine"]
+__all__ = [
+    "LinearScanReverter",
+    "ReexecCluster",
+    "SnapshotProbeEngine",
+    "TableMachine",
+    "checkpoint",
+    "reference_compute_plan",
+]

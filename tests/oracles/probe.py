@@ -11,7 +11,7 @@ class SnapshotProbeEngine:
 
     O(pool + prefix) per probe — this is the seed behaviour, kept as the
     correctness oracle for the incremental engine (same role
-    ``checkpoint/reference.py`` plays for the log indexes).
+    ``tests/oracles/checkpoint.py`` plays for the log indexes).
     """
 
     def __init__(self, reverter, groups: List[List[int]]):

@@ -1,7 +1,7 @@
 """Equivalence of the indexed checkpoint-log queries with the seed scans.
 
 The log answers every reactor query from incrementally maintained
-indexes (``repro.checkpoint.log``); ``repro.checkpoint.reference`` keeps
+indexes (``repro.checkpoint.log``); ``tests.oracles.checkpoint`` keeps
 the original linear-scan implementations verbatim.  These tests drive
 randomized event streams — overlapping sub-range persists, version-ring
 eviction, alloc/free churn, transactions, realloc links — through both
@@ -11,26 +11,29 @@ mitigation outcomes depend on visit order.
 The Reverter-level tests additionally run whole mitigations under the
 production :class:`Reverter` and the :class:`LinearScanReverter` oracle
 on identical synthetic pools and compare the final durable images word
-for word.
+for word; the plan test requires ``compute_plan`` (memoized slice,
+indexed join) to rank the same candidate seqs as the seed plan join.
 
-``test_hotpath_perf_regression`` is the wall-clock guard: a mitigation
-over a 5k-update log must stay far under the (very generous) ceiling,
-which the pre-index quadratic scans could not.
+``test_hotpath_perf_regression`` is the wall-clock guard: planning and
+mitigation over a 5k-update log must stay far under the (very generous)
+ceiling, which the pre-index quadratic scans could not.
 """
 
+import random
 import time
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.checkpoint import reference
 from repro.checkpoint.log import CheckpointLog
-from repro.checkpoint.reference import LinearScanReverter
-from repro.harness.hotpaths import build_synthetic_state
 from repro.instrument.artifacts import load_checkpoint_log, save_checkpoint_log
 from repro.pmem.allocator import PMAllocator
 from repro.pmem.pool import PMPool
+from repro.reactor.plan import compute_plan, distance_policy
 from repro.reactor.revert import Reverter
+from tests.oracles import LinearScanReverter, reference_compute_plan
+from tests.oracles import checkpoint as reference
+from tests.synth_state import build_synthetic_state, plan_fixture, synthetic_trace
 
 # a deliberately tiny address space so random streams collide: entries
 # overlap, rings evict, frees cover probed words
@@ -191,25 +194,60 @@ def test_rollback_matches_reference_on_synthetic_state():
     assert fast_state.durable_image() == slow_state.durable_image()
 
 
+def _plan_inputs(n_updates, seed):
+    """A synthetic log plus a fault slice traced onto its addresses."""
+    state = build_synthetic_state(n_updates, seed=seed)
+    analysis, guid_map, fault_iid = plan_fixture()
+    trace = synthetic_trace(
+        analysis, guid_map, fault_iid, state.log, random.Random(seed + 1),
+        addrs_per_guid=8,
+    )
+    return analysis, guid_map, trace, state.log, fault_iid
+
+
+def test_plan_candidates_match_reference():
+    """compute_plan ranks the same seqs as the seed join, memo hit or not."""
+    for seed in (0, 7):
+        analysis, guid_map, trace, log, fault_iid = _plan_inputs(2_000, seed)
+        policy = distance_policy()
+        for _ in range(2):
+            plan = compute_plan(
+                analysis, guid_map, trace, log, fault_iid, policy=policy
+            )
+            ref = reference_compute_plan(
+                analysis, guid_map, trace, log, fault_iid, policy
+            )
+            assert plan.candidates, seed
+            assert [c.seq for c in plan.candidates] == [
+                c.seq for c in ref.candidates
+            ], seed
+
+
 def test_hotpath_perf_regression():
     """A 5k-update plan + full mitigation stays well under the ceiling.
 
     The indexed paths finish this in tens of milliseconds; the ceiling is
     ~100x slack for slow CI machines.  The pre-index linear scans took
     roughly a second for mitigation alone and would trip it on any
-    machine if reintroduced.
+    machine if reintroduced.  Planning runs four rounds, the most the
+    detector/reactor loop re-plans one fault per mode.
     """
     start = time.perf_counter()
-    build_synthetic_state(5_000, seed=0)
+    analysis, guid_map, trace, log, fault_iid = _plan_inputs(5_000, 0)
     build_seconds = time.perf_counter() - start
+    analysis.pdg._slice_cache.clear()
+    analysis.pdg._dist_cache.clear()
+    policy = distance_policy()
     start = time.perf_counter()
+    for _ in range(4):
+        compute_plan(analysis, guid_map, trace, log, fault_iid, policy=policy)
     for mode in ("purge", "rollback", "bisect"):
         fresh = build_synthetic_state(5_000, seed=0)
         rv = Reverter(fresh.log, fresh.pool, fresh.allocator, fresh.reexec())
         result = getattr(rv, "mitigate_" + mode)(fresh.make_plan())
         assert result.recovered
-    mitigation_seconds = time.perf_counter() - start
-    assert mitigation_seconds < 5.0, (
-        f"indexed mitigation took {mitigation_seconds:.2f}s on a 5k-update "
+    hot_seconds = time.perf_counter() - start
+    assert hot_seconds < 5.0, (
+        f"indexed plan + mitigation took {hot_seconds:.2f}s on a 5k-update "
         f"log (state build: {build_seconds:.2f}s) — hot-path regression"
     )

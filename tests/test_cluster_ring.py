@@ -119,17 +119,6 @@ class TestStatus:
         ring.demote(1)
         assert ring.primary_for(3) is not None
 
-    def test_whatif_down_set_for_resync_eligibility(self):
-        # catch-up asks who serves a key once the healing node is back
-        # up, without flipping the real flag
-        ring = HashRing(range(3))
-        key = next(k for k in range(1000) if ring.primary_for(k) == 0)
-        ring.mark_down(0)
-        assert 0 not in ring.replica_set(key, 2)
-        whatif = ring.down - {0}
-        assert 0 in ring.replica_set(key, 2, down=whatif)
-        assert ring.is_down(0)  # the real flag never moved
-
     def test_replica_set_size_bounded_by_live_nodes(self):
         ring = HashRing(range(3))
         ring.mark_down(2)

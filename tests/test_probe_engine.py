@@ -19,10 +19,10 @@ from contextlib import contextmanager
 import pytest
 
 from repro.harness.experiment import run_experiment
-from repro.harness.hotpaths import build_synthetic_state
 from repro.pmem.snapshot import restore_snapshot, take_snapshot
 from repro.reactor.revert import Reverter, _NullClock
 from tests.oracles import SnapshotProbeEngine
+from tests.synth_state import build_synthetic_state
 
 FIDS = [f"f{i}" for i in range(1, 13)]
 
