@@ -24,6 +24,11 @@ Subcommands:
   byte-identical promoted-vs-quiesced digests per cell.
 * ``cluster-status`` — demo heal: wedge one shard, run the promotion
   protocol, print the per-shard health table.
+
+The three sweeps share one flag set (``--seed --quick --out``, plus
+fuzz's ``--emit-registry``): ``--quick`` runs the CI subset and
+drift-checks it against the committed report at ``--out`` without
+writing; a full run writes ``--out``.
 """
 
 from __future__ import annotations
@@ -40,11 +45,7 @@ from repro.faults.study import (
     reproduced_family_distribution,
     root_cause_distribution,
 )
-from repro.harness.experiment import (
-    EXTRA_SOLUTIONS,
-    SOLUTIONS,
-    run_experiment,
-)
+from repro.harness.experiment import SOLUTIONS, run_experiment
 from repro.harness.report import render_bars, render_table
 
 
@@ -156,10 +157,8 @@ def _cmd_matrix(args) -> int:
 
 
 def _cmd_matrix_all(args) -> int:
-    import json
-    import os
-
     from repro.harness.matrix import expand_matrix, run_matrix
+    from repro.harness.sweep import write_report
 
     specs = expand_matrix(seeds=range(args.seeds))
     report = run_matrix(
@@ -218,21 +217,15 @@ def _cmd_matrix_all(args) -> int:
         ["family", "faults"] + list(SOLUTIONS),
         family_rows,
     ))
-    if args.out != "-":
-        payload = {
-            "config": {
-                "seeds": args.seeds,
-                "jobs": report.jobs,
-                "cell_timeout": args.cell_timeout,
-            },
-            "families": family_json,
-            "report": report.to_json(),
-        }
-        os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
-        with open(args.out, "w") as f:
-            json.dump(payload, f, indent=2, sort_keys=True)
-            f.write("\n")
-        print(f"wrote {args.out}", file=sys.stderr)
+    write_report({
+        "config": {
+            "seeds": args.seeds,
+            "jobs": report.jobs,
+            "cell_timeout": args.cell_timeout,
+        },
+        "families": family_json,
+        "report": report.to_json(),
+    }, args.out)
     return 0 if report.n_errors == 0 else 1
 
 
@@ -258,10 +251,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_serve_bench(args) -> int:
-    import json
-    import os
-
     from repro.harness.serve_bench import P99_RATIO_FLOOR, bench_live_traffic
+    from repro.harness.sweep import write_report
 
     if args.quick:
         params = dict(n_requests=240, keyspace=192, release_after=96)
@@ -293,12 +284,7 @@ def _cmd_serve_bench(args) -> int:
         f"analysis {scoped['analysis_seconds']:.3f}s, "
         f"digests identical"
     )
-    if args.out != "-":
-        os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
-        with open(args.out, "w") as f:
-            json.dump(section, f, indent=2, sort_keys=True)
-            f.write("\n")
-        print(f"wrote {args.out}", file=sys.stderr)
+    write_report(section, args.out)
     if section["stw_over_scoped_p99_ratio"] < P99_RATIO_FLOOR:
         print(f"p99 ratio below the {P99_RATIO_FLOOR}x floor",
               file=sys.stderr)
@@ -306,135 +292,35 @@ def _cmd_serve_bench(args) -> int:
     return 0
 
 
-def _cmd_inject_sweep(args) -> int:
-    import json
-    import os
+def _run_sweep(args):
+    """The sweep subcommands' shared path: the module named after the
+    subcommand runs its cells; the sweep core drift-checks or writes."""
+    from importlib import import_module
 
-    from repro.faultinject import KINDS
-    from repro.harness.inject_sweep import run_sweep
+    from repro.harness.sweep import conclude
 
-    kinds = [k.strip() for k in args.kinds.split(",") if k.strip()]
-    for k in kinds:
-        if k not in KINDS:
-            print(f"unknown fault kind {k!r}; pick from {','.join(KINDS)}",
-                  file=sys.stderr)
-            return 2
-    fids = [f.strip() for f in args.faults.split(",") if f.strip()]
-    max_per_site = 1 if args.quick else args.max_per_site
-
-    def progress(cell) -> None:
-        status = "ok  " if cell.verified else "FAIL"
-        print(f"  {status} {cell.label} (retries={cell.crash_retries}, "
-              f"by={cell.recovered_by})", file=sys.stderr)
-
-    report = run_sweep(
-        fids=fids, solution=args.solution, kinds=kinds, seed=args.seed,
-        max_per_site=max_per_site, progress=progress,
+    sweep = import_module("repro.harness." + args.command.replace("-", "_"))
+    report = sweep.run_sweep(
+        seed=args.seed, quick=args.quick,
+        progress=lambda rec: print(f"  {rec.progress_line}", file=sys.stderr),
     )
-    print(report.summary())
-    if args.out != "-":
-        os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
-        with open(args.out, "w") as f:
-            json.dump(report.to_json(), f, indent=2, sort_keys=True)
-            f.write("\n")
-        print(f"wrote {args.out}", file=sys.stderr)
-    return 0 if report.all_verified else 1
+    return report, conclude(report, sweep.DRIFT, args.out, args.quick)
+
+
+def _cmd_sweep(args) -> int:
+    return _run_sweep(args)[1]
 
 
 def _cmd_fuzz_sweep(args) -> int:
-    import json
-    import os
+    report, code = _run_sweep(args)
+    if args.emit_registry and not args.quick:
+        from repro.faults import fuzzed
+        from repro.harness.fuzz_sweep import emit_registry
 
-    from repro.faults import fuzzed
-    from repro.harness.fuzz_sweep import (
-        QUICK_TRIALS,
-        check_against,
-        emit_registry,
-        run_fuzz_sweep,
-    )
-
-    systems = None
-    if args.systems:
-        systems = [s.strip() for s in args.systems.split(",") if s.strip()]
-    trials = QUICK_TRIALS if args.quick else args.trials
-
-    def progress(d) -> None:
-        print(f"  found [{d.family}/{d.phase}] {d.system}: {d.fault}",
-              file=sys.stderr)
-
-    report = run_fuzz_sweep(
-        systems=systems, trials=trials, sweep_seed=args.seed,
-        max_per_system=args.max_per_system, progress=progress,
-    )
-    print(report.summary())
-
-    if args.check:
-        if not os.path.exists(args.out):
-            print(f"drift check: no committed report at {args.out}",
-                  file=sys.stderr)
-            return 1
-        with open(args.out) as f:
-            committed = json.load(f)
-        problems = check_against(report, committed)
-        if problems:
-            for p in problems:
-                print(f"drift check: {p}", file=sys.stderr)
-            return 1
-        print(f"drift check: quick sweep matches {args.out}",
-              file=sys.stderr)
-        return 0
-
-    if args.out != "-":
-        os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
-        with open(args.out, "w") as f:
-            json.dump(report.to_json(), f, indent=2, sort_keys=True)
-            f.write("\n")
-        print(f"wrote {args.out}", file=sys.stderr)
-    if args.emit_registry:
         emit_registry(report.discoveries, fuzzed.__file__)
         print(f"rewrote FUZZED_FAULT_SPECS in {fuzzed.__file__} "
               f"({len(report.discoveries)} entries)", file=sys.stderr)
-    return 0
-
-
-def _cmd_cluster_sweep(args) -> int:
-    import json
-    import os
-
-    from repro.harness.cluster_sweep import check_against, run_cluster_sweep
-
-    def progress(cell) -> None:
-        print(f"  {cell.cell_key}: "
-              f"{'converged' if cell.converged else 'FAILED'}",
-              file=sys.stderr)
-
-    report = run_cluster_sweep(
-        sweep_seed=args.seed, quick=args.quick, progress=progress,
-    )
-    print(report.summary())
-
-    if args.check:
-        if not os.path.exists(args.out):
-            print(f"drift check: no committed report at {args.out}",
-                  file=sys.stderr)
-            return 1
-        with open(args.out) as f:
-            committed = json.load(f)
-        problems = check_against(report, committed)
-        if problems:
-            for p in problems:
-                print(f"drift check: {p}", file=sys.stderr)
-            return 1
-        print(f"drift check: sweep matches {args.out}", file=sys.stderr)
-        return 0 if report.all_converged else 1
-
-    if args.out != "-":
-        os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
-        with open(args.out, "w") as f:
-            json.dump(report.to_json(), f, indent=2, sort_keys=True)
-            f.write("\n")
-        print(f"wrote {args.out}", file=sys.stderr)
-    return 0 if report.all_converged else 1
+    return code
 
 
 def _cmd_cluster_status(args) -> int:
@@ -497,8 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run one fault/solution experiment")
     run_p.add_argument("--fault", required=True,
                        choices=[s.fid for s in ALL_SCENARIOS])
-    run_p.add_argument("--solution", default="arthas",
-                       choices=list(SOLUTIONS) + list(EXTRA_SOLUTIONS))
+    run_p.add_argument("--solution", default="arthas", choices=SOLUTIONS)
     run_p.add_argument("--seed", type=int, default=0)
 
     matrix_p = sub.add_parser("matrix",
@@ -548,69 +433,41 @@ def build_parser() -> argparse.ArgumentParser:
     serve_p.add_argument("--out", default="results/serve_bench.json",
                          help="JSON report path ('-' to skip writing)")
 
-    sweep_p = sub.add_parser(
-        "inject-sweep",
-        help="inject a fault at every enumerable recovery-pipeline site "
-             "and demand verified-consistent pools",
-    )
-    sweep_p.add_argument("--faults", default="f9,f12",
-                         help="comma-separated fault ids to sweep")
-    sweep_p.add_argument("--solution", default="arthas-rb", choices=SOLUTIONS)
-    sweep_p.add_argument("--kinds", default="crash,torn,bitflip",
-                         help="comma-separated fault kinds to inject")
-    sweep_p.add_argument("--seed", type=int, default=0)
-    sweep_p.add_argument("--max-per-site", type=int, default=3,
-                         help="occurrences sampled per site family "
-                              "(first/last always included)")
-    sweep_p.add_argument("--quick", action="store_true",
-                         help="one occurrence per site (CI smoke mode)")
-    sweep_p.add_argument("--out", default="results/inject_sweep.json",
-                         help="JSON report path ('-' to skip writing)")
+    def sweep_parser(name, help, seed, quick):
+        committed = "results/" + name.replace("-", "_") + ".json"
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--seed", type=int, default=seed,
+                       help="sweep seed; cells are deterministic per "
+                            "seed (default %(default)s)")
+        p.add_argument("--quick", action="store_true",
+                       help=f"{quick} (CI mode): drift-check it against "
+                            f"the committed report at --out, write nothing")
+        p.add_argument("--out", default=committed,
+                       help="JSON report path ('-' to skip writing)")
+        return p
 
-    fuzz_p = sub.add_parser(
-        "fuzz-sweep",
-        help="fuzz the guest persistence layer for new crash-consistency "
-             "and kernel-PM fault families; minimize and register finds",
+    sweep_parser(
+        "inject-sweep",
+        "inject a fault at every enumerable recovery-pipeline site "
+        "and demand verified-consistent pools",
+        seed=0, quick="one occurrence per site family",
     )
-    fuzz_p.add_argument("--systems", default=None,
-                        help="comma-separated subset of systems to fuzz "
-                             "(default: all six)")
-    fuzz_p.add_argument("--trials", type=int, default=40,
-                        help="fuzz trials per system (default 40)")
-    fuzz_p.add_argument("--seed", type=int, default=2026,
-                        help="sweep seed; discoveries are deterministic "
-                             "per (seed, system, trial)")
-    fuzz_p.add_argument("--max-per-system", type=int, default=2,
-                        help="registered reproducers per system cap")
-    fuzz_p.add_argument("--quick", action="store_true",
-                        help="first 10 trials per system (CI smoke mode; "
-                             "a strict prefix of the full sweep)")
-    fuzz_p.add_argument("--check", action="store_true",
-                        help="drift check: compare this sweep's finds "
-                             "against the committed report at --out")
+    fuzz_p = sweep_parser(
+        "fuzz-sweep",
+        "fuzz the guest persistence layer for new crash-consistency "
+        "and kernel-PM fault families; minimize and register finds",
+        seed=2026, quick="the first 10 of 40 trials per system",
+    )
     fuzz_p.add_argument("--emit-registry", action="store_true",
                         help="rewrite the generated FUZZED_FAULT_SPECS "
-                             "block in faults/fuzzed.py")
-    fuzz_p.add_argument("--out", default="results/fuzz_sweep.json",
-                        help="JSON report path ('-' to skip writing)")
-
-    csweep_p = sub.add_parser(
+                             "block in faults/fuzzed.py (full runs only)")
+    sweep_parser(
         "cluster-sweep",
-        help="inject every registered fault into one shard of a "
-             "replicated cluster and demand promotion-healed, "
-             "digest-identical convergence per cell",
+        "inject every registered fault into one shard of a "
+        "replicated cluster and demand promotion-healed, "
+        "digest-identical convergence per cell",
+        seed=11, quick="f1+f5 and two heal-crash cells",
     )
-    csweep_p.add_argument("--seed", type=int, default=11,
-                          help="sweep seed (cells are deterministic "
-                               "per seed)")
-    csweep_p.add_argument("--quick", action="store_true",
-                          help="f1+f5 and one heal-crash cell (CI smoke "
-                               "mode; a strict subset of the full sweep)")
-    csweep_p.add_argument("--check", action="store_true",
-                          help="drift check: compare this sweep's cells "
-                               "against the committed report at --out")
-    csweep_p.add_argument("--out", default="results/cluster_sweep.json",
-                          help="JSON report path ('-' to skip writing)")
 
     cstatus_p = sub.add_parser(
         "cluster-status",
@@ -635,9 +492,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         "matrix-all": _cmd_matrix_all,
         "analyze": _cmd_analyze,
         "serve-bench": _cmd_serve_bench,
-        "inject-sweep": _cmd_inject_sweep,
+        "inject-sweep": _cmd_sweep,
         "fuzz-sweep": _cmd_fuzz_sweep,
-        "cluster-sweep": _cmd_cluster_sweep,
+        "cluster-sweep": _cmd_sweep,
         "cluster-status": _cmd_cluster_status,
     }
     return handlers[args.command](args)

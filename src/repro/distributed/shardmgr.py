@@ -56,6 +56,7 @@ from repro.distributed.recovery import DistributedReactor
 from repro.harness.experiment import MitigationRun, _make_reexec, _mitigate_supervised
 from repro.harness.simclock import ReexecDelay, SimClock
 from repro.harness.supervisor import StepResult, with_crash_retries
+from repro.reactor.server import YIELD_EVERY_STEPS
 from repro.systems.common import ABSENT
 
 
@@ -153,13 +154,11 @@ class ShardManager:
         cluster: Cluster,
         solution: str = "arthas",
         seed: int = 0,
-        max_crash_retries: int = 6,
     ):
         self.cluster = cluster
         self.reactor = DistributedReactor(cluster)
         self.solution = solution
         self.seed = seed
-        self.max_crash_retries = max_crash_retries
         self.health: Dict[int, NodeHealth] = {
             i: NodeHealth(i) for i in range(cluster.n_nodes)
         }
@@ -197,8 +196,7 @@ class ShardManager:
             return StepResult(recovered=True)
 
         _, retries = with_crash_retries(
-            step, self.cluster.nodes[node_id].pool, clock,
-            self.max_crash_retries,
+            step, self.cluster.nodes[node_id].pool, clock
         )
         journal.complete("promote", crash_retries=retries)
         h = self.health[node_id]
@@ -244,16 +242,15 @@ class ShardManager:
         if installed:
             ctx.yield_fn = gate.checkpoint
             adapter.step_hook = gate.checkpoint
-            adapter.step_hook_every = 4000
+            adapter.step_hook_every = YIELD_EVERY_STEPS
             if adapter.machine is not None:
                 adapter.machine.step_hook = gate.checkpoint
-                adapter.machine.step_hook_every = 4000
+                adapter.machine.step_hook_every = YIELD_EVERY_STEPS
         try:
             run = _mitigate_supervised(
                 ctx, scenario, outcome, reexec, mclock, delay,
                 solution=self.solution, batch_size=1,
                 snapshotter=snapshotter, inject_plan=inject_plan,
-                max_crash_retries=self.max_crash_retries,
             )
         finally:
             if installed:
@@ -397,8 +394,7 @@ class ShardManager:
                     attempts=replayed,
                 )
             res, retries = with_crash_retries(
-                catchup, self.cluster.nodes[node_id].pool, clock,
-                self.max_crash_retries,
+                catchup, self.cluster.nodes[node_id].pool, clock
             )
             journal.complete(
                 "resync", notes=res.notes, replayed=res.attempts,
@@ -420,8 +416,7 @@ class ShardManager:
                 faultinject.fire("cluster.handoff")
                 return StepResult(recovered=True, notes=f"compacted={folded}")
             _, retries = with_crash_retries(
-                handoff, self.cluster.nodes[node_id].pool, clock,
-                self.max_crash_retries,
+                handoff, self.cluster.nodes[node_id].pool, clock
             )
             journal.complete("handoff", crash_retries=retries)
             h.crash_retries += retries

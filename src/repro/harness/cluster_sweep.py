@@ -46,17 +46,16 @@ retries it.
 
 Digests are compared across the two in-process runs; the committed
 report (``results/cluster_sweep.json``) records the stable per-cell
-outcome contract, and ``python -m repro cluster-sweep --quick --check``
-re-runs the quick subset and diffs it against the committed cells (the
-CI drift job, mirroring ``fuzz-sweep``).
+outcome contract, and ``python -m repro cluster-sweep --quick`` re-runs
+the quick subset and drift-checks it against the committed cells
+through the shared sweep core (:mod:`repro.harness.sweep`).
 """
 
 from __future__ import annotations
 
-import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro import faultinject
 from repro.detector.monitor import Detector, LeakMonitor, RunOutcome
@@ -70,6 +69,7 @@ from repro.faults.registry import ALL_SCENARIOS, scenario_by_id
 from repro.harness.experiment import ExperimentContext, MitigationRun
 from repro.harness.simclock import SimClock
 from repro.harness.supervisor import pool_digest
+from repro.harness.sweep import DriftRule, run_cells
 from repro.systems.common import ABSENT
 from repro.workloads.generators import VALUE_BASE, MixedWorkload
 
@@ -103,6 +103,14 @@ QUICK_FIDS = ("f1", "f5")
 QUICK_CRASH_CELLS: Tuple[Tuple[str, int], ...] = (
     ("cluster.promote", 1),
     ("cluster.compact", 1),
+)
+
+
+#: the per-cell outcome fields the drift check compares
+CONTRACT_FIELDS = (
+    "manifested", "confirmed_hard", "promoted", "recovered", "recovered_by",
+    "crash_retries", "discarded_ops", "cascaded_ops", "resync_replayed",
+    "demoted", "digests_match", "causal_cut_ok", "serving_ok",
 )
 
 
@@ -192,23 +200,13 @@ class CellOutcome:
             and self.serving_ok
         )
 
+    @property
+    def progress_line(self) -> str:
+        return f"{self.cell_key}: {'converged' if self.converged else 'FAILED'}"
+
     def contract(self) -> Dict[str, object]:
-        """The drift-stable fields ``--check`` compares."""
-        return {
-            "manifested": self.manifested,
-            "confirmed_hard": self.confirmed_hard,
-            "promoted": self.promoted,
-            "recovered": self.recovered,
-            "recovered_by": self.recovered_by,
-            "crash_retries": self.crash_retries,
-            "discarded_ops": self.discarded_ops,
-            "cascaded_ops": self.cascaded_ops,
-            "resync_replayed": self.resync_replayed,
-            "demoted": self.demoted,
-            "digests_match": self.digests_match,
-            "causal_cut_ok": self.causal_cut_ok,
-            "serving_ok": self.serving_ok,
-        }
+        """The drift-stable fields the quick drift check compares."""
+        return {f: getattr(self, f) for f in CONTRACT_FIELDS}
 
     def to_json(self) -> Dict[str, object]:
         out = {
@@ -241,7 +239,8 @@ class ClusterSweepReport:
     wall_seconds: float = 0.0
 
     @property
-    def all_converged(self) -> bool:
+    def passed(self) -> bool:
+        """The sweep's verdict: every cell converged."""
         return all(c.converged for c in self.cells)
 
     def to_json(self) -> Dict[str, object]:
@@ -255,9 +254,7 @@ class ClusterSweepReport:
             "cells_manifested": len(manifested),
             "cells_recovered": sum(1 for c in manifested if c.recovered),
             "cells_converged": sum(1 for c in self.cells if c.converged),
-            "all_converged": self.all_converged,
-            "quick_fids": list(QUICK_FIDS),
-            "quick_crash_cells": [list(c) for c in QUICK_CRASH_CELLS],
+            "all_converged": self.passed,
             "cells": [c.to_json() for c in self.cells],
         }
 
@@ -284,6 +281,16 @@ class ClusterSweepReport:
                 + (f"  [{c.notes}]" if c.notes else "")
             )
         return "\n".join(lines)
+
+
+DRIFT = DriftRule(
+    identity=("sweep_seed", "n_nodes", "replication"),
+    scope=lambda report: [c["cell"] for c in report["cells"]],
+    contracts=lambda report: {
+        c["cell"]: {f: c.get(f) for f in CONTRACT_FIELDS}
+        for c in report["cells"]
+    },
+)
 
 
 # ----------------------------------------------------------------------
@@ -654,67 +661,31 @@ def _run_cell(
     return cell
 
 
-def run_cluster_sweep(
-    fids: Optional[Sequence[str]] = None,
-    sweep_seed: int = DEFAULT_SWEEP_SEED,
-    quick: bool = False,
-    progress=None,
-) -> ClusterSweepReport:
-    """Run the cluster fault sweep; deterministic per seed.
+def sweep_cells(
+    quick: bool,
+) -> List[Tuple[str, int, Optional[Tuple[str, int]]]]:
+    """The sweep's ``(fid, target shard, heal-crash spec)`` cells.
 
-    ``quick`` restricts to :data:`QUICK_FIDS` + the first crash cell —
-    a strict subset of the full sweep's cells with identical per-cell
-    behavior (cell seeds and target shards derive from the fid, not
-    the sweep's cell list), which is what ``--check`` relies on.
+    ``quick`` keeps :data:`QUICK_FIDS` and :data:`QUICK_CRASH_CELLS` — a
+    strict subset of the full sweep's cells with identical per-cell
+    behavior (cell seeds and target shards derive from the fid, not the
+    cell list), which is what the quick drift check relies on.
     """
-    if fids is None:
-        fids = (
-            list(QUICK_FIDS) if quick else [s.fid for s in ALL_SCENARIOS]
-        )
-    crash_cells = (
-        QUICK_CRASH_CELLS if quick else CRASH_CELLS
-    ) if CRASH_FID in fids else ()
-    report = ClusterSweepReport(sweep_seed=sweep_seed)
-    t0 = time.time()
-    for fid in fids:
-        cell = _run_cell(fid, target_shard(fid), sweep_seed)
-        report.cells.append(cell)
-        if progress is not None:
-            progress(cell)
-    for site, occ in crash_cells:
-        cell = _run_cell(
-            CRASH_FID, CRASH_TARGET, sweep_seed, crash_spec=(site, occ),
-        )
-        report.cells.append(cell)
-        if progress is not None:
-            progress(cell)
-    report.wall_seconds = time.time() - t0
+    fids = QUICK_FIDS if quick else [s.fid for s in ALL_SCENARIOS]
+    crashes = QUICK_CRASH_CELLS if quick else CRASH_CELLS
+    return [(fid, target_shard(fid), None) for fid in fids] + [
+        (CRASH_FID, CRASH_TARGET, spec) for spec in crashes
+    ]
+
+
+def run_sweep(
+    seed: int = DEFAULT_SWEEP_SEED, quick: bool = False, progress=None,
+) -> ClusterSweepReport:
+    """Run the cluster fault sweep; deterministic per seed."""
+    report = ClusterSweepReport(sweep_seed=seed)
+    report.cells, report.wall_seconds = run_cells(
+        sweep_cells(quick),
+        lambda cell: _run_cell(cell[0], cell[1], seed, crash_spec=cell[2]),
+        progress,
+    )
     return report
-
-
-def check_against(report: ClusterSweepReport, committed: dict) -> List[str]:
-    """Drift check: every cell of this (quick) sweep must match the
-    committed report's outcome contract for the same cell."""
-    problems: List[str] = []
-    for field_name in ("sweep_seed", "n_nodes", "replication"):
-        mine = getattr(report, field_name)
-        theirs = committed.get(field_name)
-        if theirs != mine:
-            problems.append(
-                f"{field_name} mismatch: committed {theirs} vs {mine}"
-            )
-    if problems:
-        return problems
-    by_key = {c.get("cell"): c for c in committed.get("cells", [])}
-    for cell in report.cells:
-        want = by_key.get(cell.cell_key)
-        if want is None:
-            problems.append(f"cell {cell.cell_key} missing from committed report")
-            continue
-        for k, v in cell.contract().items():
-            if want.get(k) != v:
-                problems.append(
-                    f"cell {cell.cell_key} drifted on {k}: "
-                    f"committed {want.get(k)!r} vs {v!r}"
-                )
-    return problems

@@ -48,9 +48,6 @@ from repro.workloads.generators import MixedWorkload
 
 SOLUTIONS = ("arthas", "arthas-rb", "arthas-bi", "pmcriu", "arckpt")
 
-#: kept for extension points; every known solution is first-class today
-EXTRA_SOLUTIONS = ()
-
 #: Arthas solution name -> primary Reverter strategy
 _ARTHAS_MODES = {"arthas": "purge", "arthas-rb": "rollback", "arthas-bi": "bisect"}
 
@@ -184,7 +181,6 @@ def run_experiment(
     detect_only: bool = False,
     supervised: bool = False,
     inject_plan: Optional[faultinject.InjectionPlan] = None,
-    max_crash_retries: int = 6,
 ) -> ExperimentResult:
     """Run one (fault, solution) experiment end to end.
 
@@ -201,10 +197,9 @@ def run_experiment(
     instance — the fuzzer probes candidate scenarios through the exact
     pipeline they will face once registered.
     """
-    if solution not in SOLUTIONS and solution not in EXTRA_SOLUTIONS:
+    if solution not in SOLUTIONS:
         raise ValueError(
-            f"unknown solution {solution!r}; pick from "
-            f"{SOLUTIONS + EXTRA_SOLUTIONS}"
+            f"unknown solution {solution!r}; pick from {SOLUTIONS}"
         )
     if isinstance(fid, FaultScenario):
         scenario = fid
@@ -344,7 +339,6 @@ def run_experiment(
                 ctx, scenario, outcome, reexec, mclock, delay,
                 solution=solution, batch_size=batch_size,
                 snapshotter=pmcriu, inject_plan=inject_plan,
-                max_crash_retries=max_crash_retries,
             )
         elif arthas_like:
             run = _mitigate_arthas(
@@ -563,12 +557,12 @@ def _mitigate_supervised(
     batch_size: int,
     snapshotter: Optional[PmCRIU],
     inject_plan: Optional[faultinject.InjectionPlan],
-    max_crash_retries: int,
     reactor_server: Optional[ReactorServer] = None,
 ) -> MitigationRun:
     """Crash-safe mitigation: retry with backoff, degrade down the ladder.
 
-    Rungs, by solution (each wrapped in crash-retries, each idempotent):
+    Rungs, by solution (each wrapped in crash-retries up to
+    :data:`~repro.harness.supervisor.MAX_CRASH_RETRIES`, each idempotent):
 
     * ``arthas``     — purge → rollback (intent-journaled) → snapshot
     * ``arthas-rb``  — rollback (intent-journaled) → snapshot
@@ -621,7 +615,7 @@ def _mitigate_supervised(
         scan_log()
         return StepResult(recovered=True)
 
-    with_crash_retries(initial_scan, adapter.pool, mclock, max_crash_retries)
+    with_crash_retries(initial_scan, adapter.pool, mclock)
 
     rungs: List = []
     if solution in _ARTHAS_MODES and scenario.kind != "leak" \
@@ -693,9 +687,7 @@ def _mitigate_supervised(
                               timed_out=mres.timed_out, notes=note)
         rungs.append(("snapshot", snapshot_step))
 
-    report = ladder_run(
-        rungs, adapter.pool, mclock, max_crash_retries=max_crash_retries
-    )
+    report = ladder_run(rungs, adapter.pool, mclock)
     run.recovered = report.recovered
     run.timed_out = any(r.timed_out for r in report.rungs)
     run.duration_seconds = mclock.now
@@ -712,7 +704,7 @@ def _mitigate_supervised(
         scan_log()
         return StepResult(recovered=True)
 
-    with_crash_retries(final_scan, adapter.pool, mclock, max_crash_retries)
+    with_crash_retries(final_scan, adapter.pool, mclock)
     pc = check_pool(adapter.pool, adapter.allocator)
     verification: Dict[str, object] = {
         "pool_ok": pc.ok,

@@ -31,14 +31,15 @@ column) with randomized site x kind x occurrence plans:
    * ``kernel-pm`` — ``torn`` fences (torn/alignment updates) and any
      spec landing in the init region (initialization races).
 
-``python -m repro fuzz-sweep`` drives this; ``--check`` verifies a fresh
-quick sweep against the committed report (CI drift contract).
+``python -m repro fuzz-sweep`` drives this through the shared sweep core
+(:mod:`repro.harness.sweep`); ``--quick`` runs the first 10 trials per
+system and drift-checks them against the committed report (CI drift
+contract).
 """
 
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -51,15 +52,18 @@ from repro.faults.fuzzed import (
 )
 from repro.faults.registry import TABLE2_SCENARIOS
 from repro.harness.experiment import run_experiment
+from repro.harness.sweep import DriftRule, run_cells
 from repro.systems import ALL_ADAPTERS
 
 #: first fid the fuzzer may assign (right after the seeded scenarios)
 FIRST_FUZZ_FID = len(TABLE2_SCENARIOS) + 1
 
 DEFAULT_SWEEP_SEED = 2026
-DEFAULT_TRIALS = 40
+#: fuzz trials per system: full sweep, and the ``--quick`` prefix
+TRIALS = 40
 QUICK_TRIALS = 10
-DEFAULT_MAX_PER_SYSTEM = 2
+#: registered reproducers per system cap
+MAX_PER_SYSTEM = 2
 
 #: probe solution: tracing + checkpointing attached, like any arthas run
 PROBE_SOLUTION = "arthas"
@@ -89,7 +93,7 @@ class Discovery:
 
     @property
     def signature(self) -> str:
-        """Registry dedup / drift-check identity (fid-independent).
+        """Registry dedup identity (fid-independent).
 
         Deliberately occurrence-free: two torn fences at different
         offsets of the same window are the *same* failure shape, and
@@ -122,21 +126,50 @@ class Discovery:
 
 
 @dataclass
+class SystemFuzz:
+    """One system's fuzz window and what its trials registered."""
+
+    system: str
+    window_counts: Dict[str, int]
+    steady_counts: Dict[str, int]
+    baseline_losses: List[int]
+    candidates: int = 0
+    #: starts at the record-mode window probe
+    probes: int = 1
+    discoveries: List[Discovery] = field(default_factory=list)
+
+    @property
+    def progress_line(self) -> str:
+        return (f"{self.system}: {len(self.discoveries)} registered from "
+                f"{self.candidates} candidates")
+
+    def to_json(self) -> dict:
+        return {
+            "window_counts": self.window_counts,
+            "steady_counts": self.steady_counts,
+            "baseline_losses": self.baseline_losses,
+            "candidates": self.candidates,
+            "registered": [d.signature for d in self.discoveries],
+        }
+
+
+@dataclass
 class FuzzReport:
     """Outcome of one sweep."""
 
     sweep_seed: int
     trials_per_system: int
-    max_per_system: int
-    systems: Dict[str, Dict[str, object]] = field(default_factory=dict)
-    discoveries: List[Discovery] = field(default_factory=list)
-    probes: int = 0
+    systems: List[SystemFuzz] = field(default_factory=list)
     wall_seconds: float = 0.0
 
-    def quick_signatures(self, quick_trials: int = QUICK_TRIALS) -> List[str]:
-        """Signatures discoverable within the first ``quick_trials``
-        trials — what a ``--quick`` sweep must reproduce exactly."""
-        return [d.signature for d in self.discoveries if d.trial < quick_trials]
+    @property
+    def discoveries(self) -> List[Discovery]:
+        return [d for row in self.systems for d in row.discoveries]
+
+    @property
+    def passed(self) -> bool:
+        """The fuzzer's product is its discoveries; only drift fails it."""
+        return True
 
     def to_json(self) -> dict:
         by_family: Dict[str, int] = {}
@@ -145,28 +178,43 @@ class FuzzReport:
         return {
             "sweep_seed": self.sweep_seed,
             "trials_per_system": self.trials_per_system,
-            "max_per_system": self.max_per_system,
-            "probes": self.probes,
+            "max_per_system": MAX_PER_SYSTEM,
+            "probes": sum(row.probes for row in self.systems),
             "wall_seconds": round(self.wall_seconds, 2),
-            "systems": {k: self.systems[k] for k in sorted(self.systems)},
+            "systems": {row.system: row.to_json() for row in self.systems},
             "discovered": len(self.discoveries),
             "by_family": {k: by_family[k] for k in sorted(by_family)},
-            "quick_trials": QUICK_TRIALS,
-            "quick_signatures": self.quick_signatures(),
             "entries": [d.to_json() for d in self.discoveries],
         }
 
     def summary(self) -> str:
         lines = [
             f"fuzz-sweep: {len(self.discoveries)} reproducers registered "
-            f"from {self.probes} probes over {len(self.systems)} systems "
-            f"({self.wall_seconds:.1f}s wall)"
+            f"from {sum(row.probes for row in self.systems)} probes over "
+            f"{len(self.systems)} systems ({self.wall_seconds:.1f}s wall)"
         ]
         for d in self.discoveries:
             lines.append(
                 f"  {d.fid} [{d.family}/{d.phase}] {d.system}: {d.fault}"
             )
         return "\n".join(lines)
+
+
+DRIFT = DriftRule(
+    identity=("sweep_seed", "max_per_system"),
+    scope=lambda report: [
+        f"{system}#{trial}" for system in report["systems"]
+        for trial in range(report["trials_per_system"])
+    ],
+    # a trial with no entry is "no cell"; fids are numbered across the
+    # whole sweep, so a quick run renumbers them
+    contracts=lambda report: {
+        f"{e['system']}#{e['trial']}": {
+            k: v for k, v in e.items() if k != "fid"
+        }
+        for e in report["entries"]
+    },
+)
 
 
 # ----------------------------------------------------------------------
@@ -323,98 +371,84 @@ def classify(
 # ----------------------------------------------------------------------
 # the sweep
 # ----------------------------------------------------------------------
-def run_fuzz_sweep(
-    systems: Optional[Sequence[str]] = None,
-    trials: int = DEFAULT_TRIALS,
-    sweep_seed: int = DEFAULT_SWEEP_SEED,
-    max_per_system: int = DEFAULT_MAX_PER_SYSTEM,
-    progress=None,
-) -> FuzzReport:
-    """Fuzz every system's persistence window; deterministic per seed.
+def fuzz_system(
+    system: str, seed: int = DEFAULT_SWEEP_SEED, trials: int = TRIALS,
+) -> SystemFuzz:
+    """Fuzz one system's persistence window; deterministic per seed.
 
-    Trial RNG streams are seeded per ``(sweep_seed, system, trial)``, so
-    a sweep with fewer trials discovers a strict prefix of a longer
-    sweep's per-system discoveries — the property the CI quick/drift
-    check relies on.
+    Trial RNG streams are seeded per ``(seed, system, trial)``, so fewer
+    trials discover a strict prefix of a longer run's discoveries — the
+    property the quick drift check relies on.  Discoveries keep the
+    placeholder fid ``f?`` until the sweep numbers them.
     """
-    sys_list = sorted(systems if systems is not None else ALL_ADAPTERS)
-    report = FuzzReport(
-        sweep_seed=sweep_seed,
-        trials_per_system=trials,
-        max_per_system=max_per_system,
+    sys_idx = sorted(ALL_ADAPTERS).index(system)
+    recorder = record_window(system)
+    row = SystemFuzz(
+        system=system,
+        window_counts={s: recorder.last_counts.get(s, 0) for s in FUZZ_SITES},
+        steady_counts={
+            s: recorder.last_steady_counts.get(s, 0) for s in FUZZ_SITES
+        },
+        baseline_losses=sorted(recorder.last_raw_victims),
     )
-    t0 = time.time()
-    for sys_idx, system in enumerate(sorted(ALL_ADAPTERS)):
-        if system not in sys_list:
+    counts, baseline = row.window_counts, row.baseline_losses
+    if not any(counts.values()):
+        return row
+    for trial in range(trials):
+        if len(row.discoveries) >= MAX_PER_SYSTEM:
+            break
+        rng = random.Random(seed * 1_000_003 + sys_idx * 10_007 + trial)
+        specs = _draw_specs(rng, counts)
+        if not specs:
             continue
-        recorder = record_window(system)
-        report.probes += 1
-        counts = {
-            s: recorder.last_counts.get(s, 0) for s in FUZZ_SITES
-        }
-        steady = dict(recorder.last_steady_counts)
-        baseline = sorted(recorder.last_raw_victims)
-        sys_row: Dict[str, object] = {
-            "window_counts": counts,
-            "steady_counts": {s: steady.get(s, 0) for s in FUZZ_SITES},
-            "baseline_losses": baseline,
-            "candidates": 0,
-            "registered": [],
-        }
-        report.systems[system] = sys_row
-        if not any(counts.values()):
+        candidate = FuzzedScenario("fx", system, specs, baseline=baseline)
+        row.probes += 1
+        if not probe_scenario(candidate):
             continue
-        seen_signatures = {d.signature for d in report.discoveries}
-        n_registered = 0
-        for trial in range(trials):
-            if n_registered >= max_per_system:
-                break
-            rng = random.Random(
-                sweep_seed * 1_000_003 + sys_idx * 10_007 + trial
-            )
-            specs = _draw_specs(rng, counts)
-            if not specs:
-                continue
-            candidate = FuzzedScenario("fx", system, specs, baseline=baseline)
-            report.probes += 1
-            if not probe_scenario(candidate):
-                continue
-            sys_row["candidates"] = int(sys_row["candidates"]) + 1
-            symptom = _symptom(candidate)
-            minimal, probed, spent = minimize_specs(
-                system, specs, baseline, symptom
-            )
-            report.probes += spent
-            family, phase, kind_, fault, consequence = classify(
-                minimal, steady, probed
-            )
-            discovery = Discovery(
-                fid="f?",  # assigned after the sweep, in discovery order
-                system=system,
-                family=family,
-                phase=phase,
-                kind=kind_,
-                fault=fault,
-                consequence=consequence,
-                specs=[tuple(s) for s in minimal],
-                baseline=list(baseline),
-                trial=trial,
-                minimized_from=len(specs),
-                victims=dict(probed.last_victims),
-                recover_trap=probed.last_recover_trap,
-                invariant=dict(probed.last_probe),
-            )
-            if discovery.signature in seen_signatures:
-                continue
-            seen_signatures.add(discovery.signature)
-            report.discoveries.append(discovery)
-            n_registered += 1
-            sys_row["registered"].append(discovery.signature)
-            if progress is not None:
-                progress(discovery)
+        row.candidates += 1
+        minimal, probed, spent = minimize_specs(
+            system, specs, baseline, _symptom(candidate)
+        )
+        row.probes += spent
+        family, phase, kind_, fault, consequence = classify(
+            minimal, row.steady_counts, probed
+        )
+        discovery = Discovery(
+            fid="f?",
+            system=system,
+            family=family,
+            phase=phase,
+            kind=kind_,
+            fault=fault,
+            consequence=consequence,
+            specs=[tuple(s) for s in minimal],
+            baseline=list(baseline),
+            trial=trial,
+            minimized_from=len(specs),
+            victims=dict(probed.last_victims),
+            recover_trap=probed.last_recover_trap,
+            invariant=dict(probed.last_probe),
+        )
+        if discovery.signature in {d.signature for d in row.discoveries}:
+            continue
+        row.discoveries.append(discovery)
+    return row
+
+
+def run_sweep(
+    seed: int = DEFAULT_SWEEP_SEED, quick: bool = False, progress=None,
+) -> FuzzReport:
+    """Fuzz every system (``quick``: the first :data:`QUICK_TRIALS`
+    trials each) and number the discoveries in sweep order."""
+    trials = QUICK_TRIALS if quick else TRIALS
+    report = FuzzReport(sweep_seed=seed, trials_per_system=trials)
+    report.systems, report.wall_seconds = run_cells(
+        sorted(ALL_ADAPTERS),
+        lambda system: fuzz_system(system, seed, trials),
+        progress,
+    )
     for i, d in enumerate(report.discoveries):
         d.fid = f"f{FIRST_FUZZ_FID + i}"
-    report.wall_seconds = time.time() - t0
     return report
 
 
@@ -459,24 +493,3 @@ def emit_registry(discoveries: Sequence[Discovery], path: str) -> None:
     new_text = text[:start] + render_registry_block(discoveries) + text[end:]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(new_text)
-
-
-def check_against(report: FuzzReport, committed: dict) -> List[str]:
-    """Drift check: this (quick) sweep's discoveries must match the
-    committed report's quick-reachable signatures exactly."""
-    problems: List[str] = []
-    if int(committed.get("sweep_seed", -1)) != report.sweep_seed:
-        problems.append(
-            f"sweep seed mismatch: committed "
-            f"{committed.get('sweep_seed')} vs {report.sweep_seed}"
-        )
-        return problems
-    expected = list(committed.get("quick_signatures", []))
-    got = [d.signature for d in report.discoveries]
-    if got != expected:
-        problems.append(
-            "quick discoveries drifted:\n"
-            f"  expected: {expected}\n"
-            f"  got:      {got}"
-        )
-    return problems

@@ -18,18 +18,21 @@ proves it by enumeration:
    the checkpoint-checksum scan quarantined anything corrupt, and the
    post-recovery consistency probe finds no violations.
 
-``python -m repro inject-sweep`` drives this and exits non-zero unless
-every cell verifies — the CI contract for the recovery pipeline.
+``python -m repro inject-sweep`` drives this through the shared sweep
+core (:mod:`repro.harness.sweep`) and exits non-zero unless every cell
+verifies; ``--quick`` (occurrence 1 of each site × kind, a subset of the
+full sweep's cells) also drift-checks each cell's contract against the
+committed report — the CI contract for the recovery pipeline.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.faultinject import InjectionPlan, InjectionSpec, enumerate_cells
 from repro.harness.experiment import ExperimentResult, run_experiment
+from repro.harness.sweep import DriftRule, run_cells
 
 #: the recovery-pipeline sweep's kinds — the guest-persistence skip
 #: kinds belong to the crash-consistency fuzzer (harness/fuzz_sweep.py),
@@ -40,12 +43,24 @@ PIPELINE_KINDS = ("crash", "torn", "bitflip")
 #: faults not listed run their scenario's default operation counts
 DEFAULT_OPS: Dict[str, Tuple[int, int]] = {"f9": (80, 40)}
 
-#: the sweep's default subjects: a hard trap fault (CCEH directory
-#: doubling) and a leak fault — together they exercise the rollback,
-#: leak-fix and snapshot rungs plus every pmem/ckpt site family
-DEFAULT_FAULTS = ("f9", "f12")
+#: the sweep's subjects: a hard trap fault (CCEH directory doubling) and
+#: a leak fault — together they exercise the rollback, leak-fix and
+#: snapshot rungs plus every pmem/ckpt site family
+FAULTS = ("f9", "f12")
 
-DEFAULT_SOLUTION = "arthas-rb"
+SOLUTION = "arthas-rb"
+
+DEFAULT_SEED = 0
+
+#: occurrences sampled per site family in a full sweep (first and last
+#: always included); ``--quick`` samples occurrence 1 only
+MAX_PER_SITE = 3
+
+#: the per-cell outcome fields the drift check compares
+CONTRACT_FIELDS = (
+    "fired", "recovered", "recovered_by", "consistent", "pool_ok",
+    "verified", "checksum_quarantined", "crash_retries", "pool_digest",
+)
 
 
 @dataclass
@@ -53,7 +68,6 @@ class SweepCell:
     """One (fault, site, occurrence, kind) injection outcome."""
 
     fid: str
-    solution: str
     site: str
     occurrence: int
     kind: str
@@ -88,31 +102,30 @@ class SweepCell:
             and self.consistent is not False
         )
 
+    @property
+    def progress_line(self) -> str:
+        status = "ok  " if self.verified else "FAIL"
+        return (f"{status} {self.label} (retries={self.crash_retries}, "
+                f"by={self.recovered_by})")
+
+    def contract(self) -> dict:
+        """The cell's label and drift-checked outcome fields."""
+        return {"label": self.label,
+                **{f: getattr(self, f) for f in CONTRACT_FIELDS}}
+
     def to_json(self) -> dict:
-        return {
-            "label": self.label,
-            "fired": self.fired,
-            "recovered": self.recovered,
-            "recovered_by": self.recovered_by,
-            "consistent": self.consistent,
-            "pool_ok": self.pool_ok,
-            "verified": self.verified,
-            "checksum_quarantined": self.checksum_quarantined,
-            "crash_retries": self.crash_retries,
-            "recovery_seconds": round(self.recovery_seconds, 3),
-            "pool_digest": self.pool_digest,
-            "notes": self.notes,
-        }
+        out = self.contract()
+        out["recovery_seconds"] = round(self.recovery_seconds, 3)
+        out["notes"] = self.notes
+        return out
 
 
 @dataclass
 class SweepReport:
     """The full sweep: per-cell outcomes plus the headline numbers."""
 
-    solution: str
     seed: int
-    kinds: List[str]
-    max_per_site: int
+    quick: bool
     #: fid -> {site: dynamic firing count} from the discovery runs
     sites: Dict[str, Dict[str, int]] = field(default_factory=dict)
     cells: List[SweepCell] = field(default_factory=list)
@@ -137,7 +150,8 @@ class SweepReport:
         return sum(c.recovery_seconds for c in self.cells) / len(self.cells)
 
     @property
-    def all_verified(self) -> bool:
+    def passed(self) -> bool:
+        """The sweep's verdict: every cell verified-consistent."""
         return bool(self.cells) and self.n_verified == self.n_cells
 
     def failures(self) -> List[SweepCell]:
@@ -145,15 +159,15 @@ class SweepReport:
 
     def to_json(self) -> dict:
         return {
-            "solution": self.solution,
+            "solution": SOLUTION,
             "seed": self.seed,
-            "kinds": list(self.kinds),
-            "max_per_site": self.max_per_site,
+            "kinds": list(PIPELINE_KINDS),
+            "max_per_site": 1 if self.quick else MAX_PER_SITE,
             "sites_enumerated": {
                 fid: dict(sorted(counts.items()))
                 for fid, counts in sorted(self.sites.items())
             },
-            "cells": self.n_cells,
+            "cells": [c.contract() for c in self.cells],
             "verified_consistent": self.n_verified,
             "recovery_success_rate_pct": round(self.success_rate, 2),
             "mean_recovery_seconds": round(self.mean_recovery_seconds, 3),
@@ -178,25 +192,23 @@ class SweepReport:
         return "\n".join(lines)
 
 
+DRIFT = DriftRule(
+    identity=("seed", "solution", "kinds"),
+    scope=lambda report: [c["label"] for c in report["cells"]],
+    # each ``cells`` entry is exactly the cell's label + contract
+    contracts=lambda report: {c["label"]: c for c in report["cells"]},
+)
+
+
 # ----------------------------------------------------------------------
-def _ops_for(fid: str, pre_ops: Optional[int], post_ops: Optional[int]):
-    if pre_ops is not None or post_ops is not None:
-        return pre_ops, post_ops
-    return DEFAULT_OPS.get(fid, (None, None))
-
-
 def discover_sites(
-    fid: str,
-    solution: str = DEFAULT_SOLUTION,
-    seed: int = 0,
-    pre_ops: Optional[int] = None,
-    post_ops: Optional[int] = None,
+    fid: str, seed: int = DEFAULT_SEED,
 ) -> Tuple[Dict[str, int], ExperimentResult]:
     """Count every injection site the mitigation of ``fid`` reaches."""
-    n_pre, n_post = _ops_for(fid, pre_ops, post_ops)
+    n_pre, n_post = DEFAULT_OPS.get(fid, (None, None))
     plan = InjectionPlan(record=True)
     result = run_experiment(
-        fid, solution, seed=seed, pre_ops=n_pre, post_ops=n_post,
+        fid, SOLUTION, seed=seed, pre_ops=n_pre, post_ops=n_post,
         supervised=True, inject_plan=plan,
     )
     if not result.manifested or result.mitigation is None:
@@ -212,26 +224,32 @@ def discover_sites(
     return dict(plan.counts), result
 
 
+def fault_cells(
+    counts: Dict[str, int], seed: int, quick: bool,
+) -> List[InjectionSpec]:
+    """One fault's cells: every (site, sampled occurrence, kind).
+
+    Occurrence sampling pins the first occurrence, so the quick cells
+    are a subset of the full sweep's, with the same spec seeds.
+    """
+    return enumerate_cells(
+        counts, kinds=PIPELINE_KINDS,
+        max_per_site=1 if quick else MAX_PER_SITE, seed=seed,
+    )
+
+
 def run_cell(
-    fid: str,
-    spec: InjectionSpec,
-    solution: str = DEFAULT_SOLUTION,
-    seed: int = 0,
-    pre_ops: Optional[int] = None,
-    post_ops: Optional[int] = None,
-    max_crash_retries: int = 6,
+    fid: str, spec: InjectionSpec, seed: int = DEFAULT_SEED,
 ) -> SweepCell:
     """Run one experiment with exactly ``spec`` injected."""
-    n_pre, n_post = _ops_for(fid, pre_ops, post_ops)
+    n_pre, n_post = DEFAULT_OPS.get(fid, (None, None))
     plan = InjectionPlan([spec])
     cell = SweepCell(
-        fid=fid, solution=solution,
-        site=spec.site, occurrence=spec.occurrence, kind=spec.kind,
+        fid=fid, site=spec.site, occurrence=spec.occurrence, kind=spec.kind,
     )
     result = run_experiment(
-        fid, solution, seed=seed, pre_ops=n_pre, post_ops=n_post,
+        fid, SOLUTION, seed=seed, pre_ops=n_pre, post_ops=n_post,
         supervised=True, inject_plan=plan,
-        max_crash_retries=max_crash_retries,
     )
     run = result.mitigation
     if run is None:
@@ -256,35 +274,19 @@ def run_cell(
 
 
 def run_sweep(
-    fids: Sequence[str] = DEFAULT_FAULTS,
-    solution: str = DEFAULT_SOLUTION,
-    kinds: Sequence[str] = PIPELINE_KINDS,
-    seed: int = 0,
-    max_per_site: int = 3,
-    pre_ops: Optional[int] = None,
-    post_ops: Optional[int] = None,
-    progress: Optional[Callable[[SweepCell], None]] = None,
+    seed: int = DEFAULT_SEED, quick: bool = False, progress=None,
 ) -> SweepReport:
-    """Discover sites for each fault, then run every enumerated cell."""
-    report = SweepReport(
-        solution=solution, seed=seed, kinds=list(kinds),
-        max_per_site=max_per_site,
+    """Discover each fault's sites, then run every enumerated cell."""
+    report = SweepReport(seed=seed, quick=quick)
+
+    def cells():
+        for fid in FAULTS:
+            counts, _baseline = discover_sites(fid, seed)
+            report.sites[fid] = counts
+            for spec in fault_cells(counts, seed, quick):
+                yield fid, spec
+
+    report.cells, report.wall_seconds = run_cells(
+        cells(), lambda cell: run_cell(*cell, seed=seed), progress,
     )
-    t0 = time.time()
-    for fid in fids:
-        counts, _baseline = discover_sites(
-            fid, solution, seed=seed, pre_ops=pre_ops, post_ops=post_ops
-        )
-        report.sites[fid] = counts
-        for spec in enumerate_cells(
-            counts, kinds=kinds, max_per_site=max_per_site, seed=seed
-        ):
-            cell = run_cell(
-                fid, spec, solution=solution, seed=seed,
-                pre_ops=pre_ops, post_ops=post_ops,
-            )
-            report.cells.append(cell)
-            if progress is not None:
-                progress(cell)
-    report.wall_seconds = time.time() - t0
     return report

@@ -328,6 +328,23 @@ def _latency_stats(latencies: List[float]) -> Dict[str, float]:
 # ======================================================================
 # the live-traffic recovery server
 # ======================================================================
+#: YCSB stream shape: read share and zipfian skew
+READ_RATIO = 0.5
+THETA = 0.9
+#: typed error responses (quarantined/fault/unavailable) a run may burn
+ERROR_BUDGET = 64
+#: mitigation windows before the server gives up and goes unavailable
+MAX_MITIGATIONS = 3
+#: live allocations up to this size are quarantined whole
+SMALL_BLOCK_WORDS = 32
+#: ranked plan candidates whose words are quarantined
+QUARANTINE_HORIZON = 16
+#: cooperative-mitigation cadence: a yield checkpoint every this many
+#: VM steps, throttled to at most one per this many wall seconds
+YIELD_EVERY_STEPS = 4_000
+YIELD_MIN_INTERVAL_S = 0.004
+
+
 class LiveRecoveryServer:
     """Serve a YCSB stream against a PM miniature, mitigating under fire.
 
@@ -351,19 +368,9 @@ class LiveRecoveryServer:
         seed: int = 0,
         mode: str = "quarantine",
         keyspace: int = 512,
-        read_ratio: float = 0.5,
-        theta: float = 0.9,
         detect_every: int = 16,
-        error_budget: int = 64,
         release_after: int = 256,
-        trigger_at: Optional[int] = None,
-        max_mitigations: int = 3,
         inject_plan=None,
-        small_block_words: int = 32,
-        structural_key_threshold: Optional[int] = None,
-        quarantine_horizon: int = 16,
-        yield_every_steps: int = 4_000,
-        yield_min_interval_s: float = 0.004,
     ) -> None:
         # imported here, not at module scope: harness.experiment imports
         # ReactorServer from this module
@@ -383,20 +390,8 @@ class LiveRecoveryServer:
         self.mode = mode
         self.keyspace = keyspace
         self.detect_every = detect_every
-        self.error_budget = error_budget
         self.release_after = release_after
-        self.trigger_at = trigger_at
-        self.max_mitigations = max_mitigations
         self.inject_plan = inject_plan
-        self.small_block_words = small_block_words
-        self.quarantine_horizon = quarantine_horizon
-        self.yield_every_steps = yield_every_steps
-        self.yield_min_interval_s = yield_min_interval_s
-        self.structural_key_threshold = (
-            structural_key_threshold
-            if structural_key_threshold is not None
-            else max(8, keyspace // 8)
-        )
 
         self.scenario = scenario_by_id(fid)
         self.adapter = self.scenario.adapter_cls()(
@@ -419,7 +414,7 @@ class LiveRecoveryServer:
         self.reactor = ReactorServer(self.adapter.module, analysis=self.adapter.analysis)
         self.workload = YCSBWorkload(
             seed=seed * 31 + 7, keyspace=keyspace,
-            read_ratio=read_ratio, theta=theta,
+            read_ratio=READ_RATIO, theta=THETA,
         )
 
         self.locks = RangeLockTable()
@@ -539,13 +534,13 @@ class LiveRecoveryServer:
         (never the pool) and the release-boundary reconcile folds back
         whatever the pool actually holds.
         """
-        for cand in plan.candidates[: self.quarantine_horizon]:
+        for cand in plan.candidates[:QUARANTINE_HORIZON]:
             span = 1
             entry = log.entries.get(cand.addr)
             if entry is not None:
                 span = max(span, entry.max_size)
             block = log.live_alloc_covering(cand.addr)
-            if block is not None and block[1] <= self.small_block_words:
+            if block is not None and block[1] <= SMALL_BLOCK_WORDS:
                 self.locks.lock(block[0], block[0] + block[1])
             self.locks.lock(cand.addr, cand.addr + span)
 
@@ -559,9 +554,7 @@ class LiveRecoveryServer:
 
         loop = asyncio.get_running_loop()
         ops = list(self.workload.run_ops(n_requests))
-        trigger_at = (
-            self.trigger_at if self.trigger_at is not None else n_requests // 3
-        )
+        trigger_at = n_requests // 3
         period = arrival_period_s
         t0 = time.perf_counter()
         shift = 0.0
@@ -595,7 +588,7 @@ class LiveRecoveryServer:
             ):
                 outcome = self._probe()
             if outcome is not None:
-                if self._mitigations >= self.max_mitigations:
+                if self._mitigations >= MAX_MITIGATIONS:
                     self._unavailable = True
                     continue
                 idx, shift = await self._mitigation_window(
@@ -764,7 +757,7 @@ class LiveRecoveryServer:
         adapter = self.adapter
 
         # park inside long guest calls too: the VM fires this hook every
-        # ``yield_every_steps`` executed steps, so even a full 400k-step
+        # ``YIELD_EVERY_STEPS`` executed steps, so even a full 400k-step
         # hang probe (confirmation, failed re-execution verifies) is
         # chunked into millisecond slices instead of one quarter-second
         # stall.  Installed on the adapter (not the machine) because
@@ -780,15 +773,15 @@ class LiveRecoveryServer:
 
         def throttled_yield() -> None:
             now = time.monotonic()
-            if now - last_yield[0] >= self.yield_min_interval_s:
+            if now - last_yield[0] >= YIELD_MIN_INTERVAL_S:
                 last_yield[0] = now
                 gate.checkpoint()
 
         adapter.step_hook = throttled_yield
-        adapter.step_hook_every = self.yield_every_steps
+        adapter.step_hook_every = YIELD_EVERY_STEPS
         if adapter.machine is not None:
             adapter.machine.step_hook = throttled_yield
-            adapter.machine.step_hook_every = self.yield_every_steps
+            adapter.machine.step_hook_every = YIELD_EVERY_STEPS
         self.ctx.yield_fn = throttled_yield
         try:
             return self._mitigate_body(gate, outcome)
@@ -828,7 +821,7 @@ class LiveRecoveryServer:
             self._lock_plan_ranges(log, plan)
             self.quarantined_keys |= self.touch_index.keys_in_ranges(
                 self.locks.ranges(),
-                structural_threshold=self.structural_key_threshold,
+                structural_threshold=max(8, self.keyspace // 8),
             )
         self._quarantine_ready = True
         gate.checkpoint()
@@ -867,7 +860,7 @@ class LiveRecoveryServer:
                 ctx, scenario, outcome, gated_reexec, mclock, delay,
                 solution=self.solution, batch_size=1,
                 snapshotter=self.snapshotter, inject_plan=self.inject_plan,
-                max_crash_retries=6, reactor_server=self.reactor,
+                reactor_server=self.reactor,
             )
         run.pool_digest = pool_digest(adapter.pool, adapter.allocator)
         self.digest_after_mitigation = run.pool_digest
@@ -957,10 +950,10 @@ class LiveRecoveryServer:
             "detection_backlog": _latency_stats(backlog),
             "steady": _latency_stats(steady),
             "error_budget": {
-                "budget": self.error_budget,
+                "budget": ERROR_BUDGET,
                 "burned": burned,
-                "remaining": max(0, self.error_budget - burned),
-                "exhausted": burned > self.error_budget,
+                "remaining": max(0, ERROR_BUDGET - burned),
+                "exhausted": burned > ERROR_BUDGET,
                 "quarantined_responses": quarantined,
                 "fault_responses": faults,
                 "unavailable_responses": unavailable,

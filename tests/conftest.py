@@ -110,6 +110,15 @@ def kv_machine(kv_module):
     return Machine(kv_module, pool_size=4096)
 
 
+@pytest.fixture(scope="session")
+def cluster_quick_report():
+    """The cluster sweep's quick subset (the CI drift scope), shared by
+    the cluster-sweep tests and the sweep-core drift tests."""
+    from repro.harness.cluster_sweep import run_sweep
+
+    return run_sweep(quick=True)
+
+
 def compile_and_run(source, fname, *args, structs=None, pool_size=4096, seed=0):
     """Compile a one-off PMLang program and run one function."""
     module = compile_module("t", source, structs=structs or {})

@@ -45,10 +45,30 @@ def test_cluster_status(capsys):
 
 
 def test_cluster_sweep_quick_check(capsys):
-    # the committed report must match a fresh quick sweep (CI drift job)
-    assert main(["cluster-sweep", "--quick", "--check"]) == 0
+    # --quick drift-checks against the committed report (CI drift job)
+    assert main(["cluster-sweep", "--quick"]) == 0
     out = capsys.readouterr().out
     assert "converged" in out
+
+
+def test_sweep_flag_set_rejects_removed_flags():
+    # the three sweeps accept --seed --quick --out (+ fuzz's
+    # --emit-registry) and nothing else: --check folded into --quick
+    for argv in (
+        ["inject-sweep", "--check"],
+        ["fuzz-sweep", "--check"],
+        ["cluster-sweep", "--check"],
+        ["inject-sweep", "--faults", "f9"],
+        ["inject-sweep", "--solution", "arthas"],
+        ["inject-sweep", "--kinds", "crash"],
+        ["inject-sweep", "--max-per-site", "1"],
+        ["fuzz-sweep", "--systems", "redis"],
+        ["fuzz-sweep", "--trials", "3"],
+        ["fuzz-sweep", "--max-per-system", "1"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2, argv
 
 
 def test_parser_rejects_unknown():

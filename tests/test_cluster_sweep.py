@@ -1,8 +1,7 @@
 """Tests for the cluster fault sweep: promotion-healed convergence,
-promoted-vs-quiesced digest equality, the rebuild rung at cluster
-scale, and the committed-report drift check."""
-
-import json
+promoted-vs-quiesced digest equality and the rebuild rung at cluster
+scale.  The committed-report drift check is pinned with the other
+sweeps' in ``tests/test_sweep.py``."""
 
 import pytest
 
@@ -12,20 +11,18 @@ from repro.harness.cluster_sweep import (
     QUICK_CRASH_CELLS,
     QUICK_FIDS,
     _run_cell,
-    check_against,
-    run_cluster_sweep,
     target_shard,
 )
 
 
-@pytest.fixture(scope="module")
-def quick_report():
-    return run_cluster_sweep(quick=True)
+@pytest.fixture
+def quick_report(cluster_quick_report):
+    return cluster_quick_report
 
 
 class TestQuickSweep:
     def test_all_cells_converge(self, quick_report):
-        assert quick_report.all_converged
+        assert quick_report.passed
         for cell in quick_report.cells:
             assert cell.manifested, cell.cell_key
             assert cell.recovered and cell.demoted, cell.cell_key
@@ -69,36 +66,3 @@ class TestRebuildCell:
         assert cell.manifested
         assert cell.recovered and cell.recovered_by == "rebuild"
         assert cell.converged, cell.notes
-
-
-class TestDriftCheck:
-    def test_matches_itself(self, quick_report):
-        committed = json.loads(json.dumps(quick_report.to_json()))
-        assert check_against(quick_report, committed) == []
-
-    def test_flags_contract_drift(self, quick_report):
-        committed = json.loads(json.dumps(quick_report.to_json()))
-        committed["cells"][0]["recovered"] = False
-        problems = check_against(quick_report, committed)
-        assert any("drifted on recovered" in p for p in problems)
-
-    def test_flags_missing_cell_and_config_mismatch(self, quick_report):
-        committed = json.loads(json.dumps(quick_report.to_json()))
-        committed["cells"] = committed["cells"][1:]
-        problems = check_against(quick_report, committed)
-        assert any("missing from committed report" in p for p in problems)
-        committed["sweep_seed"] = DEFAULT_SWEEP_SEED + 1
-        problems = check_against(quick_report, committed)
-        assert problems == [
-            f"sweep_seed mismatch: committed {DEFAULT_SWEEP_SEED + 1} "
-            f"vs {DEFAULT_SWEEP_SEED}"
-        ]
-
-    def test_committed_report_is_current(self, quick_report):
-        # the repo's committed sweep must cover the quick cells exactly
-        # as they run today — the CI drift job's contract
-        with open("results/cluster_sweep.json") as f:
-            committed = json.load(f)
-        assert check_against(quick_report, committed) == []
-        assert committed["all_converged"]
-        assert committed["cells_total"] >= 28

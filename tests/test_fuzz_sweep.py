@@ -31,9 +31,9 @@ from repro.faultinject import (
 )
 from repro.faults.fuzzed import FUZZED_FAULT_SPECS, FuzzedScenario
 from repro.harness.fuzz_sweep import (
-    check_against,
+    QUICK_TRIALS,
+    fuzz_system,
     render_registry_block,
-    run_fuzz_sweep,
 )
 from repro.pmem.persist import probe_persistence
 from repro.pmem.pool import PM_BASE, PMPool
@@ -195,15 +195,14 @@ def test_skip_kinds_apply_only_to_persistence_sites():
 
 
 # ----------------------------------------------------------------------
-# fuzzer determinism + drift contract
+# fuzzer determinism (the drift contract is in tests/test_sweep.py)
 # ----------------------------------------------------------------------
 class TestFuzzerDeterminism:
     def test_same_seed_yields_byte_identical_registry_entries(self):
         # the committed sweep's seed: memcached discovers within the
         # quick-trial prefix, so this stays cheap
-        kwargs = dict(systems=["memcached"], trials=10, sweep_seed=2026)
-        a = run_fuzz_sweep(**kwargs)
-        b = run_fuzz_sweep(**kwargs)
+        a = fuzz_system("memcached", seed=2026, trials=QUICK_TRIALS)
+        b = fuzz_system("memcached", seed=2026, trials=QUICK_TRIALS)
         assert a.discoveries, "the sweep seed must rediscover memcached"
         assert render_registry_block(a.discoveries) == render_registry_block(
             b.discoveries
@@ -211,14 +210,6 @@ class TestFuzzerDeterminism:
         assert [d.to_json() for d in a.discoveries] == [
             d.to_json() for d in b.discoveries
         ]
-
-    def test_check_against_flags_seed_and_signature_drift(self):
-        report = run_fuzz_sweep(systems=["memcached"], trials=2, sweep_seed=7)
-        committed = report.to_json()
-        assert check_against(report, committed) == []
-        assert check_against(report, {**committed, "sweep_seed": 1})
-        tampered = {**committed, "quick_signatures": ["memcached|x|y"]}
-        assert check_against(report, tampered)
 
     def test_committed_entries_rebuild_as_scenarios(self):
         from repro.faults.registry import ALL_SCENARIOS, scenario_by_id

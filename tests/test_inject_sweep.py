@@ -23,13 +23,12 @@ F9_PRE, F9_POST = DEFAULT_OPS["f9"]
 
 # discovery is deterministic, so enumerate the parametrization at
 # collection time: one crash cell per site family (first occurrence)
-_F9_SITES = sorted(discover_sites("f9", "arthas-rb", seed=0)[0])
+_F9_SITES = sorted(discover_sites("f9", seed=0)[0])
 
 
 @pytest.mark.parametrize("site", _F9_SITES)
 def test_f9_crash_at_every_site_family_recovers_consistent(site):
-    cell = run_cell("f9", InjectionSpec(site, 1, "crash"),
-                    solution="arthas-rb", seed=0)
+    cell = run_cell("f9", InjectionSpec(site, 1, "crash"), seed=0)
     assert cell.fired, f"{site}: injection never fired"
     assert cell.recovered, f"{site}: mitigation did not recover"
     assert cell.pool_ok, f"{site}: poolcheck failed after recovery"
@@ -41,7 +40,7 @@ def test_f9_crash_at_every_site_family_recovers_consistent(site):
 def test_f9_torn_fence_and_bitflip_cells_verify():
     for spec in (InjectionSpec("pmem.fence", 1, "torn", seed=3),
                  InjectionSpec("ckpt.record_update", 1, "bitflip", seed=5)):
-        cell = run_cell("f9", spec, solution="arthas-rb", seed=0)
+        cell = run_cell("f9", spec, seed=0)
         assert cell.verified, f"{spec.label()}: {cell.notes}"
 
 
@@ -63,7 +62,7 @@ def test_crash_between_cuts_converges_to_uninterrupted_state():
 
 def test_unreachable_site_cell_reports_unfired_not_verified():
     cell = run_cell("f9", InjectionSpec("pmem.api.pmem_persist", 1, "crash"),
-                    solution="arthas-rb", seed=0)
+                    seed=0)
     assert not cell.fired
     assert not cell.verified
     assert "never reached" in cell.notes
