@@ -324,11 +324,15 @@ def _cmd_fuzz_sweep(args) -> int:
 
 
 def _cmd_cluster_status(args) -> int:
-    from repro.detector.monitor import Detector
     from repro.distributed.cluster import Cluster, ClusterClient
     from repro.distributed.shardmgr import ShardManager
     from repro.faults.registry import scenario_by_id
-    from repro.harness.experiment import ExperimentContext
+    from repro.harness.experiment import (
+        ExperimentContext,
+        confirm_hard,
+        detect,
+        make_detector,
+    )
 
     scenario = scenario_by_id(args.fid)
     cluster = Cluster(
@@ -339,20 +343,20 @@ def _cmd_cluster_status(args) -> int:
     for key in range(40):
         client.insert(key, 500 + key)
     target = 0
-    node = cluster.nodes[target]
-    ctx = ExperimentContext(node, scenario, args.seed)
+    ctx = ExperimentContext(cluster.nodes[target], scenario, args.seed)
     ctx.oracle = cluster.oracles[target]
     scenario.trigger(ctx)
-    detector = Detector()
-    outcome = detector.observe(node.machine, lambda: scenario.manifest(ctx))
+    detector = make_detector(ctx)
+    outcome = detect(ctx, detector)
     if outcome.ok:
         print(f"{args.fid} did not manifest on shard {target}",
               file=sys.stderr)
         return 1
+    hard = confirm_hard(ctx, detector, outcome)
     mgr = ShardManager(cluster, solution="arthas", seed=args.seed)
     mgr.note_verdict(target)
     report = mgr.heal(target, ctx, scenario, outcome, detector)
-    print(f"heal({args.fid} @ shard {target}): "
+    print(f"heal({args.fid} @ shard {target}): confirmed_hard={hard}, "
           f"recovered={report.recovered} via {report.recovered_by or '-'}, "
           f"demoted={report.demoted}, "
           f"resync_replayed={report.resync_replayed}")

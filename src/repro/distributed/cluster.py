@@ -125,9 +125,6 @@ class OpRecord:
     #: the entries of the mirror it copies
     reverted_on: Set[int] = field(default_factory=set)
 
-    def span_on(self, node_id: int) -> Optional[Tuple[int, int]]:
-        return self.spans.get(node_id)
-
 
 @dataclass
 class ReplicaDelta:

@@ -8,10 +8,11 @@ that leave the cluster serving throughout:
    *is* the promotion: the next live preference node becomes primary
    for every key the sick node fronted, with no data movement (replica
    sets of size R ≥ 2 mean the new primary already holds the data).
-2. **mitigate** — the sick node runs the crash-safe supervised ladder
-   (:func:`repro.harness.experiment._mitigate_supervised`: purge →
-   rollback → snapshot under crash retries, riding the delta probe
-   engine for bisect solutions).  Routing skips the node, so healthy
+2. **mitigate** — the sick node runs the crash-safe degradation ladder
+   (:func:`repro.harness.experiment.mitigate_ladder`: purge → rollback
+   under crash retries, riding the delta probe engine for bisect
+   solutions; the node owns no snapshotter, so the rung below the
+   ladder is 2b's rebuild).  Routing skips the node, so healthy
    shards never block; hand the supervisor a
    :class:`repro.reactor.server.WorkerGate` and the ladder chunks
    itself through the turnstile so a *serving thread* can interleave
@@ -53,10 +54,10 @@ from typing import Dict, List, Optional, Set
 from repro import faultinject
 from repro.distributed.cluster import Cluster, OpRecord
 from repro.distributed.recovery import DistributedReactor
-from repro.harness.experiment import MitigationRun, _make_reexec, _mitigate_supervised
+from repro.harness.experiment import MitigationRun, _make_reexec, mitigate_ladder
 from repro.harness.simclock import ReexecDelay, SimClock
 from repro.harness.supervisor import StepResult, with_crash_retries
-from repro.reactor.server import YIELD_EVERY_STEPS
+from repro.reactor.server import cooperative_yield
 from repro.systems.common import ABSENT
 
 
@@ -167,10 +168,6 @@ class ShardManager:
     def journal(self, node_id: int) -> HealJournal:
         return self._journals.setdefault(node_id, HealJournal())
 
-    def reset_journal(self, node_id: int) -> None:
-        """Start a fresh heal for a node (a new, distinct fault)."""
-        self._journals.pop(node_id, None)
-
     def note_verdict(self, node_id: int) -> None:
         """The detector flagged this node (confirmed-hard heuristics)."""
         self.health[node_id].verdicts += 1
@@ -214,13 +211,11 @@ class ShardManager:
         scenario,
         outcome,
         detector,
-        monitor=None,
-        snapshotter=None,
         inject_plan=None,
         gate=None,
         mclock: Optional[SimClock] = None,
     ) -> MitigationRun:
-        """Run the supervised degradation ladder on the sick node.
+        """Run the degradation ladder on the sick node.
 
         ``gate`` (a :class:`repro.reactor.server.WorkerGate`) chunks
         the ladder through a thread turnstile so a serving thread can
@@ -231,41 +226,23 @@ class ShardManager:
         journal = self.journal(node_id)
         if journal.done("mitigate"):
             return journal.completed["mitigate"]["run"]
-        adapter = ctx.adapter
         h = self.health[node_id]
         h.status = "mitigating"
-        mclock = mclock or SimClock()
-        delay = ReexecDelay(seed=self.seed * 13 + 5)
-        reexec = _make_reexec(ctx, scenario, detector, monitor)
-
-        installed = gate is not None
-        if installed:
-            ctx.yield_fn = gate.checkpoint
-            adapter.step_hook = gate.checkpoint
-            adapter.step_hook_every = YIELD_EVERY_STEPS
-            if adapter.machine is not None:
-                adapter.machine.step_hook = gate.checkpoint
-                adapter.machine.step_hook_every = YIELD_EVERY_STEPS
-        try:
-            run = _mitigate_supervised(
-                ctx, scenario, outcome, reexec, mclock, delay,
-                solution=self.solution, batch_size=1,
-                snapshotter=snapshotter, inject_plan=inject_plan,
+        installed = (
+            cooperative_yield(ctx, gate.checkpoint)
+            if gate is not None else nullcontext()
+        )
+        with installed:
+            run = mitigate_ladder(
+                ctx, scenario, outcome, _make_reexec(ctx, scenario, detector),
+                mclock or SimClock(), ReexecDelay(seed=self.seed * 13 + 5),
+                solution=self.solution, inject_plan=inject_plan,
             )
-        finally:
-            if installed:
-                ctx.yield_fn = None
-                adapter.step_hook = None
-                adapter.step_hook_every = 0
-                if adapter.machine is not None:
-                    adapter.machine.step_hook = None
-                    adapter.machine.step_hook_every = 0
 
         h.mitigations += 1
         h.attempts += run.attempts
         h.leaked_blocks += run.leaked_blocks
-        if run.ladder is not None:
-            h.crash_retries += run.ladder.get("crash_retries", 0)
+        h.crash_retries += run.ladder.get("crash_retries", 0)
         journal.complete("mitigate", run=run)
         h.status = "mitigating" if not run.recovered else "resyncing"
         return run
@@ -436,8 +413,6 @@ class ShardManager:
         scenario,
         outcome,
         detector,
-        monitor=None,
-        snapshotter=None,
         inject_plan=None,
         gate=None,
         serve_between=None,
@@ -463,13 +438,11 @@ class ShardManager:
                 serve_between()
             run = self.mitigate(
                 node_id, ctx, scenario, outcome, detector,
-                monitor=monitor, snapshotter=snapshotter,
                 inject_plan=inject_plan, gate=gate, mclock=mclock,
             )
             report.run = run
             report.recovered = run.recovered
-            if run.ladder is not None:
-                report.recovered_by = run.ladder.get("recovered_by", "") or ""
+            report.recovered_by = run.ladder.get("recovered_by", "") or ""
             if self.rebuild(node_id):
                 report.recovered = True
                 report.recovered_by = "rebuild"

@@ -58,15 +58,19 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro import faultinject
-from repro.detector.monitor import Detector, LeakMonitor, RunOutcome
-from repro.detector.signature import FailureSignature
 from repro.distributed.cluster import Cluster, ClusterClient, vc_less
 from repro.distributed.shardmgr import ShardManager
 from repro.errors import InjectedCrash, Trap
 from repro.faultinject import InjectionPlan, InjectionSpec
 from repro.faults.fuzzed import FuzzedScenario, build_fuzzed_scenarios
 from repro.faults.registry import ALL_SCENARIOS, scenario_by_id
-from repro.harness.experiment import ExperimentContext, MitigationRun
+from repro.harness.experiment import (
+    ExperimentContext,
+    MitigationRun,
+    confirm_hard,
+    detect,
+    make_detector,
+)
 from repro.harness.simclock import SimClock
 from repro.harness.supervisor import pool_digest
 from repro.harness.sweep import DriftRule, run_cells
@@ -330,8 +334,7 @@ def _run_mode(
         replication=REPLICATION,
     )
     clients = [ClusterClient(cluster, i) for i in range(N_CLIENTS)]
-    node = cluster.nodes[target]
-    ctx = ExperimentContext(node, scenario, seed)
+    ctx = ExperimentContext(cluster.nodes[target], scenario, seed)
     ctx.oracle = cluster.oracles[target]
     healthy = [n for n in range(N_NODES) if n != target]
 
@@ -413,7 +416,7 @@ def _run_mode(
         return res
 
     # ---- trigger + node-local post-trigger traffic on the shard ----
-    inflight = None
+    trapped = False
     scenario.trigger(ctx)
     burst = MixedWorkload(
         seed=seed * 31 + 7,
@@ -426,42 +429,15 @@ def _run_mode(
         for op in burst.ops(POST_TRIGGER_OPS):
             scenario.apply_op(ctx, op)
     except Trap:
-        inflight = node.machine.last_fault
+        trapped = True
 
-    # ---- detection ----
-    detector = Detector()
-    monitor = None
-    if scenario.kind == "leak":
-        monitor = LeakMonitor(
-            node.allocator,
-            node.expected_item_words,
-            threshold_ratio=scenario.leak_ratio,
-        )
-        detector.set_leak_monitor(monitor)
-    if inflight is not None:
-        sig = FailureSignature.from_fault(inflight)
-        detector.history.append(sig)
-        outcome = RunOutcome(ok=False, fault=inflight, signature=sig)
-    else:
-        outcome = detector.observe(node.machine, lambda: scenario.manifest(ctx))
-        if outcome.ok and monitor is not None:
-            violation = monitor.check()
-            if violation is not None:
-                outcome = RunOutcome(ok=False, violation=violation)
+    # ---- detection + hard-fault confirmation on the shard ----
+    detector = make_detector(ctx)
+    outcome = detect(ctx, detector, trapped)
     if outcome.ok:
         return res  # the fault did not manifest at cluster scale
     res.manifested = True
-
-    # ---- hard-fault confirmation: restart the shard, watch it recur ----
-    node.restart()
-    confirm = detector.observe(
-        node.machine, lambda: (node.recover(), scenario.manifest(ctx))
-    )
-    if confirm.ok and monitor is not None:
-        violation = monitor.check()
-        if violation is not None:
-            confirm = RunOutcome(ok=False, violation=violation)
-    res.confirmed_hard = not confirm.ok
+    res.confirmed_hard = confirm_hard(ctx, detector, outcome)
 
     # ---- the promotion protocol, with the window at its mode's slot ----
     mgr.note_verdict(target)
@@ -478,14 +454,13 @@ def _run_mode(
             serve_window()
         run = mgr.mitigate(
             target, ctx, scenario, outcome, detector,
-            monitor=monitor, inject_plan=plan, mclock=mclock,
+            inject_plan=plan, mclock=mclock,
         )
         if mode == "quiesced":
             serve_window()
         res.recovered = run.recovered
-        if run.ladder is not None:
-            res.recovered_by = run.ladder.get("recovered_by", "") or ""
-            res.crash_retries += run.ladder.get("crash_retries", 0)
+        res.recovered_by = run.ladder.get("recovered_by", "") or ""
+        res.crash_retries += run.ladder.get("crash_retries", 0)
         if mgr.rebuild(target):
             # beyond local repair: re-replicated from the live replicas
             res.recovered = True

@@ -7,6 +7,12 @@ puts it), detect the failure, confirm it recurs across a restart (the
 hard-fault heuristic), mitigate with the chosen solution, and measure
 recoverability, consistency, attempts, time and discarded data.
 
+Each step of that fault lifecycle has one implementation here, shared by
+the matrix, the live-traffic server, the cluster sweep and
+``cluster-status``: :func:`make_detector`, :func:`detect`,
+:func:`confirm_hard` and the crash-supervised degradation ladder
+:func:`mitigate_ladder`.
+
 Solutions:
 
 * ``arthas``     — Arthas in purge mode (the default in the paper)
@@ -42,7 +48,7 @@ from repro.lang.interp import FaultInfo
 from repro.pmem.poolcheck import check_pool
 from repro.reactor.leakfix import find_leaked_objects, mitigate_leak
 from repro.reactor.plan import Candidate, distance_policy
-from repro.reactor.revert import IntentJournal, MitigationResult, Reverter
+from repro.reactor.revert import IntentJournal, Reverter
 from repro.reactor.server import ReactorServer
 from repro.workloads.generators import MixedWorkload
 
@@ -120,10 +126,10 @@ class MitigationRun:
     #: CRC32 fingerprint of the post-mitigation durable state (pool
     #: image + allocator metadata); lets equivalence suites compare two
     #: runs' final states without holding both pools
-    pool_digest: str = ""
-    #: supervised-mode only: the degradation-ladder account (rungs,
-    #: crash retries, post-recovery verification); None for legacy runs
-    ladder: Optional[dict] = None
+    pool_digest: int = 0
+    #: the degradation-ladder account (rungs, crash retries,
+    #: post-recovery verification)
+    ladder: dict = field(default_factory=dict)
     #: reactor-server accounting: background PDG precompute cost and
     #: plan requests served — the paper accounts analysis time outside
     #: mitigation latency, so it is surfaced next to slicing_seconds
@@ -169,6 +175,55 @@ class ExperimentResult:
 
 
 # ----------------------------------------------------------------------
+# the fault lifecycle: detector, detect, confirm (mitigate_ladder below)
+# ----------------------------------------------------------------------
+def make_detector(ctx: ExperimentContext) -> Detector:
+    """The detector one deployment runs: guest traps always, plus the
+    PM-usage monitor for leak scenarios (Section 4.3)."""
+    detector = Detector()
+    if ctx.scenario.kind == "leak":
+        detector.set_leak_monitor(LeakMonitor(
+            ctx.adapter.allocator,
+            ctx.adapter.expected_item_words,
+            threshold_ratio=ctx.scenario.leak_ratio,
+        ))
+    return detector
+
+
+def detect(
+    ctx: ExperimentContext, detector: Detector, trapped: bool = False
+) -> RunOutcome:
+    """Detection: the trap regular traffic just raised (``trapped``),
+    else one manifest probe under the detector."""
+    machine = ctx.adapter.machine
+    if trapped:
+        fault = machine.last_fault
+        signature = FailureSignature.from_fault(fault)
+        detector.history.append(signature)
+        return RunOutcome(ok=False, fault=fault, signature=signature)
+    return detector.observe(machine, lambda: ctx.scenario.manifest(ctx))
+
+
+def confirm_hard(
+    ctx: ExperimentContext, detector: Detector, outcome: RunOutcome
+) -> bool:
+    """Hard-fault confirmation: restart, recover, watch the failure recur.
+
+    A recurrence whose signature matches an earlier one is a *potential
+    hard* fault (Section 4.3); when either run carries no signature (a
+    user check or the leak monitor flagged it), recurrence alone decides.
+    """
+    adapter = ctx.adapter
+    adapter.restart()
+    confirm = detector.observe(
+        adapter.machine, lambda: (adapter.recover(), ctx.scenario.manifest(ctx))
+    )
+    if confirm.signature is not None and outcome.signature is not None:
+        return detector.is_potential_hard_failure(confirm.signature)
+    return not confirm.ok
+
+
+# ----------------------------------------------------------------------
 def run_experiment(
     fid,
     solution: str,
@@ -179,19 +234,16 @@ def run_experiment(
     with_checksum: bool = False,
     consistency_probe: bool = True,
     detect_only: bool = False,
-    supervised: bool = False,
     inject_plan: Optional[faultinject.InjectionPlan] = None,
 ) -> ExperimentResult:
     """Run one (fault, solution) experiment end to end.
 
-    ``supervised=True`` replaces the bare mitigation call with the
-    crash-safe supervisor: periodic snapshots are taken during the run
-    (so the ladder always has a last-resort rung), mitigation runs under
-    crash-retry-with-backoff, degrades purge → rollback → snapshot
-    restore, and the result carries a ladder report with post-recovery
-    verification (poolcheck, checksum scan, pool digest).  An
-    ``inject_plan`` is armed *only* around the mitigation phase — the
-    sweep probes recovery's own crash-safety, not the workload's.
+    Mitigation runs the crash-supervised degradation ladder
+    (:func:`mitigate_ladder`), and the result carries its ladder report
+    with post-recovery verification (poolcheck, checksum scan, pool
+    digest).  An ``inject_plan`` is armed *only* around the mitigation
+    phase — the injection sweep probes recovery's own crash-safety, not
+    the workload's.
 
     ``fid`` may be a registered fault id *or* a :class:`FaultScenario`
     instance — the fuzzer probes candidate scenarios through the exact
@@ -223,20 +275,11 @@ def run_experiment(
         checksum = ChecksumMonitor(adapter.pool)
         checksum.attach()
 
-    detector = Detector()
-    monitor: Optional[LeakMonitor] = None
-    if scenario.kind == "leak":
-        monitor = LeakMonitor(
-            adapter.allocator,
-            adapter.expected_item_words,
-            threshold_ratio=scenario.leak_ratio,
-        )
-        detector.set_leak_monitor(monitor)
-
+    detector = make_detector(ctx)
+    # only the pmCRIU baseline snapshots: its ladder's one rung restores
+    # the newest periodic whole-pool image
     pmcriu: Optional[PmCRIU] = None
-    if solution == "pmcriu" or supervised:
-        # supervised runs snapshot regardless of solution: the ladder's
-        # last rung restores the newest consistent whole-pool image
+    if solution == "pmcriu":
         pmcriu = PmCRIU(adapter.pool, adapter.allocator, SNAPSHOT_INTERVAL)
 
     # ------------------------------------------------------------------
@@ -252,7 +295,7 @@ def run_experiment(
         exclude=lambda key: scenario.exclude_key(ctx, key),
     )
 
-    inflight_fault: Optional[FaultInfo] = None
+    trapped = False
     for i in range(n_pre + n_post):
         ctx.op_index = i
         ctx.clock.advance(OP_PERIOD)
@@ -265,22 +308,10 @@ def run_experiment(
             scenario.apply_op(ctx, workload.next_op())
         except Trap:
             # the failure surfaced during regular traffic
-            inflight_fault = adapter.machine.last_fault
+            trapped = True
             break
 
-    # ------------------------------------------------------------------
-    # detection
-    # ------------------------------------------------------------------
-    if inflight_fault is not None:
-        signature = FailureSignature.from_fault(inflight_fault)
-        detector.history.append(signature)
-        outcome = RunOutcome(ok=False, fault=inflight_fault, signature=signature)
-    else:
-        outcome = detector.observe(adapter.machine, lambda: scenario.manifest(ctx))
-        if outcome.ok and monitor is not None:
-            violation = monitor.check()
-            if violation is not None:
-                outcome = RunOutcome(ok=False, violation=violation)
+    outcome = detect(ctx, detector, trapped)
     if outcome.ok:
         return result  # the fault did not manifest with this seed
     result.manifested = True
@@ -300,32 +331,7 @@ def run_experiment(
     if detect_only:
         return result
 
-    # ------------------------------------------------------------------
-    # hard-fault confirmation: restart and watch it recur
-    # ------------------------------------------------------------------
-    adapter.restart()
-    confirm = detector.observe(
-        adapter.machine, lambda: (adapter.recover(), scenario.manifest(ctx))
-    )
-    if confirm.ok and monitor is not None:
-        violation = monitor.check()
-        confirm = (
-            RunOutcome(ok=False, violation=violation)
-            if violation is not None
-            else confirm
-        )
-    recurs = not confirm.ok
-    if confirm.signature is not None and outcome.signature is not None:
-        result.confirmed_hard = detector.is_potential_hard_failure(confirm.signature)
-    else:
-        result.confirmed_hard = recurs
-
-    # ------------------------------------------------------------------
-    # mitigation
-    # ------------------------------------------------------------------
-    mclock = SimClock()
-    delay = ReexecDelay(seed=seed * 13 + 5)
-    reexec = _make_reexec(ctx, scenario, detector, monitor)
+    result.confirmed_hard = confirm_hard(ctx, detector, outcome)
 
     # the injection plan is armed around mitigation only: the probe and
     # verification phases below must observe recovery's real outcome
@@ -334,35 +340,14 @@ def run_experiment(
         if inject_plan is not None else nullcontext()
     )
     with inject_cm:
-        if supervised:
-            run = _mitigate_supervised(
-                ctx, scenario, outcome, reexec, mclock, delay,
-                solution=solution, batch_size=batch_size,
-                snapshotter=pmcriu, inject_plan=inject_plan,
-            )
-        elif arthas_like:
-            run = _mitigate_arthas(
-                ctx, scenario, outcome, reexec, mclock, delay,
-                mode=_ARTHAS_MODES[solution], batch_size=batch_size,
-            )
-        elif solution == "pmcriu":
-            assert pmcriu is not None
-            mres = pmcriu.mitigate(
-                reexec, clock=mclock, reexec_delay=delay,
-                timeout_seconds=MITIGATION_TIMEOUT,
-            )
-            run = _to_run(solution, mres, adapter)
-        else:  # arckpt
-            arckpt = ArCkpt(adapter.ckpt.log, adapter.pool, adapter.allocator)
-            mres = arckpt.mitigate(
-                reexec, clock=mclock, reexec_delay=delay,
-                timeout_seconds=MITIGATION_TIMEOUT,
-            )
-            run = _to_run(solution, mres, adapter)
-
+        run = mitigate_ladder(
+            ctx, scenario, outcome, _make_reexec(ctx, scenario, detector),
+            SimClock(), ReexecDelay(seed=seed * 13 + 5),
+            solution=solution, batch_size=batch_size,
+            snapshotter=pmcriu, inject_plan=inject_plan,
+        )
     run.items_before = items_before
     run.items_after = _safe_count(adapter)
-    run.pool_digest = pool_digest(adapter.pool, adapter.allocator)
 
     # ------------------------------------------------------------------
     # post-recovery consistency (Table 4)
@@ -383,7 +368,7 @@ def _safe_count(adapter) -> int:
         return 0
 
 
-def _make_reexec(ctx, scenario, detector, monitor) -> Callable[[], RunOutcome]:
+def _make_reexec(ctx, scenario, detector) -> Callable[[], RunOutcome]:
     adapter = ctx.adapter
 
     def reexec() -> RunOutcome:
@@ -394,18 +379,11 @@ def _make_reexec(ctx, scenario, detector, monitor) -> Callable[[], RunOutcome]:
             scenario.verify(ctx)
 
         try:
-            out = detector.observe(adapter.machine, action)
+            return detector.observe(adapter.machine, action)
         except AssertionError as exc:
             # host-side symptom checks (wrong value, unexpected result)
             # fail the re-execution without a guest fault instruction
             return RunOutcome(ok=False, violation=str(exc) or "symptom check failed")
-        if not out.ok:
-            return out
-        if monitor is not None:
-            violation = monitor.check()
-            if violation is not None:
-                return RunOutcome(ok=False, violation=violation)
-        return out
 
     return reexec
 
@@ -414,8 +392,8 @@ def _make_rounds_runner(
     ctx, reexec, mclock: SimClock, delay, batch_size: int,
     server: Optional[ReactorServer] = None,
 ):
-    """Build the detector/reactor rounds driver shared by the legacy and
-    supervised mitigation paths.
+    """Build the detector/reactor rounds driver the ladder's reverter
+    rungs run.
 
     The returned ``rounds(run, seen_faults, start_iid, mode,
     max_attempts, intents=None)`` may run several rounds: mitigating one
@@ -461,7 +439,7 @@ def _make_rounds_runner(
             plan = server.compute_plan(
                 adapter.guid_map, adapter.trace, log, fault_iid,
                 policy=distance_policy(max_distance=8),
-                yield_fn=getattr(ctx, "yield_fn", None),
+                yield_fn=ctx.yield_fn,
             )
             reverter = Reverter(
                 log,
@@ -476,7 +454,7 @@ def _make_rounds_runner(
                 known_faults=seen_faults,
                 enable_divergence_repair=first_round and _round == 0,
                 intents=intents,
-                yield_fn=getattr(ctx, "yield_fn", None),
+                yield_fn=ctx.yield_fn,
             )
             if mode == "rollback":
                 mres = reverter.mitigate_rollback(plan)
@@ -509,44 +487,7 @@ def _make_rounds_runner(
     return rounds
 
 
-def _mitigate_arthas(
-    ctx,
-    scenario,
-    outcome: RunOutcome,
-    reexec,
-    mclock: SimClock,
-    delay,
-    mode: str,
-    batch_size: int,
-) -> MitigationRun:
-    adapter = ctx.adapter
-    solution = {v: k for k, v in _ARTHAS_MODES.items()}[mode]
-    log = adapter.ckpt.log
-
-    if scenario.kind == "leak":
-        return _mitigate_leak_arthas(ctx, scenario, reexec, mclock, delay, solution)
-
-    assert outcome.fault is not None, "trap/dataloss faults carry a fault instr"
-    run = MitigationRun(solution=solution, recovered=False)
-    seen_faults = {outcome.fault.iid}
-    #: per-mode attempt budget; exhausting it in purge or bisect mode
-    #: triggers the paper's fallback to conservative rollback (§4.5)
-    primary_max_attempts = 60 if mode != "rollback" else 200
-    rounds = _make_rounds_runner(ctx, reexec, mclock, delay, batch_size)
-
-    rounds(run, seen_faults, outcome.fault.iid, mode, primary_max_attempts)
-    if not run.recovered and mode != "rollback" and mclock.now < MITIGATION_TIMEOUT:
-        # paper Section 4.5: the primary mode exhausted its tries (or, for
-        # bisect, even the full reversion did not recover); switch to the
-        # conservative time-ordered rollback
-        run.notes = (run.notes + "; " if run.notes else "") + "fell back to rollback"
-        rounds(run, seen_faults, outcome.fault.iid, "rollback", 200)
-    run.duration_seconds = mclock.now
-    run.total_updates = log.total_updates
-    return run
-
-
-def _mitigate_supervised(
+def mitigate_ladder(
     ctx,
     scenario,
     outcome: RunOutcome,
@@ -554,9 +495,9 @@ def _mitigate_supervised(
     mclock: SimClock,
     delay,
     solution: str,
-    batch_size: int,
-    snapshotter: Optional[PmCRIU],
-    inject_plan: Optional[faultinject.InjectionPlan],
+    batch_size: int = 1,
+    snapshotter: Optional[PmCRIU] = None,
+    inject_plan: Optional[faultinject.InjectionPlan] = None,
     reactor_server: Optional[ReactorServer] = None,
 ) -> MitigationRun:
     """Crash-safe mitigation: retry with backoff, degrade down the ladder.
@@ -564,12 +505,16 @@ def _mitigate_supervised(
     Rungs, by solution (each wrapped in crash-retries up to
     :data:`~repro.harness.supervisor.MAX_CRASH_RETRIES`, each idempotent):
 
-    * ``arthas``     — purge → rollback (intent-journaled) → snapshot
-    * ``arthas-rb``  — rollback (intent-journaled) → snapshot
-    * ``arthas-bi``  — bisect → rollback (intent-journaled) → snapshot
-    * leak faults    — leak-fix → snapshot
-    * ``arckpt``     — arckpt reversion → snapshot
-    * ``pmcriu``     — snapshot only
+    * ``arthas``     — purge → rollback (intent-journaled)
+    * ``arthas-rb``  — rollback (intent-journaled)
+    * ``arthas-bi``  — bisect → rollback (intent-journaled)
+    * leak faults    — leak-fix (every Arthas solution)
+    * ``arckpt``     — arckpt reversion
+
+    plus a last ``snapshot`` rung whenever the caller owns a
+    ``snapshotter`` — the ``pmcriu`` baseline (its only rung) and the
+    live-traffic server.  Purge and bisect get 60 attempts before
+    falling back to rollback (Section 4.5); rollback gets 200.
 
     An injected crash *inside a re-execution* surfaces as a guest fault
     of kind ``injected-crash``; the strict reexec wrapper re-raises it so
@@ -610,12 +555,13 @@ def _mitigate_supervised(
     # checksum pass can itself trigger a staged index merge, which is a
     # crash site (ckpt.index_merge) — treat a crash there like any
     # mitigation-step death: model the restart and retry (the staged
-    # tail survives a failed merge untouched, so the retry converges)
-    def initial_scan() -> StepResult:
+    # tail survives a failed merge untouched, so the retry converges).
+    # The verification scan after the ladder survives it the same way.
+    def full_scan() -> StepResult:
         scan_log()
         return StepResult(recovered=True)
 
-    with_crash_retries(initial_scan, adapter.pool, mclock)
+    with_crash_retries(full_scan, adapter.pool, mclock)
 
     rungs: List = []
     if solution in _ARTHAS_MODES and scenario.kind != "leak" \
@@ -648,14 +594,20 @@ def _mitigate_supervised(
         rungs.append(("rollback", arthas_step("rollback", 200, True)))
     elif solution in _ARTHAS_MODES and scenario.kind == "leak":
         def leak_step() -> StepResult:
-            sub = _mitigate_leak_arthas(
-                ctx, scenario, strict_reexec, mclock, delay, solution
+            # Section 4.7: diff checkpoint-log liveness against the
+            # addresses recovery touches; free what recovery never reaches
+            adapter.restart()
+            leaked = find_leaked_objects(
+                log, adapter.allocator, adapter.recover(),
+                protect={adapter.root},
             )
-            run.attempts += sub.attempts
-            run.leaked_blocks = sub.leaked_blocks
-            run.notes = sub.notes
-            return StepResult(recovered=sub.recovered, attempts=sub.attempts,
-                              notes=sub.notes)
+            freed = mitigate_leak(adapter.allocator, leaked, confirm=True)
+            mclock.advance(delay())
+            out = strict_reexec()
+            run.attempts += 1
+            run.leaked_blocks = len(leaked)
+            run.notes = f"freed {freed} leaked words in {len(leaked)} blocks"
+            return StepResult(recovered=out.ok, attempts=1, notes=run.notes)
         rungs.append(("leak-fix", leak_step))
     elif solution == "arckpt" and log is not None:
         def arckpt_step() -> StepResult:
@@ -689,7 +641,11 @@ def _mitigate_supervised(
 
     report = ladder_run(rungs, adapter.pool, mclock)
     run.recovered = report.recovered
-    run.timed_out = any(r.timed_out for r in report.rungs)
+    # the final outcome: a rung that ran out of budget before a later
+    # rung recovered (purge falling back to rollback) is not a timeout
+    run.timed_out = not report.recovered and any(
+        r.timed_out for r in report.rungs
+    )
     run.duration_seconds = mclock.now
     if log is not None:
         run.total_updates = log.total_updates
@@ -697,29 +653,23 @@ def _mitigate_supervised(
     # ------------------------------------------------------------------
     # verification: is the pool provably consistent after recovery?
     # ------------------------------------------------------------------
-    # like the initial scan, the verification scan can trigger a staged
-    # index merge (a ckpt.index_merge crash site) — survive it the same
-    # way: model the restart and retry over the intact staging tail
-    def final_scan() -> StepResult:
-        scan_log()
-        return StepResult(recovered=True)
-
-    with_crash_retries(final_scan, adapter.pool, mclock)
+    with_crash_retries(full_scan, adapter.pool, mclock)
     pc = check_pool(adapter.pool, adapter.allocator)
+    run.pool_digest = pool_digest(adapter.pool, adapter.allocator)
     verification: Dict[str, object] = {
         "pool_ok": pc.ok,
         "pool_summary": pc.summary(),
         "checksum_quarantined": quarantined_total,
-        "pool_digest": pool_digest(adapter.pool, adapter.allocator),
+        "pool_digest": run.pool_digest,
         "intent_cuts_done": intents.done_cuts(),
     }
     if inject_plan is not None and not inject_plan.record:
         verification["injected"] = [s.label() for s in inject_plan.fired]
         verification["all_injections_fired"] = inject_plan.all_fired
-    ladder = report.to_json()
-    ladder["verification"] = verification
+    run.ladder = report.to_json()
+    run.ladder["verification"] = verification
     if not report.recovered:
-        ladder["unrecoverable"] = {
+        run.ladder["unrecoverable"] = {
             "fid": getattr(scenario, "fid", "?"),
             "solution": solution,
             "seed": ctx.seed,
@@ -729,50 +679,7 @@ def _mitigate_supervised(
             "poolcheck": pc.summary(),
             "checksum_quarantined": quarantined_total,
         }
-    run.ladder = ladder
     return run
-
-
-def _mitigate_leak_arthas(
-    ctx, scenario, reexec, mclock: SimClock, delay, solution: str
-) -> MitigationRun:
-    """Section 4.7: diff checkpoint-log liveness against recovery accesses."""
-    adapter = ctx.adapter
-    log = adapter.ckpt.log
-    adapter.restart()
-    recovery_addresses = adapter.recover()
-    leaked = find_leaked_objects(
-        log, adapter.allocator, recovery_addresses, protect={adapter.root}
-    )
-    freed = mitigate_leak(adapter.allocator, leaked, confirm=True)
-    mclock.advance(delay())
-    out = reexec()
-    run = MitigationRun(
-        solution=solution,
-        recovered=out.ok,
-        attempts=1,
-        duration_seconds=mclock.now,
-        reverted_updates=0,  # only leaked objects are discarded
-        total_updates=log.total_updates,
-        leaked_blocks=len(leaked),
-        notes=f"freed {freed} leaked words in {len(leaked)} blocks",
-    )
-    return run
-
-
-def _to_run(solution: str, mres: MitigationResult, adapter) -> MitigationRun:
-    total = adapter.ckpt.log.total_updates if adapter.ckpt is not None else 0
-    return MitigationRun(
-        solution=solution,
-        recovered=mres.recovered,
-        attempts=mres.attempts,
-        duration_seconds=mres.duration_seconds,
-        reverted_updates=mres.discarded_updates,
-        total_updates=total,
-        timed_out=mres.timed_out,
-        notes=mres.notes,
-        reverted_seqs=list(mres.reverted_seqs),
-    )
 
 
 def _consistency_suite(ctx, scenario, seed: int) -> List[str]:

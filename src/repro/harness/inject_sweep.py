@@ -4,7 +4,7 @@ The robustness claim worth having is not "mitigation usually works" but
 "mitigation survives its *own* crashes at every step".  This module
 proves it by enumeration:
 
-1. **discover** — run one supervised experiment with a record-mode
+1. **discover** — run one experiment with a record-mode
    :class:`~repro.faultinject.InjectionPlan`; every injection site that
    fires during mitigation is counted (sites are named: persist/flush
    boundaries, checkpoint ``record_*`` hooks, reversion cut/commit
@@ -44,8 +44,9 @@ PIPELINE_KINDS = ("crash", "torn", "bitflip")
 DEFAULT_OPS: Dict[str, Tuple[int, int]] = {"f9": (80, 40)}
 
 #: the sweep's subjects: a hard trap fault (CCEH directory doubling) and
-#: a leak fault — together they exercise the rollback, leak-fix and
-#: snapshot rungs plus every pmem/ckpt site family
+#: a leak fault — together they exercise the rollback and leak-fix
+#: rungs plus every pmem/ckpt site family (``arthas-rb`` owns no
+#: snapshotter, so the ladder has no snapshot rung here)
 FAULTS = ("f9", "f12")
 
 SOLUTION = "arthas-rb"
@@ -78,7 +79,7 @@ class SweepCell:
     checksum_quarantined: int = 0
     crash_retries: int = 0
     recovered_by: Optional[str] = None
-    #: simulated seconds the supervised mitigation took
+    #: simulated seconds the mitigation took
     recovery_seconds: float = 0.0
     pool_digest: int = 0
     notes: str = ""
@@ -209,7 +210,7 @@ def discover_sites(
     plan = InjectionPlan(record=True)
     result = run_experiment(
         fid, SOLUTION, seed=seed, pre_ops=n_pre, post_ops=n_post,
-        supervised=True, inject_plan=plan,
+        inject_plan=plan,
     )
     if not result.manifested or result.mitigation is None:
         raise RuntimeError(
@@ -218,7 +219,7 @@ def discover_sites(
         )
     if not result.mitigation.recovered:
         raise RuntimeError(
-            f"{fid}: baseline supervised mitigation did not recover; "
+            f"{fid}: baseline mitigation did not recover; "
             f"fix that before sweeping injections"
         )
     return dict(plan.counts), result
@@ -249,7 +250,7 @@ def run_cell(
     )
     result = run_experiment(
         fid, SOLUTION, seed=seed, pre_ops=n_pre, post_ops=n_post,
-        supervised=True, inject_plan=plan,
+        inject_plan=plan,
     )
     run = result.mitigation
     if run is None:
@@ -259,15 +260,14 @@ def run_cell(
     cell.recovered = run.recovered
     cell.consistent = run.consistent
     cell.recovery_seconds = run.duration_seconds
-    if run.ladder is not None:
-        v = run.ladder.get("verification", {})
-        cell.pool_ok = bool(v.get("pool_ok"))
-        cell.checksum_quarantined = int(v.get("checksum_quarantined", 0))
-        cell.pool_digest = int(v.get("pool_digest", 0))
-        cell.crash_retries = int(run.ladder.get("crash_retries", 0))
-        cell.recovered_by = run.ladder.get("recovered_by")
-        if "unrecoverable" in run.ladder:
-            cell.notes = str(run.ladder["unrecoverable"]["reason"])
+    v = run.ladder["verification"]
+    cell.pool_ok = bool(v["pool_ok"])
+    cell.checksum_quarantined = int(v["checksum_quarantined"])
+    cell.pool_digest = run.pool_digest
+    cell.crash_retries = int(run.ladder["crash_retries"])
+    cell.recovered_by = run.ladder["recovered_by"]
+    if "unrecoverable" in run.ladder:
+        cell.notes = str(run.ladder["unrecoverable"]["reason"])
     if not cell.fired:
         cell.notes = "injection site never reached"
     return cell

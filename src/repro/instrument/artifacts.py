@@ -30,8 +30,8 @@ so the region is self-verifying:
   :func:`open_and_verify` keeps.
 
 :func:`load_checkpoint_log` is the *strict* loader: any corruption
-raises :class:`~repro.errors.CorruptLogError`.  The v1 format (one JSON
-dict, no checksums) is still read for old artifacts.
+raises :class:`~repro.errors.CorruptLogError`, as does any file that is
+not a v2 region.
 """
 
 from __future__ import annotations
@@ -337,28 +337,18 @@ def open_and_verify(path: str) -> Tuple[CheckpointLog, LogVerifyReport]:
 def load_checkpoint_log(path: str) -> CheckpointLog:
     """Strict loader: raise :class:`CorruptLogError` on any damage.
 
-    Reads both the v2 JSONL region and the legacy v1 single-dict format.
-    Mitigation paths that must make progress on a damaged region use
-    :func:`open_and_verify` instead.
+    Reads the v2 JSONL region only; anything else (an empty file, the
+    retired v1 single-dict format) is damage.  Mitigation paths that
+    must make progress on a damaged region use :func:`open_and_verify`
+    instead.
     """
-    with open(path) as f:
-        head = f.read(1)
-    if head == "":
-        raise CorruptLogError(f"{path}: empty checkpoint region")
-    with open(path) as f:
-        first_line = f.readline()
-    try:
-        is_v2 = "\"rec\"" in first_line and CKPT_FORMAT in first_line
-    except Exception:  # pragma: no cover - defensive
-        is_v2 = False
-    if not is_v2:
-        return _load_v1(path)
     report = LogVerifyReport()
     with open(path) as f:
         raw_lines = f.read().splitlines()
     records = _parse_lines(raw_lines, report)
     if not report.clean or not records \
-            or records[0].get("t") != "header":
+            or records[0].get("t") != "header" \
+            or records[0].get("format") != CKPT_FORMAT:
         raise CorruptLogError(
             f"{path}: corrupt checkpoint region: "
             + ("; ".join(report.notes) or "no records")
@@ -378,34 +368,4 @@ def load_checkpoint_log(path: str) -> CheckpointLog:
             f"{path}: {len(bad)} version(s) failed their data checksum"
         )
     log.rebuild_indexes()  # raises CorruptLogError on structural damage
-    return log
-
-
-def _load_v1(path: str) -> CheckpointLog:
-    """The legacy (seed-era) single-dict format, kept for old artifacts."""
-    with open(path) as f:
-        try:
-            payload = json.load(f)
-        except ValueError as exc:
-            raise CorruptLogError(f"{path}: not a checkpoint region: {exc}")
-    log = CheckpointLog(max_versions=payload["max_versions"])
-    log._next_seq = payload["next_seq"]
-    log.total_updates = payload["total_updates"]
-    for ej in payload["entries"]:
-        entry = CheckpointEntry(ej["address"], ej["max_versions"])
-        for vj in ej["versions"]:
-            entry.versions.append(
-                Version(vj["seq"], tuple(vj["data"]), vj["size"], vj["tx"],
-                        crc=vj.get("crc", -1))
-            )
-        entry.total_versions = ej["total_versions"]
-        entry.old_entry = ej["old_entry"]
-        entry.new_entry = ej["new_entry"]
-        log.entries[entry.address] = entry
-    for evj in payload["events"]:
-        event = LogEvent(evj["seq"], evj["kind"], evj["addr"],
-                         evj["nwords"], evj["tx"])
-        log.events.append(event)
-    log.tx_members = {int(k): list(v) for k, v in payload["tx_members"].items()}
-    log.rebuild_indexes()  # the raw state above bypassed the record_* hooks
     return log

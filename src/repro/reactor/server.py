@@ -44,14 +44,13 @@ import asyncio
 import threading
 import time
 from bisect import bisect_left, bisect_right
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.analysis import AnalysisResult, analyze_module
 from repro.checkpoint.log import CheckpointLog
 from repro.detector.monitor import RunOutcome
-from repro.detector.signature import FailureSignature
 from repro.errors import Trap
 from repro.instrument.guids import GuidMap
 from repro.instrument.tracer import PMTrace
@@ -221,10 +220,6 @@ class KeyTouchIndex:
                 out |= keys
         return out
 
-    @property
-    def tracked_addresses(self) -> int:
-        return len(self._addr_keys)
-
 
 @dataclass(slots=True)
 class Quarantined:
@@ -345,6 +340,36 @@ YIELD_EVERY_STEPS = 4_000
 YIELD_MIN_INTERVAL_S = 0.004
 
 
+@contextmanager
+def cooperative_yield(ctx, yield_fn: Callable[[], None]):
+    """Install ``yield_fn`` as a mitigation's cooperative yield point.
+
+    Host-side mitigation loops (probe-engine seeks, plan joins) call
+    ``ctx.yield_fn``; the VM fires the same callable every
+    :data:`YIELD_EVERY_STEPS` executed steps, so even a long hang probe
+    is chunked.  The step hook goes on the adapter as well as the
+    current machine because every restart builds a fresh machine.
+    Everything is removed on exit: after the window the serving side
+    itself runs guest calls, and a park from its own thread would
+    deadlock.
+    """
+    adapter = ctx.adapter
+
+    def install(fn, every: int) -> None:
+        ctx.yield_fn = fn
+        adapter.step_hook = fn
+        adapter.step_hook_every = every
+        if adapter.machine is not None:
+            adapter.machine.step_hook = fn
+            adapter.machine.step_hook_every = every
+
+    install(yield_fn, YIELD_EVERY_STEPS)
+    try:
+        yield
+    finally:
+        install(None, 0)
+
+
 class LiveRecoveryServer:
     """Serve a YCSB stream against a PM miniature, mitigating under fire.
 
@@ -375,9 +400,12 @@ class LiveRecoveryServer:
         # imported here, not at module scope: harness.experiment imports
         # ReactorServer from this module
         from repro.baselines.pmcriu import PmCRIU
-        from repro.detector.monitor import Detector, LeakMonitor
         from repro.faults.registry import scenario_by_id
-        from repro.harness.experiment import SNAPSHOT_INTERVAL, ExperimentContext
+        from repro.harness.experiment import (
+            SNAPSHOT_INTERVAL,
+            ExperimentContext,
+            make_detector,
+        )
         from repro.harness.simclock import OP_PERIOD
 
         self._op_period = OP_PERIOD
@@ -399,15 +427,7 @@ class LiveRecoveryServer:
         )
         self.adapter.start()
         self.ctx = ExperimentContext(self.adapter, self.scenario, seed)
-        self.detector = Detector()
-        self.monitor: Optional[LeakMonitor] = None
-        if self.scenario.kind == "leak":
-            self.monitor = LeakMonitor(
-                self.adapter.allocator,
-                self.adapter.expected_item_words,
-                threshold_ratio=self.scenario.leak_ratio,
-            )
-            self.detector.set_leak_monitor(self.monitor)
+        self.detector = make_detector(self.ctx)
         self.snapshotter = PmCRIU(
             self.adapter.pool, self.adapter.allocator, SNAPSHOT_INTERVAL
         )
@@ -489,26 +509,6 @@ class LiveRecoveryServer:
         return rec
 
     # ------------------------------------------------------------------
-    # detection (in-line on the request path)
-    # ------------------------------------------------------------------
-    def _probe(self) -> Optional[RunOutcome]:
-        """Deterministic detection probe between requests."""
-        outcome = self.detector.observe(
-            self.adapter.machine, lambda: self.scenario.manifest(self.ctx)
-        )
-        if outcome.ok and self.monitor is not None:
-            violation = self.monitor.check()
-            if violation is not None:
-                outcome = RunOutcome(ok=False, violation=violation)
-        return None if outcome.ok else outcome
-
-    def _inflight_outcome(self) -> RunOutcome:
-        fault = self.adapter.machine.last_fault
-        signature = FailureSignature.from_fault(fault)
-        self.detector.history.append(signature)
-        return RunOutcome(ok=False, fault=fault, signature=signature)
-
-    # ------------------------------------------------------------------
     # quarantine derivation (plan cuts -> word ranges -> keys)
     # ------------------------------------------------------------------
     def _lock_plan_ranges(self, log: CheckpointLog, plan: ReversionPlan) -> None:
@@ -550,6 +550,7 @@ class LiveRecoveryServer:
     async def run(
         self, n_requests: int, arrival_period_s: float = 0.0005
     ) -> dict:
+        from repro.harness.experiment import detect
         from repro.harness.supervisor import pool_digest
 
         loop = asyncio.get_running_loop()
@@ -578,22 +579,25 @@ class LiveRecoveryServer:
                 await asyncio.sleep(delay)
             rec = self._serve_request(idx, ops[idx], arrival)
             idx += 1
-            outcome = None
-            if rec.status == "fault":
-                outcome = self._inflight_outcome()
-            elif (
+            # detection in-line on the request path: the trap a request
+            # raised, or a deterministic probe between requests
+            trapped = rec.status == "fault"
+            probe = (
                 self._triggered
                 and not self._detected_ever
                 and idx % self.detect_every == 0
-            ):
-                outcome = self._probe()
-            if outcome is not None:
-                if self._mitigations >= MAX_MITIGATIONS:
-                    self._unavailable = True
-                    continue
-                idx, shift = await self._mitigation_window(
-                    loop, ops, idx, n_requests, t0, shift, period, outcome
-                )
+            )
+            if not (trapped or probe):
+                continue
+            outcome = detect(self.ctx, self.detector, trapped)
+            if outcome.ok:
+                continue
+            if self._mitigations >= MAX_MITIGATIONS:
+                self._unavailable = True
+                continue
+            idx, shift = await self._mitigation_window(
+                loop, ops, idx, n_requests, t0, shift, period, outcome
+            )
         report = self._report(n_requests, period, t0)
         report["final_digest"] = pool_digest(
             self.adapter.pool, self.adapter.allocator
@@ -710,7 +714,6 @@ class LiveRecoveryServer:
         self._overlay = {}
         self._deferred = []
         self._quarantine_ready = False
-        self.detect_index = idx - 1
         start_wall = time.perf_counter()
         gate = WorkerGate(loop)
         fut = loop.run_in_executor(None, self._mitigate_blocking, gate, outcome)
@@ -754,16 +757,6 @@ class LiveRecoveryServer:
 
     def _mitigate_blocking(self, gate: WorkerGate, outcome: RunOutcome):
         """Worker-thread body: confirm, derive quarantine, mitigate."""
-        adapter = self.adapter
-
-        # park inside long guest calls too: the VM fires this hook every
-        # ``YIELD_EVERY_STEPS`` executed steps, so even a full 400k-step
-        # hang probe (confirmation, failed re-execution verifies) is
-        # chunked into millisecond slices instead of one quarter-second
-        # stall.  Installed on the adapter (not the machine) because
-        # every restart builds a fresh machine.  Cleared in the finally:
-        # after this window the event loop itself runs guest calls, and
-        # a checkpoint from the loop thread would deadlock.
         # host-side mitigation loops (probe-engine seeks, plan joins)
         # call ctx.yield_fn far more often than once per chunk, so the
         # shared yield is throttled by wall time; the VM step hook goes
@@ -777,31 +770,18 @@ class LiveRecoveryServer:
                 last_yield[0] = now
                 gate.checkpoint()
 
-        adapter.step_hook = throttled_yield
-        adapter.step_hook_every = YIELD_EVERY_STEPS
-        if adapter.machine is not None:
-            adapter.machine.step_hook = throttled_yield
-            adapter.machine.step_hook_every = YIELD_EVERY_STEPS
-        self.ctx.yield_fn = throttled_yield
-        try:
+        with cooperative_yield(self.ctx, throttled_yield):
             return self._mitigate_body(gate, outcome)
-        finally:
-            self.ctx.yield_fn = None
-            adapter.step_hook = None
-            adapter.step_hook_every = 0
-            if adapter.machine is not None:
-                adapter.machine.step_hook = None
-                adapter.machine.step_hook_every = 0
 
     def _mitigate_body(self, gate: WorkerGate, outcome: RunOutcome):
         """Confirm the fault, derive the quarantine, run mitigation."""
         from repro import faultinject
         from repro.harness.experiment import (
             _make_reexec,
-            _mitigate_supervised,
+            confirm_hard,
+            mitigate_ladder,
         )
         from repro.harness.simclock import ReexecDelay, SimClock
-        from repro.harness.supervisor import pool_digest
 
         adapter = self.adapter
         scenario = self.scenario
@@ -826,26 +806,10 @@ class LiveRecoveryServer:
         self._quarantine_ready = True
         gate.checkpoint()
 
-        # hard-fault confirmation: restart and watch it recur
-        adapter.restart()
-        confirm = self.detector.observe(
-            adapter.machine, lambda: (adapter.recover(), scenario.manifest(ctx))
-        )
-        if confirm.ok and self.monitor is not None:
-            violation = self.monitor.check()
-            if violation is not None:
-                confirm = RunOutcome(ok=False, violation=violation)
-        if confirm.signature is not None and outcome.signature is not None:
-            self.confirmed_hard = self.detector.is_potential_hard_failure(
-                confirm.signature
-            )
-        else:
-            self.confirmed_hard = not confirm.ok
+        self.confirmed_hard = confirm_hard(ctx, self.detector, outcome)
         gate.checkpoint()
 
-        mclock = SimClock()
-        delay = ReexecDelay(seed=self.seed * 13 + 5)
-        base_reexec = _make_reexec(ctx, scenario, self.detector, self.monitor)
+        base_reexec = _make_reexec(ctx, scenario, self.detector)
 
         def gated_reexec() -> RunOutcome:
             gate.checkpoint()
@@ -856,13 +820,13 @@ class LiveRecoveryServer:
             if self.inject_plan is not None else nullcontext()
         )
         with inject_cm:
-            run = _mitigate_supervised(
-                ctx, scenario, outcome, gated_reexec, mclock, delay,
-                solution=self.solution, batch_size=1,
+            run = mitigate_ladder(
+                ctx, scenario, outcome, gated_reexec,
+                SimClock(), ReexecDelay(seed=self.seed * 13 + 5),
+                solution=self.solution,
                 snapshotter=self.snapshotter, inject_plan=self.inject_plan,
                 reactor_server=self.reactor,
             )
-        run.pool_digest = pool_digest(adapter.pool, adapter.allocator)
         self.digest_after_mitigation = run.pool_digest
         self.mitigation_runs.append(run)
         return run

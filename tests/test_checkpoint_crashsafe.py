@@ -222,7 +222,9 @@ def test_open_and_verify_requires_a_header(tmp_path):
         open_and_verify(path)
 
 
-def test_v1_single_dict_format_still_loads(tmp_path):
+def test_v1_single_dict_format_is_rejected(tmp_path):
+    # the seed-era single-dict format is retired: the strict loader reads
+    # v2 regions only and treats anything else as damage
     log = _small_log()
     payload = {
         "max_versions": log.max_versions,
@@ -253,12 +255,15 @@ def test_v1_single_dict_format_still_loads(tmp_path):
     path = str(tmp_path / "ckpt_v1.json")
     with open(path, "w") as f:
         json.dump(payload, f)
-    loaded = load_checkpoint_log(path)
-    assert loaded.total_updates == log.total_updates
-    # seed-era versions carry no checksum and are skipped by the verifier
-    assert all(v.crc == -1 for e in loaded.entries.values()
-               for v in e.versions)
-    assert loaded.verify_checksums() == []
+    with pytest.raises(CorruptLogError):
+        load_checkpoint_log(path)
+
+
+def test_strict_loader_rejects_empty_region(tmp_path):
+    path = str(tmp_path / "empty.jsonl")
+    open(path, "w").close()
+    with pytest.raises(CorruptLogError):
+        load_checkpoint_log(path)
 
 
 # ----------------------------------------------------------------------

@@ -44,6 +44,13 @@ def test_cluster_status(capsys):
     assert "demoted" in out and "serving" in out
 
 
+def test_cluster_status_heals_a_leak_fault(capsys):
+    # leak faults manifest only through the PM-usage monitor, which the
+    # shared detector attaches
+    assert main(["cluster-status", "--fid", "f8"]) == 0
+    assert "via leak-fix" in capsys.readouterr().out
+
+
 def test_cluster_sweep_quick_check(capsys):
     # --quick drift-checks against the committed report (CI drift job)
     assert main(["cluster-sweep", "--quick"]) == 0

@@ -113,6 +113,24 @@ class TestF12Leak:
         assert m.discarded_pct > 0
 
 
+class TestF17PurgeFallsBackToRollback:
+    def test_ladder_records_the_fallback(self):
+        # Section 4.5: purge exhausts its 60 tries, rollback recovers;
+        # the run as a whole recovered, so it did not time out
+        m = run_experiment("f17", "arthas", seed=0).mitigation
+        rungs = [
+            (r["rung"], r["attempts"], r["recovered"], r["timed_out"])
+            for r in m.ladder["rungs"]
+        ]
+        assert rungs == [
+            ("purge", 60, False, True),
+            ("rollback", 15, True, False),
+        ]
+        assert m.ladder["recovered_by"] == "rollback"
+        assert m.attempts == 75
+        assert m.timed_out is False
+
+
 class TestMitigationAccounting:
     def test_mitigation_time_includes_reexec_delays(self):
         m = run_experiment("f11", "arthas", seed=0).mitigation

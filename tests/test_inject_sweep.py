@@ -48,7 +48,7 @@ def test_crash_between_cuts_converges_to_uninterrupted_state():
     def digest_of(plan):
         result = run_experiment(
             "f9", "arthas-rb", seed=0, pre_ops=F9_PRE, post_ops=F9_POST,
-            supervised=True, inject_plan=plan,
+            inject_plan=plan,
         )
         run = result.mitigation
         assert run is not None and run.recovered
