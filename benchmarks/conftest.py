@@ -1,184 +1,84 @@
 """Shared infrastructure for the paper-reproduction benchmarks.
 
 Each ``bench_*.py`` regenerates one table or figure of the paper's
-evaluation.  The expensive part — the 12-fault x 4-solution experiment
-matrix — is computed once per pytest session and shared.  Two layers cut
-that cost further:
-
-* the session ``matrix`` fixture **pre-warms** every still-missing cell
-  through :func:`repro.harness.matrix.run_matrix`'s process-pool
-  fan-out, so all table/figure benches share one parallel sweep instead
-  of filling the cache serially on first use;
-* an optional **on-disk cache** (``results/matrix_cache.json``, keyed
-  by ``fid:solution:seed`` plus a hash of ``src/repro``) lets repeated
-  bench sessions skip recomputation entirely.  Pass ``--no-cache`` (or
-  set ``REPRO_MATRIX_NO_CACHE=1``) to ignore and not write it.
+evaluation from the 12-fault x 4-solution experiment matrix.  Its seed-0
+cells are read from the committed matrix report,
+``results/matrix_all.json`` (``python -m repro matrix-all`` rewrites
+it; ``tests/test_matrix_report.py`` pins a slice of it against fresh
+runs).  The report lacks only the probabilistic pmCRIU cells Table 3
+re-runs across seeds (f5 and f8 at seeds 1-9); the session ``matrix``
+fixture runs those through :func:`repro.harness.matrix.run_matrix`'s
+process-pool fan-out.
 
 Every bench prints its rows (mirroring the paper's layout) and also
-appends them to ``results/evaluation.txt`` so the output survives
-pytest's capturing.
+appends them to ``results/evaluation.txt`` (not tracked) so the output
+survives pytest's capturing.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import sys
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))  # noqa: E402
 
 from repro.harness.experiment import ExperimentResult, run_experiment
-from repro.harness.matrix import (
-    CellSpec,
-    result_from_summary,
-    run_matrix,
-    summarize_result,
-)
+from repro.harness.matrix import CellSpec, result_from_summary, run_matrix
 
 FAULTS = [f"f{i}" for i in range(1, 13)]
 SOLUTIONS = ("arthas", "arthas-rb", "pmcriu", "arckpt")
 
-#: probabilistic pmCRIU cells (bench_table3 re-runs these across seeds);
-#: pre-warmed together with the seed-0 matrix so one fan-out covers all
+#: probabilistic pmCRIU cells (bench_table3 re-runs these across seeds)
 PROB_SEEDS = list(range(10))
 PROB_FAULTS = ("f5", "f8")
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "..", "results")
-CACHE_PATH = os.path.join(RESULTS_DIR, "matrix_cache.json")
-SRC_ROOT = os.path.join(os.path.dirname(__file__), "..", "src", "repro")
+MATRIX_REPORT = os.path.join(RESULTS_DIR, "matrix_all.json")
 
 _matrix_cache: Dict[Tuple[str, str, int], ExperimentResult] = {}
-_disk_cache: Optional[Dict[str, dict]] = None
-_disk_dirty = False
-_cache_enabled = True
-_code_version: Optional[str] = None
-
-
-def pytest_addoption(parser):
-    parser.addoption(
-        "--no-cache", action="store_true", default=False,
-        help="ignore (and do not write) results/matrix_cache.json",
-    )
-
-
-def pytest_configure(config):
-    global _cache_enabled
-    if config.getoption("--no-cache", default=False):
-        _cache_enabled = False
-    if os.environ.get("REPRO_MATRIX_NO_CACHE"):
-        _cache_enabled = False
-
-
-def pytest_sessionfinish(session, exitstatus):
-    """Persist newly computed cells for the next bench session."""
-    if not (_cache_enabled and _disk_dirty and _disk_cache is not None):
-        return
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    payload = {"code_version": _current_code_version(),
-               "cells": _disk_cache}
-    with open(CACHE_PATH, "w") as f:
-        json.dump(payload, f, sort_keys=True)
-        f.write("\n")
-
-
-# ----------------------------------------------------------------------
-# the session matrix cache (memory -> disk -> compute)
-# ----------------------------------------------------------------------
-def _current_code_version() -> str:
-    """Hash of every ``src/repro`` source file — the cache key's epoch."""
-    global _code_version
-    if _code_version is None:
-        digest = hashlib.sha256()
-        paths = []
-        for dirpath, _dirnames, filenames in os.walk(SRC_ROOT):
-            for name in filenames:
-                if name.endswith(".py"):
-                    paths.append(os.path.join(dirpath, name))
-        for path in sorted(paths):
-            digest.update(os.path.relpath(path, SRC_ROOT).encode())
-            with open(path, "rb") as f:
-                digest.update(f.read())
-        _code_version = digest.hexdigest()
-    return _code_version
-
-
-def _load_disk_cache() -> Dict[str, dict]:
-    global _disk_cache
-    if _disk_cache is None:
-        _disk_cache = {}
-        if _cache_enabled and os.path.exists(CACHE_PATH):
-            try:
-                with open(CACHE_PATH) as f:
-                    payload = json.load(f)
-                if payload.get("code_version") == _current_code_version():
-                    _disk_cache = dict(payload.get("cells", {}))
-            except (OSError, ValueError):
-                pass  # unreadable cache: recompute
-    return _disk_cache
-
-
-def _cache_key(fid: str, solution: str, seed: int) -> str:
-    return f"{fid}:{solution}:{seed}"
-
-
-def _store(key: Tuple[str, str, int], summary: dict) -> None:
-    global _disk_dirty
-    _load_disk_cache()[_cache_key(*key)] = summary
-    _disk_dirty = True
 
 
 def matrix_cell(fid: str, solution: str, seed: int = 0) -> ExperimentResult:
-    """One experiment cell, memoised for the whole session (and, unless
-    ``--no-cache``, across sessions via ``results/matrix_cache.json``)."""
+    """One experiment cell, memoised for the whole session; a cell the
+    ``matrix`` fixture could not supply runs here, serially."""
     key = (fid, solution, seed)
-    cached = _matrix_cache.get(key)
-    if cached is not None:
-        return cached
-    summary = _load_disk_cache().get(_cache_key(*key))
-    if summary is not None:
-        result = result_from_summary(summary)
-    else:
-        result = run_experiment(fid, solution, seed=seed)
-        _store(key, summarize_result(result))
-    _matrix_cache[key] = result
-    return result
+    if key not in _matrix_cache:
+        _matrix_cache[key] = run_experiment(fid, solution, seed=seed)
+    return _matrix_cache[key]
 
 
-def _prewarm_matrix() -> None:
-    """One process-pool fan-out over every cell the benches will need."""
-    specs = [
-        CellSpec(fid, sol, 0) for sol in SOLUTIONS for fid in FAULTS
-    ] + [
+def _load_matrix() -> None:
+    """The committed report's cells, then one fan-out over the pmCRIU
+    seeds it lacks."""
+    with open(MATRIX_REPORT) as f:
+        report = json.load(f)
+    for cell in report["report"]["cells"]:
+        if cell["ok"]:
+            key = (cell["fid"], cell["solution"], cell["seed"])
+            _matrix_cache[key] = result_from_summary(cell["summary"])
+    missing = [
         CellSpec(fid, "pmcriu", seed)
         for fid in PROB_FAULTS
         for seed in PROB_SEEDS
-        if seed != 0
-    ]
-    disk = _load_disk_cache()
-    missing = [
-        spec for spec in specs
-        if spec.key not in _matrix_cache
-        and _cache_key(*spec.key) not in disk
+        if (fid, "pmcriu", seed) not in _matrix_cache
     ]
     if not missing:
         return
-    report = run_matrix(missing, jobs=None)
-    for cell in report.cells:
-        if cell.ok:
-            _matrix_cache[cell.spec.key] = cell.result()
-            _store(cell.spec.key, cell.summary)
+    for cell in run_matrix(missing, jobs=None).cells:
         # error cells stay missing: matrix_cell recomputes them serially
         # on first use, surfacing the real exception to the bench
+        if cell.ok:
+            _matrix_cache[cell.spec.key] = cell.result()
 
 
 @pytest.fixture(scope="session")
 def matrix():
-    """The full 12x4 matrix at seed 0, pre-warmed by one parallel sweep."""
-    _prewarm_matrix()
+    """The full 12x4 matrix at seed 0, plus Table 3's pmCRIU seeds."""
+    _load_matrix()
     return {
         (fid, sol): matrix_cell(fid, sol)
         for fid in FAULTS

@@ -2,8 +2,9 @@
 
 Three PM nodes behind a consistent-hash ring serve a keyspace with
 replication factor 2; clients stamp requests with vector clocks.  Node
-0 gets wedged by the memcached refcount bug (f1) and the shard
-supervisor runs the promotion protocol:
+0 gets wedged by the memcached refcount bug (f1) and one call to the
+shard supervisor's heal detects the failure, confirms it hard (a
+restart reproduces it) and runs the promotion protocol:
 
 1. *promote* — node 0 is marked down; its replicas take over the arc,
 2. *serve* — a window of reads and writes flows mid-heal: healthy
@@ -21,7 +22,6 @@ supervisor runs the promotion protocol:
 Run:  python examples/distributed_recovery.py
 """
 
-from repro.detector.monitor import Detector
 from repro.distributed import Cluster, ClusterClient
 from repro.distributed.shardmgr import ShardManager
 from repro.faults.registry import scenario_by_id
@@ -45,17 +45,14 @@ def main():
     ctx.oracle = cluster.oracles[0]
     scenario.trigger(ctx)
 
-    detector = Detector()
-    outcome = detector.observe(node0.machine, lambda: scenario.manifest(ctx))
-    assert not outcome.ok
-    print(f"node 0 failure: {outcome.fault.kind} in {outcome.fault.location}")
-
     # keys whose pre-fault primary is node 0: written during the heal,
     # they must fail over to replicas and land back on node 0 at resync
     arc_keys = cluster.keys_for_node(0, 3, start=1000)
     window = {"reads": [], "writes": []}
 
-    def serve_between():
+    def serve(phase):
+        if phase != "promote":
+            return
         assert cluster.is_down(0)
         for key in range(6):          # healthy-shard reads keep flowing
             window["reads"].append(bob.lookup(key))
@@ -65,10 +62,10 @@ def main():
             window["writes"].append(rec)
 
     mgr = ShardManager(cluster, solution="arthas", seed=0)
-    mgr.note_verdict(0)
-    report = mgr.heal(
-        0, ctx, scenario, outcome, detector, serve_between=serve_between
-    )
+    report = mgr.heal(0, ctx, serve=serve)
+    failure = report.signature
+    print(f"node 0 failure: {failure.kind} in {failure.location} "
+          f"(confirmed hard: {report.confirmed_hard})")
     print(f"heal: recovered={report.recovered} via {report.recovered_by}, "
           f"phases={report.phases}")
     print(f"served mid-heal: {len(window['reads'])} reads, "

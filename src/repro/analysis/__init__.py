@@ -51,10 +51,6 @@ class AnalysisResult:
         """All instructions that may affect the given instruction."""
         return backward_slice(self.pdg, iid)
 
-    def pm_backward_slice(self, iid: int) -> Set[int]:
-        """The backward slice filtered to PM instructions (Section 4.5)."""
-        return pm_slice(self.pdg, self.pm, iid)
-
 
 def analyze_module(module: Module) -> AnalysisResult:
     """Run the full analyzer pipeline on a finalized module."""

@@ -1,8 +1,8 @@
 """Call graph construction.
 
 PMLang has no function pointers (unlike C), so every edge is direct; the
-module still mirrors the paper's pipeline stage and provides the reverse
-graph and reachability queries the PDG and reactor use.
+module still mirrors the paper's pipeline stage: caller/callee maps plus
+the call sites the PDG wires parameter and return edges through.
 """
 
 from __future__ import annotations
@@ -23,18 +23,6 @@ class CallGraph:
     callers: Dict[str, Set[str]] = field(default_factory=dict)
     #: callee function -> list of call-site instruction ids
     call_sites: Dict[str, List[int]] = field(default_factory=dict)
-
-    def reachable_from(self, root: str) -> Set[str]:
-        """All functions transitively callable from ``root``."""
-        seen: Set[str] = set()
-        stack = [root]
-        while stack:
-            fname = stack.pop()
-            if fname in seen:
-                continue
-            seen.add(fname)
-            stack.extend(self.callees.get(fname, ()))
-        return seen
 
 
 def build_callgraph(module: Module) -> CallGraph:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Set, Tuple
 
-from repro.lang.ir import Function, Module
+from repro.lang.ir import Function
 
 #: virtual definition ids for parameters: -(1000 + index) within a function
 PARAM_DEF_BASE = -1000
@@ -27,11 +27,6 @@ def param_def_id(param_index: int) -> int:
 def is_param_def(def_id: int) -> bool:
     """True when a definition id denotes a virtual parameter definition."""
     return def_id <= PARAM_DEF_BASE
-
-
-def param_index_of(def_id: int) -> int:
-    """Recover the parameter index from a virtual definition id."""
-    return PARAM_DEF_BASE - def_id
 
 
 @dataclass
@@ -128,8 +123,3 @@ def compute_defuse(func: Function) -> DefUseResult:
             if instr.dst is not None:
                 live[instr.dst] = {instr.iid}
     return result
-
-
-def compute_module_defuse(module: Module) -> Dict[str, DefUseResult]:
-    """Def-use for every function in a module."""
-    return {name: compute_defuse(func) for name, func in module.functions.items()}

@@ -66,10 +66,6 @@ class PointsToResult:
         """May this register hold a persistent-memory address?"""
         return any(self.is_pm_site(site) for site, _off in self.pts_of(func, reg))
 
-    @staticmethod
-    def locs_overlap(a: Loc, b: Loc) -> bool:
-        return a[0] == b[0] and (a[1] == b[1] or a[1] == TOP or b[1] == TOP)
-
 
 class _Heap:
     """heap(site, offset) -> set of Locs, with a TOP bucket per site."""

@@ -231,13 +231,6 @@ class CheckpointEntry:
         self._versions = value
         self._pending = []
 
-    def add_version(self, version: Version) -> None:
-        vs = self.versions
-        vs.append(version)
-        self.total_versions += 1
-        if len(vs) > self.max_versions:
-            vs.pop(0)
-
     @property
     def history_evicted(self) -> bool:
         """True when versions older than the retained ring were dropped."""

@@ -22,8 +22,9 @@ Subcommands:
 * ``cluster-sweep`` — every registered fault injected into one shard
   of a replicated cluster; replica promotion, online re-recovery and
   byte-identical promoted-vs-quiesced digests per cell.
-* ``cluster-status`` — demo heal: wedge one shard, run the promotion
-  protocol, print the per-shard health table.
+* ``cluster-status`` — demo heal: wedge one shard, heal it with
+  ``ShardManager.heal`` (detect, confirm, promote ... resync), print
+  the verdict and the per-shard health table.
 
 The three sweeps share one flag set (``--seed --quick --out``, plus
 fuzz's ``--emit-registry``): ``--quick`` runs the CI subset and
@@ -327,12 +328,7 @@ def _cmd_cluster_status(args) -> int:
     from repro.distributed.cluster import Cluster, ClusterClient
     from repro.distributed.shardmgr import ShardManager
     from repro.faults.registry import scenario_by_id
-    from repro.harness.experiment import (
-        ExperimentContext,
-        confirm_hard,
-        detect,
-        make_detector,
-    )
+    from repro.harness.experiment import ExperimentContext
 
     scenario = scenario_by_id(args.fid)
     cluster = Cluster(
@@ -346,17 +342,14 @@ def _cmd_cluster_status(args) -> int:
     ctx = ExperimentContext(cluster.nodes[target], scenario, args.seed)
     ctx.oracle = cluster.oracles[target]
     scenario.trigger(ctx)
-    detector = make_detector(ctx)
-    outcome = detect(ctx, detector)
-    if outcome.ok:
+    mgr = ShardManager(cluster, solution="arthas", seed=args.seed)
+    report = mgr.heal(target, ctx)
+    if not report.manifested:
         print(f"{args.fid} did not manifest on shard {target}",
               file=sys.stderr)
         return 1
-    hard = confirm_hard(ctx, detector, outcome)
-    mgr = ShardManager(cluster, solution="arthas", seed=args.seed)
-    mgr.note_verdict(target)
-    report = mgr.heal(target, ctx, scenario, outcome, detector)
-    print(f"heal({args.fid} @ shard {target}): confirmed_hard={hard}, "
+    print(f"heal({args.fid} @ shard {target}): "
+          f"confirmed_hard={report.confirmed_hard}, "
           f"recovered={report.recovered} via {report.recovered_by or '-'}, "
           f"demoted={report.demoted}, "
           f"resync_replayed={report.resync_replayed}")

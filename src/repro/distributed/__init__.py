@@ -29,9 +29,11 @@ Beyond the sketch, the package now serves *through* failures:
   virtual nodes; replica promotion is a ring status flag, so failover
   moves no data.
 * :mod:`repro.distributed.shardmgr` — the shard supervisor and the one
-  heal path: journaled promote → mitigate → rebuild → cascade →
-  resync/handoff phases, each crash-retried and idempotent, with
-  per-shard health scores.
+  heal path, :meth:`ShardManager.heal`: detection and hard-fault
+  confirmation on the sick node, then journaled promote → mitigate →
+  rebuild → cascade → resync/handoff phases, each crash-retried and
+  idempotent, with per-shard health scores.  Every cluster heal in the
+  package, its CLI and the cluster sweep goes through it.
 """
 
 from repro.distributed.cluster import (

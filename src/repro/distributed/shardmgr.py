@@ -1,8 +1,13 @@
 """The shard supervisor: replica promotion + online re-recovery.
 
-When a primary's detector flags a hard fault, the supervisor runs the
-promotion protocol — four journaled, individually crash-retried phases
-that leave the cluster serving throughout:
+:meth:`ShardManager.heal` is the one cluster heal.  It detects on the
+sick node with the fault lifecycle's own functions —
+:func:`make_detector` (which attaches the PM-usage monitor for leak
+faults) and :func:`detect` — and, when a failure manifests, confirms
+it with :func:`confirm_hard` (restart, recover, watch it recur; Section
+4.3).  Then it runs the promotion protocol — four journaled,
+individually crash-retried phases that leave the cluster serving
+throughout:
 
 1. **promote** — mark the sick node down on the ring.  That single flag
    *is* the promotion: the next live preference node becomes primary
@@ -13,7 +18,7 @@ that leave the cluster serving throughout:
    under crash retries, riding the delta probe engine for bisect
    solutions; the node owns no snapshotter, so the rung below the
    ladder is 2b's rebuild).  Routing skips the node, so healthy
-   shards never block; hand the supervisor a
+   shards never block; hand :meth:`ShardManager.mitigate` a
    :class:`repro.reactor.server.WorkerGate` and the ladder chunks
    itself through the turnstile so a *serving thread* can interleave
    reads between mitigation chunks.
@@ -49,12 +54,20 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Callable, Dict, List, Optional, Set
 
 from repro import faultinject
+from repro.detector.signature import FailureSignature
 from repro.distributed.cluster import Cluster, OpRecord
 from repro.distributed.recovery import DistributedReactor
-from repro.harness.experiment import MitigationRun, _make_reexec, mitigate_ladder
+from repro.harness.experiment import (
+    MitigationRun,
+    _make_reexec,
+    confirm_hard,
+    detect,
+    make_detector,
+    mitigate_ladder,
+)
 from repro.harness.simclock import ReexecDelay, SimClock
 from repro.harness.supervisor import StepResult, with_crash_retries
 from repro.reactor.server import cooperative_yield
@@ -131,9 +144,16 @@ class HealJournal:
 
 @dataclass
 class HealReport:
-    """One node's trip through the promotion protocol."""
+    """One node's trip through the heal."""
 
     node_id: int
+    #: detection found a failure (False: the heal stopped there)
+    manifested: bool = False
+    #: the restart reproduced it — a potential hard fault (Section 4.3)
+    confirmed_hard: bool = False
+    #: the detected failure's signature; None when a user check or the
+    #: leak monitor flagged it
+    signature: Optional[FailureSignature] = None
     promoted: bool = False
     recovered: bool = False
     recovered_by: str = ""
@@ -410,53 +430,66 @@ class ShardManager:
         self,
         node_id: int,
         ctx,
-        scenario,
-        outcome,
-        detector,
+        trapped: bool = False,
         inject_plan=None,
-        gate=None,
-        serve_between=None,
-        mclock: Optional[SimClock] = None,
+        serve: Optional[Callable[[str], None]] = None,
     ) -> HealReport:
-        """promote → [serve] → mitigate → cascade → resync/handoff.
+        """detect → confirm → promote → mitigate → rebuild → cascade →
+        resync/handoff: the one cluster heal.
 
-        ``serve_between()`` (if given) runs after promotion, before the
-        mitigation — the harness serves its during-mitigation window
-        there.  ``inject_plan`` is armed across all phases so the
-        ``cluster.*`` second-fault sites can fire.
+        Detection runs on the node through :func:`detect` (``trapped``:
+        the caller's traffic already raised the trap); when nothing
+        manifests the heal stops there — no verdict, no promotion, an
+        empty journal.  Otherwise :func:`confirm_hard` restarts the node
+        and watches the failure recur, the verdict is recorded, and the
+        protocol runs whatever confirmation says.  ``serve(phase)`` (if
+        given) runs after ``"promote"`` and after ``"mitigate"``, so
+        the caller serves its window where it needs it.  ``inject_plan``
+        is armed from promotion on, so the ``cluster.*`` second-fault
+        sites can fire.  One :class:`SimClock` paces promote, mitigate
+        and resync, and ``crash_retries`` sums all three.
         """
-        mclock = mclock or SimClock()
         report = HealReport(node_id=node_id)
+        detector = make_detector(ctx)
+        outcome = detect(ctx, detector, trapped)
+        if outcome.ok:
+            return report
+        report.manifested = True
+        report.signature = outcome.signature
+        report.confirmed_hard = confirm_hard(ctx, detector, outcome)
+        self.note_verdict(node_id)
+        clock = SimClock()
         cm = (
             faultinject.activate(inject_plan)
             if inject_plan is not None else nullcontext()
         )
         with cm:
-            report.crash_retries += self.promote(node_id, clock=mclock)
+            report.crash_retries += self.promote(node_id, clock=clock)
             report.promoted = True
-            if serve_between is not None:
-                serve_between()
+            if serve is not None:
+                serve("promote")
             run = self.mitigate(
-                node_id, ctx, scenario, outcome, detector,
-                inject_plan=inject_plan, gate=gate, mclock=mclock,
+                node_id, ctx, ctx.scenario, outcome, detector,
+                inject_plan=inject_plan, mclock=clock,
             )
+            if serve is not None:
+                serve("mitigate")
             report.run = run
+            report.crash_retries += run.ladder.get("crash_retries", 0)
             report.recovered = run.recovered
             report.recovered_by = run.ladder.get("recovered_by", "") or ""
             if self.rebuild(node_id):
                 report.recovered = True
                 report.recovered_by = "rebuild"
-            if not report.recovered:
-                report.phases = self.journal(node_id).phases_done()
-                return report
-            discarded, cascaded, rounds = self.cascade(node_id, run)
-            report.discarded_ops = discarded
-            report.cascaded_ops = cascaded
-            report.cascade_rounds = rounds
-            sub = self.resync(node_id, clock=mclock)
-            report.resync_replayed = sub.resync_replayed
-            report.crash_retries += sub.crash_retries
-            report.demoted = sub.demoted
+            if report.recovered:
+                discarded, cascaded, rounds = self.cascade(node_id, run)
+                report.discarded_ops = discarded
+                report.cascaded_ops = cascaded
+                report.cascade_rounds = rounds
+                sub = self.resync(node_id, clock=clock)
+                report.resync_replayed = sub.resync_replayed
+                report.crash_retries += sub.crash_retries
+                report.demoted = sub.demoted
         report.phases = self.journal(node_id).phases_done()
         return report
 

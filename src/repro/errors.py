@@ -39,10 +39,6 @@ class CompileError(ReproError):
     """PMLang source could not be compiled to IR."""
 
 
-class AnalysisError(ReproError):
-    """A static analysis was asked something it cannot answer."""
-
-
 class CheckpointError(ReproError):
     """Checkpoint log misuse or corruption."""
 
@@ -56,10 +52,6 @@ class CorruptLogError(CheckpointError):
     tail, quarantine bad entries) catches this and falls back to
     :func:`repro.instrument.artifacts.open_and_verify`.
     """
-
-
-class ReactorError(ReproError):
-    """The reactor could not construct or execute a reversion plan."""
 
 
 class Trap(ReproError):

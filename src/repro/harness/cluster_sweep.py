@@ -2,9 +2,11 @@
 
 The single-node matrix proves each f1–f24 reproducer can be mitigated;
 this sweep proves the *cluster* survives them.  Every cell injects one
-scenario into one shard of a 3-node, replication-2 cluster and runs the
-shard supervisor's promotion protocol (promote → mitigate → cascade →
-resync/handoff).  The ISSUE's acceptance bar is checked per cell:
+scenario into one shard of a 3-node, replication-2 cluster and calls
+the one cluster heal, :meth:`ShardManager.heal` (detect → confirm →
+promote → mitigate → rebuild → cascade → resync/handoff).  The sweep
+keeps only the cluster set-up, the trigger, the traffic and the settle
+checks.  The acceptance bar is checked per cell:
 
 * **recovery** — the sick node's supervised ladder recovers (or, when
   every rung fails, the ``rebuild`` phase abandons the pool and resync
@@ -13,7 +15,8 @@ resync/handoff).  The ISSUE's acceptance bar is checked per cell:
 * **digest equality** — the cell is run twice with identical traffic:
   a *promoted* run that serves a read/write window between promotion
   and mitigation (online re-recovery), and a *quiesced* oracle run
-  that serves the same window only after mitigation completes.  Both
+  that serves the same window only after mitigation completes — the
+  heal's ``serve(phase)`` callback places the window.  Both
   runs see the same oplog, the same vector clocks and the same replica
   sets (the window runs while the target is down either way), so after
   cascade + resync every node's pool digest must be byte-identical
@@ -53,25 +56,16 @@ through the shared sweep core (:mod:`repro.harness.sweep`).
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro import faultinject
 from repro.distributed.cluster import Cluster, ClusterClient, vc_less
-from repro.distributed.shardmgr import ShardManager
+from repro.distributed.shardmgr import HealReport, ShardManager
 from repro.errors import InjectedCrash, Trap
 from repro.faultinject import InjectionPlan, InjectionSpec
 from repro.faults.fuzzed import FuzzedScenario, build_fuzzed_scenarios
 from repro.faults.registry import ALL_SCENARIOS, scenario_by_id
-from repro.harness.experiment import (
-    ExperimentContext,
-    MitigationRun,
-    confirm_hard,
-    detect,
-    make_detector,
-)
-from repro.harness.simclock import SimClock
+from repro.harness.experiment import ExperimentContext
 from repro.harness.supervisor import pool_digest
 from repro.harness.sweep import DriftRule, run_cells
 from repro.systems.common import ABSENT
@@ -127,19 +121,10 @@ def target_shard(fid: str) -> int:
 # ----------------------------------------------------------------------
 @dataclass
 class ModeResult:
-    """One run of a cell in one serving mode."""
+    """One run of a cell in one serving mode: the heal's report plus
+    what the sweep measured around it."""
 
-    manifested: bool = False
-    confirmed_hard: bool = False
-    promoted: bool = False
-    recovered: bool = False
-    recovered_by: str = ""
-    crash_retries: int = 0
-    discarded_ops: int = 0
-    cascaded_ops: int = 0
-    cascade_rounds: int = 0
-    resync_replayed: int = 0
-    demoted: bool = False
+    heal: HealReport
     health_score: int = 0
     #: per-node pool digests after the heal settled
     digests: List[int] = field(default_factory=list)
@@ -325,7 +310,7 @@ def _run_mode(
     resync — is identical, which is what makes the cross-mode digest
     comparison a meaningful "serving changed nothing" proof.
     """
-    res = ModeResult()
+    res = ModeResult(HealReport(node_id=target))
     cluster = Cluster(
         n_nodes=N_NODES,
         n_clients=N_CLIENTS,
@@ -369,7 +354,6 @@ def _run_mode(
     w_edge_dst = cluster.keys_for_node(healthy[-1], 1, start=60_000)[0]
 
     mgr = ShardManager(cluster, solution="arthas", seed=seed)
-    mclock = SimClock()
     skip_all = set(skip_keys) | baseline_lost
 
     def shipped(fn):
@@ -403,15 +387,9 @@ def _run_mode(
 
     if mode == "control":
         # same dance, no fault: promote, serve, rejoin
-        mgr.promote(target, clock=mclock)
+        mgr.promote(target)
         serve_window()
-        journal = mgr.journal(target)
-        journal.complete(
-            "mitigate", run=MitigationRun(solution="arthas", recovered=True)
-        )
-        journal.complete("rebuild", rebuilt=False)
-        journal.complete("cascade", discarded=[], cascaded=[], rounds=0)
-        mgr.resync(target, clock=mclock)
+        mgr.resync(target)
         res.lost_keys = _misserved_keys(cluster)
         return res
 
@@ -431,53 +409,25 @@ def _run_mode(
     except Trap:
         trapped = True
 
-    # ---- detection + hard-fault confirmation on the shard ----
-    detector = make_detector(ctx)
-    outcome = detect(ctx, detector, trapped)
-    if outcome.ok:
-        return res  # the fault did not manifest at cluster scale
-    res.manifested = True
-    res.confirmed_hard = confirm_hard(ctx, detector, outcome)
+    # ---- the heal, with the window at its mode's slot ----
+    window_after = "promote" if mode == "promoted" else "mitigate"
 
-    # ---- the promotion protocol, with the window at its mode's slot ----
-    mgr.note_verdict(target)
+    def serve(phase: str) -> None:
+        if phase == window_after:
+            serve_window()
+
     plan = (
         InjectionPlan([InjectionSpec(crash_spec[0], crash_spec[1], "crash")])
         if crash_spec is not None
         else None
     )
-    cm = faultinject.activate(plan) if plan is not None else nullcontext()
-    with cm:
-        res.crash_retries += mgr.promote(target, clock=mclock)
-        res.promoted = True
-        if mode == "promoted":
-            serve_window()
-        run = mgr.mitigate(
-            target, ctx, scenario, outcome, detector,
-            inject_plan=plan, mclock=mclock,
-        )
-        if mode == "quiesced":
-            serve_window()
-        res.recovered = run.recovered
-        res.recovered_by = run.ladder.get("recovered_by", "") or ""
-        res.crash_retries += run.ladder.get("crash_retries", 0)
-        if mgr.rebuild(target):
-            # beyond local repair: re-replicated from the live replicas
-            res.recovered = True
-            res.recovered_by = "rebuild"
-        if res.recovered:
-            discarded, cascaded, rounds = mgr.cascade(target, run)
-            res.discarded_ops = len(discarded)
-            res.cascaded_ops = len(cascaded)
-            res.cascade_rounds = rounds
-            rep = mgr.resync(target, clock=mclock)
-            res.resync_replayed = rep.resync_replayed
-            res.crash_retries += rep.crash_retries
-            res.demoted = rep.demoted
+    res.heal = mgr.heal(target, ctx, trapped, plan, serve)
+    if not res.heal.manifested:
+        return res  # the fault did not manifest at cluster scale
     if plan is not None:
         res.injections_fired = plan.all_fired
     res.health_score = int(mgr.health_table()[target]["score"])
-    if not res.recovered:
+    if not res.heal.recovered:
         return res
 
     # ---- settle checks; digests first (lookups bump PM refcounts) ----
@@ -589,6 +539,7 @@ def _run_cell(
         crash_spec=crash_spec, skip_keys=skip,
     )
     scenario = scenario_by_id(fid)
+    heal = promoted.heal
     cell = CellOutcome(
         fid=fid,
         system=scenario.system,
@@ -596,28 +547,28 @@ def _run_cell(
         target=target,
         site=site,
         seed=seed,
-        manifested=promoted.manifested,
-        confirmed_hard=promoted.confirmed_hard,
-        promoted=promoted.promoted,
-        recovered=promoted.recovered,
-        recovered_by=promoted.recovered_by,
-        crash_retries=promoted.crash_retries,
-        discarded_ops=promoted.discarded_ops,
-        cascaded_ops=promoted.cascaded_ops,
-        cascade_rounds=promoted.cascade_rounds,
-        resync_replayed=promoted.resync_replayed,
-        demoted=promoted.demoted,
+        manifested=heal.manifested,
+        confirmed_hard=heal.confirmed_hard,
+        promoted=heal.promoted,
+        recovered=heal.recovered,
+        recovered_by=heal.recovered_by,
+        crash_retries=heal.crash_retries,
+        discarded_ops=len(heal.discarded_ops),
+        cascaded_ops=len(heal.cascaded_ops),
+        cascade_rounds=heal.cascade_rounds,
+        resync_replayed=heal.resync_replayed,
+        demoted=heal.demoted,
         health_score=promoted.health_score,
         digests=list(promoted.digests),
     )
     notes: List[str] = []
-    if promoted.manifested != quiesced.manifested:
+    if heal.manifested != quiesced.heal.manifested:
         notes.append("mode disagreement: manifested")
-    if promoted.recovered != quiesced.recovered:
+    if heal.recovered != quiesced.heal.recovered:
         notes.append("mode disagreement: recovered")
     cell.digests_match = bool(
-        promoted.recovered
-        and quiesced.recovered
+        heal.recovered
+        and quiesced.heal.recovered
         and promoted.digests
         and promoted.digests == quiesced.digests
     )
@@ -629,7 +580,7 @@ def _run_cell(
         promoted.injections_fired and quiesced.injections_fired
     ):
         problems.append("injected heal crash never fired")
-    cell.serving_ok = promoted.recovered and not problems
+    cell.serving_ok = heal.recovered and not problems
     if problems:
         notes.append("; ".join(problems[:3]))
     cell.notes = "; ".join(notes)

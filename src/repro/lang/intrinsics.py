@@ -49,18 +49,10 @@ INTRINSICS: Dict[str, IntrinsicSpec] = {
     "nop": IntrinsicSpec("nop", 0, False),
 }
 
-#: names that are handled specially by the compiler, not via the table:
-#: ``sizeof("struct")`` (compile-time constant), ``range`` (for loops),
-#: ``addr(p.field)`` / ``addr(a[i])`` (address-of, for field-granularity
-#: persists and tx_adds)
-SPECIAL_INTRINSICS = frozenset({"sizeof", "range", "addr"})
-
-
-def is_intrinsic(name: str) -> bool:
-    """True when ``name`` is a PMLang intrinsic (table or special form)."""
-    return name in INTRINSICS or name in SPECIAL_INTRINSICS
-
 
 def spec(name: str) -> Optional[IntrinsicSpec]:
-    """The table entry for an intrinsic (None for special forms)."""
+    """The table entry for an intrinsic.  None for the compiler's special
+    forms too: ``sizeof("struct")`` (compile-time constant), ``range``
+    (for loops) and ``addr(p.field)`` / ``addr(a[i])`` (address-of, for
+    field-granularity persists and tx_adds)."""
     return INTRINSICS.get(name)

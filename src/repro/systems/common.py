@@ -78,18 +78,13 @@ class SystemAdapter:
             SystemAdapter._static[cls.NAME] = cached
         return cached
 
-    @classmethod
-    def build_module(cls) -> Module:
-        return cls.static_artifacts().module
-
     # ------------------------------------------------------------------
     def __init__(
         self,
         seed: int = 0,
         pool_words: Optional[int] = None,
-        with_arthas: bool = True,
-        with_tracing: Optional[bool] = None,
-        with_checkpoint: Optional[bool] = None,
+        with_tracing: bool = True,
+        with_checkpoint: bool = True,
     ):
         static = self.static_artifacts()
         self.module = static.module
@@ -99,11 +94,9 @@ class SystemAdapter:
         self.pool = PMPool(pool_words or self.POOL_WORDS, name=self.NAME)
         self.allocator = PMAllocator(self.pool)
         self.txman = TransactionManager(self.pool)
-        tracing = with_arthas if with_tracing is None else with_tracing
-        checkpointing = with_arthas if with_checkpoint is None else with_checkpoint
-        self.trace: Optional[PMTrace] = PMTrace() if tracing else None
+        self.trace: Optional[PMTrace] = PMTrace() if with_tracing else None
         self.ckpt: Optional[CheckpointManager] = None
-        if checkpointing:
+        if with_checkpoint:
             self.ckpt = CheckpointManager(self.pool, self.allocator, self.txman)
             self.ckpt.attach()
         self.machine: Optional[Machine] = None

@@ -7,35 +7,38 @@ from types import SimpleNamespace
 import pytest
 
 from repro import faultinject
-from repro.detector.monitor import Detector
 from repro.distributed.cluster import Cluster, ClusterClient
 from repro.distributed.shardmgr import ShardManager
 from repro.faultinject import InjectionPlan, InjectionSpec
 from repro.faults.registry import scenario_by_id
-from repro.harness.experiment import ExperimentContext, MitigationRun
+from repro.harness.cluster_sweep import target_shard
+from repro.harness.experiment import (
+    ExperimentContext,
+    MitigationRun,
+    detect,
+    make_detector,
+)
 from repro.reactor.server import WorkerGate
-from repro.systems.common import ABSENT
 
-def _wedged_cluster(seed=0, n_nodes=3, replication=2, warm=40):
-    """A cluster with node 0 wedged by the memcached f1 refcount bug,
-    detected and confirmed; ready for the promotion protocol."""
-    scenario = scenario_by_id("f1")
+def _wedged_cluster(seed=0, n_nodes=3, replication=2, warm=40,
+                    fid="f1", target=0):
+    """A cluster with ``target`` wedged by ``fid`` (default: the
+    memcached f1 refcount bug on node 0); the trigger has run, detection
+    has not."""
+    scenario = scenario_by_id(fid)
     cluster = Cluster(
-        n_nodes=n_nodes, n_clients=2, seed=seed, replication=replication
+        n_nodes=n_nodes, n_clients=2, adapter_cls=scenario.adapter_cls(),
+        seed=seed, replication=replication,
     )
     a = ClusterClient(cluster, 0)
     for key in range(warm):
         a.insert(key, 500 + key)
-    node0 = cluster.nodes[0]
-    ctx = ExperimentContext(node0, scenario, seed)
+    ctx = ExperimentContext(cluster.nodes[target], scenario, seed)
     # the node's logical truth is the cluster's per-node oracle; the
     # scenario's node-local trigger traffic maintains the same dict
-    ctx.oracle = cluster.oracles[0]
+    ctx.oracle = cluster.oracles[target]
     scenario.trigger(ctx)
-    detector = Detector()
-    outcome = detector.observe(node0.machine, lambda: scenario.manifest(ctx))
-    assert not outcome.ok and outcome.fault is not None
-    return cluster, ctx, scenario, detector, outcome
+    return cluster, ctx
 
 
 @pytest.fixture(scope="module")
@@ -44,10 +47,9 @@ def healed():
     injected at the ``cluster.promote`` site and a serving window
     between promotion and mitigation.  Module-scoped: the assertions
     below are all post-heal reads."""
-    cluster, ctx, scenario, detector, outcome = _wedged_cluster()
+    cluster, ctx = _wedged_cluster()
     b = ClusterClient(cluster, 1)
     mgr = ShardManager(cluster, solution="arthas", seed=0)
-    mgr.note_verdict(0)
     # keys whose pre-fault primary is node 0: written during the window,
     # they must fail over now and land back on node 0 via re-sync
     arc_keys = cluster.keys_for_node(0, 3, start=1000)
@@ -56,7 +58,9 @@ def healed():
         reads=[], writes=[], routed=[], down_during_window=False
     )
 
-    def serve_between():
+    def serve(phase):
+        if phase != "promote":
+            return
         window.down_during_window = cluster.is_down(0)
         for key in range(6):  # healthy-shard reads keep flowing
             window.reads.append(b.lookup(key))
@@ -65,10 +69,7 @@ def healed():
             window.writes.append(rec)
             window.routed.append(rec.node)
 
-    report = mgr.heal(
-        0, ctx, scenario, outcome, detector,
-        inject_plan=plan, serve_between=serve_between,
-    )
+    report = mgr.heal(0, ctx, inject_plan=plan, serve=serve)
     return SimpleNamespace(
         cluster=cluster, mgr=mgr, report=report, plan=plan,
         window=window, arc_keys=arc_keys,
@@ -78,6 +79,8 @@ def healed():
 class TestHeal:
     def test_happy_path_recovers_and_demotes(self, healed):
         rep = healed.report
+        assert rep.manifested and rep.confirmed_hard
+        assert rep.signature is not None and rep.signature.kind == "hang"
         assert rep.promoted and rep.recovered and rep.demoted
         assert rep.recovered_by != ""
         assert rep.phases == [
@@ -131,6 +134,21 @@ class TestHeal:
         assert again.resync_replayed == healed.report.resync_replayed
         journal = healed.mgr.journal(0)
         assert journal.phases_done() == list(journal.PHASES)
+
+
+def test_heal_stops_when_nothing_manifests():
+    """f18's trigger does not survive the sharded keyspace: detection
+    finds no failure, so the heal records no verdict, promotes nothing
+    and leaves the journal empty."""
+    target = target_shard("f18")
+    cluster, ctx = _wedged_cluster(fid="f18", target=target)
+    mgr = ShardManager(cluster)
+    report = mgr.heal(target, ctx)
+    assert not report.manifested and not report.confirmed_hard
+    assert not report.promoted and report.run is None
+    assert not cluster.is_down(target)
+    assert mgr.journal(target).phases_done() == []
+    assert mgr.health[target].verdicts == 0
 
 
 def _promoted_cluster_without_fault(seed=3):
@@ -241,7 +259,10 @@ class TestServeDuringMitigation:
         """The ISSUE's serve-during-mitigation check: a serving thread
         answers healthy-shard and promoted-primary reads between the
         sick node's mitigation chunks (WorkerGate turnstile)."""
-        cluster, ctx, scenario, detector, outcome = _wedged_cluster(seed=1)
+        cluster, ctx = _wedged_cluster(seed=1)
+        detector = make_detector(ctx)
+        outcome = detect(ctx, detector)
+        assert not outcome.ok and outcome.fault is not None
         b = ClusterClient(cluster, 1)
         mgr = ShardManager(cluster, seed=1)
         mgr.promote(0)
@@ -250,7 +271,7 @@ class TestServeDuringMitigation:
 
         def work():
             result["run"] = mgr.mitigate(
-                0, ctx, scenario, outcome, detector, gate=gate
+                0, ctx, ctx.scenario, outcome, detector, gate=gate
             )
 
         worker = threading.Thread(target=work)
