@@ -31,9 +31,10 @@ stream and trace slice are captured as a :class:`ReplicaDelta`, and the
 other nodes apply it as raw pool writes plus a record batch — no guest
 re-execution.  Deltas are group-committed (``replication_batch`` deltas
 per replica round, drained early whenever a node must serve a read or
-execute as primary), and the acked prefix is periodically folded into a
-:class:`BaseImage` (:meth:`Cluster.compact`), so a healed node installs
-``base + delta tail`` instead of replaying its whole share.
+execute as primary), and every full round truncates the stream at the
+lowest ack pointer among live nodes, so it holds only the unacked tail.
+A healed node installs a :class:`BaseImage` captured off a live mirror
+plus the tail past it instead of replaying its whole share.
 
 A physical word delta is only byte-exact between nodes whose op
 histories are *aligned* — per-node counters (``m_time``), first-fit
@@ -178,7 +179,10 @@ class BaseImage:
     log: object  #: CheckpointLog clone (cloned again per install)
     structural: int  #: the clone's structural digest at capture
     tx_next: int
+    #: the source trace's distinct (guid, address) pairs
     trace: List[Tuple[str, int]]
+    #: records the source trace had emitted (``len`` of it)
+    trace_len: int
     oracle: Dict[int, int]
     #: op_id -> seq span on the source at capture time
     spans: Dict[int, Tuple[int, int]]
@@ -235,17 +239,19 @@ class Cluster:
         self.oracles: List[Dict[int, int]] = [{} for _ in range(n_nodes)]
         self._next_op_id = 1
         # ---- delta-replication stream state ----
-        #: shipped-but-not-compacted deltas, ascending by ``pos``
+        #: the unacked tail of the stream, ascending by ``pos``
         self._delta_log: List[ShippedDelta] = []
         #: next stream position to assign
         self._log_pos = 0
-        #: compaction horizon: positions < horizon are folded into
-        #: ``_base`` and no longer in ``_delta_log``
+        #: truncation horizon: positions < horizon are no longer in
+        #: ``_delta_log`` (acked by every live node not awaiting rebase,
+        #: or folded into ``_base`` by a compaction)
         self._horizon = 0
         #: per-node next stream position to apply
         self._applied: Dict[int, int] = {i: 0 for i in range(n_nodes)}
-        #: current compaction base (None until the first compact, and
-        #: invalidated by out-of-band guest mutations)
+        #: cached base image (None until a compact or rebase captures
+        #: one; dropped by out-of-band guest mutations and by a
+        #: truncation past its position)
         self._base: Optional[BaseImage] = None
         #: nodes whose pool was rebuilt/diverged and must be re-based
         #: before they may receive deltas again
@@ -388,9 +394,9 @@ class Cluster:
         meta_ops: List[tuple] = []
         tap = meta_ops.append
         trace = node.trace
-        if trace is not None:
-            trace.flush()
-            t0 = len(trace.records)
+        trace_slice: List[Tuple[str, int]] = (
+            trace.mark() if trace is not None else []
+        )
         token = node.pool.open_epoch()
         first = log.max_seq() + 1
         log.record_tap = records.append
@@ -404,16 +410,18 @@ class Cluster:
                 else:
                     node.delete(key)
                     self.oracles[primary].pop(key, None)
+                if trace is not None:
+                    # a torn op ships only what it flushed before dying
+                    trace.flush()
             finally:
                 log.record_tap = None
                 node.allocator.remove_op_tap(tap)
+                if trace is not None:
+                    trace.since(trace_slice)
         except BaseException as exc:  # noqa: BLE001 — re-raised below
             failure = exc
         last = log.max_seq()
         words = node.pool.capture_epoch_delta(token)
-        if trace is not None and failure is None:
-            trace.flush()
-        trace_slice = list(trace.records[t0:]) if trace is not None else []
         delta = ReplicaDelta(
             op_id=self._next_op_id,
             kind=kind,
@@ -461,19 +469,52 @@ class Cluster:
         Called automatically every ``replication_batch`` enqueues (group
         commit) and eagerly whenever a node must be current: before it
         serves a routed read, before it executes as primary, and before
-        damage assessment walks its spans.  Returns the number of
-        (node, delta) applications performed.
+        damage assessment walks its spans.  A full round then truncates
+        the stream at the lowest pointer among live nodes not awaiting
+        rebase, so the stream never holds more than one round.  Returns
+        the number of (node, delta) applications performed.
         """
         if node_id is not None:
             if self.ring.is_down(node_id):
                 return 0
             return self._drain_node(node_id)
+        applied = self._drain_round()
+        acked = [
+            pointer for nid, pointer in self._applied.items()
+            if nid not in self._needs_rebase and not self.ring.is_down(nid)
+        ]
+        if acked:
+            self._truncate(min(acked))
+        return applied
+
+    def _drain_round(self) -> int:
+        """Drain every live node once; the stream is left untruncated."""
         applied = 0
         for nid in range(self.n_nodes):
             if not self.ring.is_down(nid):
                 applied += self._drain_node(nid)
         self._since_drain = 0
         return applied
+
+    def _truncate(self, horizon: int) -> int:
+        """Drop stream positions below ``horizon``; returns how many.
+
+        A node whose pointer the cut passes (down, or awaiting rebase)
+        can no longer drain and is flagged for rebase; a cached base the
+        cut passes has lost its tail and is dropped, so the next rebase
+        captures a fresh one off a live mirror.
+        """
+        cut = horizon - self._horizon
+        if cut <= 0:
+            return 0
+        del self._delta_log[:cut]
+        self._horizon = horizon
+        for nid, pointer in self._applied.items():
+            if pointer < horizon:
+                self._needs_rebase.add(nid)
+        if self._base is not None and self._base.pos < horizon:
+            self._base = None
+        return cut
 
     def _drain_node(self, node_id: int) -> int:
         """Apply every queued delta the node has not yet acked.
@@ -626,32 +667,27 @@ class Cluster:
         self._needs_rebase.add(node_id)
 
     def compact(self) -> int:
-        """Fold the fully-acked delta prefix into a new base image.
+        """Fold the whole stream into a new base image (the handoff step).
 
-        Drains a full replica round, captures a :class:`BaseImage` off
-        one aligned live mirror, fires the ``cluster.compact`` injection
-        site (after capture, before truncation — a crash there retries
-        into a fresh capture, so the step is idempotent), then advances
-        the horizon and truncates the stream.  Nodes whose pointer fell
-        behind the new horizon (down at compaction time) are flagged for
-        rebase.  Returns the number of deltas folded; 0 when nothing is
-        queued or no aligned live source exists.
+        Drains a full replica round without truncating, captures a
+        :class:`BaseImage` off one aligned live mirror, fires the
+        ``cluster.compact`` injection site (after capture, before
+        truncation — a crash there retries into a fresh capture, so the
+        step is idempotent), then truncates the stream at the base.
+        Nodes whose pointer the new horizon passes (down at compaction
+        time) are flagged for rebase.  Returns the number of deltas
+        folded — the tail since the last full round, since
+        :meth:`drain` truncates the rest; 0 when no aligned live source
+        exists.
         """
-        self.drain()
-        if not self._delta_log:
-            return 0
+        self._drain_round()
         source = self._capture_base_source()
         if source is None:
             return 0
         base = self._capture_base(source)
         faultinject.fire("cluster.compact")
+        folded = self._truncate(self._log_pos)
         self._base = base
-        self._horizon = self._log_pos
-        folded = len(self._delta_log)
-        self._delta_log.clear()
-        for nid, pointer in self._applied.items():
-            if pointer < self._horizon:
-                self._needs_rebase.add(nid)
         return folded
 
     def _capture_base_source(self, exclude: Optional[int] = None) -> Optional[int]:
@@ -671,9 +707,10 @@ class Cluster:
         log_clone = node.ckpt.log.clone()
         if node.trace is not None:
             node.trace.flush()
-            trace = list(node.trace.records)
+            trace = node.trace.pairs()
+            trace_len = len(node.trace)
         else:
-            trace = []
+            trace, trace_len = [], 0
         spans: Dict[int, Tuple[int, int]] = {}
         for op in self._ops_by_node.get(source, ()):
             span = op.spans.get(source)
@@ -688,6 +725,7 @@ class Cluster:
             structural=log_clone.structural_digest(),
             tx_next=node.txman._next_tx_id,
             trace=trace,
+            trace_len=trace_len,
             oracle=dict(self.oracles[source]),
             spans=spans,
             reverted={
@@ -727,7 +765,7 @@ class Cluster:
         node.txman.reset()
         node.txman._next_tx_id = base.tx_next
         if node.trace is not None:
-            node.trace.load(base.trace)
+            node.trace.load(base.trace, emitted=base.trace_len)
         # fresh machine over the installed image; init re-finds the root
         node.restart()
         oracle = self.oracles[node_id]

@@ -406,9 +406,10 @@ class ShardManager:
             def handoff() -> StepResult:
                 self.cluster.ring.demote(node_id)
                 self.cluster.ring.mark_up(node_id)
-                # fold the fully-acked delta prefix now that every node
-                # is live and aligned; a crash at the cluster.compact
-                # site retries into a fresh capture (idempotent)
+                # capture a base and fold the stream's tail now that
+                # every node is live and aligned; a crash at the
+                # cluster.compact site retries into a fresh capture
+                # (idempotent)
                 folded = self.cluster.compact()
                 faultinject.fire("cluster.handoff")
                 return StepResult(recovered=True, notes=f"compacted={folded}")

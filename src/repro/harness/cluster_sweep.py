@@ -100,6 +100,8 @@ CRASH_TARGET = 1
 QUICK_FIDS = ("f1", "f5")
 QUICK_CRASH_CELLS: Tuple[Tuple[str, int], ...] = (
     ("cluster.promote", 1),
+    # every full shipping round ends in a stream truncation
+    ("cluster.ship_delta", 1),
     ("cluster.compact", 1),
 )
 

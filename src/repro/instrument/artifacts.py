@@ -53,11 +53,13 @@ CKPT_FORMAT = "arthas-ckpt-v2"
 # trace files
 # ----------------------------------------------------------------------
 def save_trace(trace: PMTrace, path: str) -> int:
-    """Flush and write the trace; returns the number of records saved."""
+    """Flush and write the trace's distinct pairs, sorted; returns how
+    many were saved."""
     trace.flush()
+    pairs = sorted(trace.pairs())
     with open(path, "w") as f:
-        json.dump({"records": [[g, a] for g, a in trace.records]}, f)
-    return len(trace.records)
+        json.dump({"records": [[g, a] for g, a in pairs]}, f)
+    return len(pairs)
 
 
 def load_trace(path: str, flush_threshold: int = 256) -> PMTrace:

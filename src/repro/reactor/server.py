@@ -477,16 +477,14 @@ class LiveRecoveryServer:
     def _apply_traced(self, op: Op) -> None:
         """Apply one op, attributing its persisted words to its key."""
         trace = self.adapter.trace
-        trace.flush()
-        mark = len(trace.records)
+        mark = trace.mark()
         try:
             self.scenario.apply_op(self.ctx, op)
         finally:
             trace.flush()
-            if len(trace.records) > mark:
-                self.touch_index.note(
-                    op.key, {a for _g, a in trace.records[mark:]}
-                )
+            touched = trace.since(mark)
+            if touched:
+                self.touch_index.note(op.key, {a for _g, a in touched})
 
     def _view_value(self, key: int) -> int:
         if key in self._overlay:

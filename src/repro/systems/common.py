@@ -146,14 +146,16 @@ class SystemAdapter:
     def recover(self) -> Set[int]:
         """Run the recovery function; returns PM addresses it touched."""
         assert self.machine is not None, "call start()/restart() first"
-        if self.trace is not None:
+        if self.trace is None:
+            self.call(self.RECOVER_FN, self.root)
+            return set()
+        mark = self.trace.mark()
+        try:
+            self.call(self.RECOVER_FN, self.root)
             self.trace.flush()
-            mark = len(self.trace.records)
-        self.call(self.RECOVER_FN, self.root)
-        if self.trace is not None:
-            self.trace.flush()
-            return {addr for _guid, addr in self.trace.records[mark:]}
-        return set()
+        finally:
+            touched = self.trace.since(mark)
+        return {addr for _guid, addr in touched}
 
     # ------------------------------------------------------------------
     def call(self, fname: str, *args: int):

@@ -53,7 +53,14 @@ class TestQuickSweep:
         crash_cells = [c for c in quick_report.cells if c.site]
         assert crash_cells
         for cell in crash_cells:
-            assert cell.crash_retries >= 1, cell.cell_key
+            if cell.site.startswith("cluster.ship_delta"):
+                # a crashed shipping round is retried by the serving
+                # client, not by a heal step; serving_ok holds only
+                # when the injected crash fired
+                assert cell.serving_ok, cell.cell_key
+                assert cell.crash_retries == 0, cell.cell_key
+            else:
+                assert cell.crash_retries >= 1, cell.cell_key
 
 
 class TestRebuildCell:

@@ -37,8 +37,12 @@ def _run_workload(
     replication: int = N_NODES,
     batch: int = 8,
     seed: int = 5,
+    drain: bool = True,
 ) -> Cluster:
-    """One deterministic mixed workload through a fresh cluster."""
+    """One deterministic mixed workload through a fresh cluster.
+
+    ``drain=False`` skips the closing full round; with ``batch`` above
+    ``n_ops`` no round runs at all and the whole stream stays queued."""
     cluster = cluster_cls(
         n_nodes=N_NODES, n_clients=2, adapter_cls=adapter_cls, seed=seed,
         replication=replication, replication_batch=batch,
@@ -47,18 +51,25 @@ def _run_workload(
     rng = random.Random(seed)
     keyspace = max(16, n_ops // 2)
     for i in range(n_ops):
-        key = rng.randrange(keyspace)
-        roll = rng.random()
-        if roll < 0.55:
-            clients[i % 2].insert(key, 700 + i)
-        elif roll < 0.75:
-            clients[i % 2].lookup(key)
-        elif roll < 0.90:
-            clients[1].derived_insert(key, key + keyspace)
-        else:
-            clients[0].delete(key)
-    cluster.drain()
+        _mixed_op(clients, rng, i, keyspace)
+    if drain:
+        cluster.drain()
     return cluster
+
+
+def _mixed_op(clients, rng: random.Random, i: int, keyspace: int) -> None:
+    """One op of the mixed workload: insert, read, derived insert or
+    delete of a random key."""
+    key = rng.randrange(keyspace)
+    roll = rng.random()
+    if roll < 0.55:
+        clients[i % 2].insert(key, 700 + i)
+    elif roll < 0.75:
+        clients[i % 2].lookup(key)
+    elif roll < 0.90:
+        clients[1].derived_insert(key, key + keyspace)
+    else:
+        clients[0].delete(key)
 
 
 def _digests(cluster: Cluster):
@@ -174,10 +185,13 @@ class TestCrashAtShipDelta:
 class TestCrashAtCompact:
     def test_crash_then_retry_converges(self):
         adapter_cls = scenario_by_id("f1").adapter_cls()
-        cluster = _run_workload(Cluster, adapter_cls)
+        # no full round runs, so the whole stream is a pre-compaction tail
+        cluster = _run_workload(
+            Cluster, adapter_cls, batch=N_OPS + 1, drain=False
+        )
         control = _run_workload(Cluster, adapter_cls)
         n_deltas = len(cluster._delta_log)
-        assert n_deltas
+        assert n_deltas == cluster._log_pos > 0
 
         plan = InjectionPlan([InjectionSpec("cluster.compact", 1)])
         with faultinject.activate(plan):
@@ -205,14 +219,19 @@ class TestCrashAtCompact:
 class TestCompactionRoundTrip:
     def test_rebuild_then_rebase_from_compacted_base(self):
         adapter_cls = scenario_by_id("f1").adapter_cls()
-        cluster = _run_workload(Cluster, adapter_cls)
+        cluster = _run_workload(
+            Cluster, adapter_cls, batch=N_OPS + 1, drain=False
+        )
+        queued = len(cluster._delta_log)
         folded = cluster.compact()
-        assert folded
+        assert folded == queued > 0
+        base = cluster._base
         n_ops = len(cluster.oplog)
 
         cluster.rebuild_node(1)
         assert 1 in cluster._needs_rebase
         credited, reverted = cluster.rebase_node(1)
+        assert cluster._base is base  # installed the compacted base
         assert credited == n_ops
         assert reverted == 0
         assert 1 not in cluster._needs_rebase
@@ -222,18 +241,96 @@ class TestCompactionRoundTrip:
 
     def test_rebase_installs_tail_past_horizon(self):
         adapter_cls = scenario_by_id("f1").adapter_cls()
-        cluster = _run_workload(Cluster, adapter_cls, n_ops=40)
+        cluster = _run_workload(Cluster, adapter_cls, n_ops=40, batch=64)
         cluster.compact()
-        # grow a post-compaction tail, then heal through base + tail
+        base = cluster._base
+        # grow a post-compaction tail (no full round truncates it), then
+        # heal through base + tail
         client = ClusterClient(cluster, 0)
         for key in range(200, 212):
             client.insert(key, 30 + key)
-        cluster.drain()
+        assert len(cluster._delta_log) == 12
         cluster.rebuild_node(2)
         credited, _ = cluster.rebase_node(2)
+        assert cluster._base is base
         assert credited == len(cluster.oplog)
         digests = _digests(cluster)
         assert digests[2] == digests[0]
+
+
+class TestBoundedStream:
+    def test_delta_log_holds_at_most_one_round(self):
+        cluster = Cluster(n_nodes=3, n_clients=2, seed=5, replication=2)
+        clients = [ClusterClient(cluster, i) for i in range(2)]
+        rng = random.Random(11)
+        for i in range(240):
+            _mixed_op(clients, rng, i, keyspace=64)
+            assert len(cluster._delta_log) < cluster.replication_batch
+        assert cluster._log_pos > 100
+        cluster.drain()
+        assert len(cluster._delta_log) == 0
+        assert cluster._horizon == cluster._log_pos
+        # truncation costs no node any state: the same stream with no
+        # round before the last leaves every node byte-identical
+        control = Cluster(
+            n_nodes=3, n_clients=2, seed=5, replication=2,
+            replication_batch=1000,
+        )
+        control_clients = [ClusterClient(control, i) for i in range(2)]
+        rng = random.Random(11)
+        for i in range(240):
+            _mixed_op(control_clients, rng, i, keyspace=64)
+        assert len(control._delta_log) == control._log_pos
+        assert _digests(cluster) == _digests(control)
+        assert cluster.oracles == control.oracles
+
+    def test_down_node_is_flagged_then_rebased_from_a_fresh_base(self):
+        cluster = Cluster(n_nodes=3, n_clients=2, seed=5, replication=2)
+        clients = [ClusterClient(cluster, i) for i in range(2)]
+        rng = random.Random(3)
+        for i in range(30):
+            _mixed_op(clients, rng, i, keyspace=48)
+        cluster.compact()
+        cached = cluster._base
+        assert cached is not None
+        down = 1
+        cluster.ring.mark_down(down)
+        pos_down = cluster._log_pos
+        # writes only, so each op enqueues one delta: >= 3 full rounds
+        n_writes = 3 * cluster.replication_batch + 5
+        for i in range(30, 30 + n_writes):
+            clients[i % 2].insert(rng.randrange(48), 800 + i)
+        assert cluster._log_pos == pos_down + n_writes
+        assert cluster._horizon >= pos_down + 3 * cluster.replication_batch
+        assert down in cluster._needs_rebase
+        assert cluster._base is None  # the horizon passed the cached base
+        assert cluster._applied[down] < cluster._horizon
+        assert cluster.drain(down) == 0  # down: nothing to do
+        cluster.ring.mark_up(down)
+        assert cluster.drain(down) == 0  # awaiting rebase: never raises
+        cluster.drain()
+        credited, reverted = cluster.rebase_node(down)
+        assert credited == len(cluster.oplog)
+        assert reverted == 0
+        assert down not in cluster._needs_rebase
+        assert cluster._base is not cached
+        assert cluster._base.pos == cluster._log_pos
+        source = cluster._base.source
+        assert source != down
+        assert _digests(cluster)[down] == _digests(cluster)[source]
+        assert cluster.oracles[down] == cluster.oracles[source]
+        # back on the stream: it takes the next rounds like its source
+        # (writes only — a memcached read touches its own node's pool)
+        cluster.ring.demote(down)
+        for j in range(2 * cluster.replication_batch + 3):
+            key = rng.randrange(48)
+            if j % 3 == 2:
+                clients[0].delete(key)
+            else:
+                clients[j % 2].insert(key, 900 + j)
+        assert not cluster._needs_rebase
+        assert _digests(cluster)[down] == _digests(cluster)[source]
+        assert cluster.oracles[down] == cluster.oracles[source]
 
 
 class TestTornApplyAtomicity:

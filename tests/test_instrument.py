@@ -1,10 +1,14 @@
 """Tests for GUID assignment, metadata files and the runtime tracer."""
 
+import pytest
+
 from repro.analysis import analyze_module
+from repro.errors import Trap
 from repro.instrument.guids import GuidMap, guid_for
 from repro.instrument.passes import instrument_module, uninstrument_module
 from repro.instrument.tracer import PMTrace
 from repro.lang.interp import Machine
+from repro.systems.memcached import MemcachedAdapter
 
 
 def test_instrument_marks_exactly_pm_instrs(kv_module):
@@ -58,7 +62,8 @@ def test_trace_records_pm_addresses(kv_module):
     machine.call("kv_put", root, 1, 10)
     machine.call("kv_get", root, 1)
     trace.flush()
-    assert len(trace.records) > 0
+    assert len(trace) > 0
+    assert trace.pairs()
     assert trace.addresses_for_guid(guid_for("kv", next(
         i for i in kv_module.functions["kv_put"].instructions() if i.op == "alloc"
     )))
@@ -67,7 +72,8 @@ def test_trace_records_pm_addresses(kv_module):
 def test_trace_buffering_and_crash():
     trace = PMTrace(flush_threshold=100)
     trace.record("g1", 0x1000)
-    assert len(trace.records) == 0  # buffered
+    assert trace.pairs() == []  # buffered: not in the index yet
+    assert trace.addresses_for_guid("g1") == set()
     assert len(trace) == 1
     trace.crash()
     assert len(trace) == 0  # buffered records lost, like a real crash
@@ -83,4 +89,62 @@ def test_trace_auto_flush_at_threshold():
     trace = PMTrace(flush_threshold=2)
     trace.record("a", 1)
     trace.record("b", 2)  # hits the threshold
-    assert len(trace.records) == 2
+    assert sorted(trace.pairs()) == [("a", 1), ("b", 2)]
+    assert trace.guids_for_address(2) == {"b"}
+    assert len(trace) == 2
+
+
+def test_trace_len_counts_every_record_the_index_keeps_distinct_pairs():
+    trace = PMTrace(flush_threshold=100)
+    for _ in range(3):
+        trace.record("g1", 0x10)
+    trace.flush()
+    trace.record("g1", 0x10)
+    assert len(trace) == 4  # repeats count...
+    assert trace.pairs() == [("g1", 0x10)]  # ...the index holds one pair
+    trace.crash()
+    assert len(trace) == 3  # the buffered record is lost
+    trace.extend([("g2", 0x20), ("g2", 0x20)])
+    assert len(trace) == 5
+    assert trace.guids_for_address(0x20) == {"g2"}
+    # a rebase installs a source's pairs and carries on its count
+    trace.load([("g3", 0x30)], emitted=9)
+    assert len(trace) == 9
+    assert trace.pairs() == [("g3", 0x30)]
+    assert trace.addresses_for_guid("g1") == set()
+
+
+def test_trace_capture_returns_exactly_the_records_since_its_mark():
+    trace = PMTrace(flush_threshold=100)
+    trace.record("g0", 1)
+    outer = trace.mark()  # flushes g0 before the capture opens
+    trace.record("g1", 2)
+    inner = trace.mark()  # flushes g1 into the outer capture only
+    trace.record("g2", 3)
+    trace.record("g2", 3)
+    trace.flush()
+    assert trace.since(inner) == [("g2", 3), ("g2", 3)]
+    trace.record("g3", 4)  # still buffered when the capture closes
+    trace.extend([("g4", 5)])
+    assert trace.since(outer) == [("g1", 2), ("g2", 3), ("g2", 3), ("g4", 5)]
+    trace.flush()  # nothing is open: the index grows, no tail does
+    assert not trace._captures
+    assert len(trace) == 6
+    assert trace.addresses_for_guid("g3") == {4}
+
+
+def test_trace_capture_is_closed_when_the_guest_traps():
+    adapter = MemcachedAdapter()
+    adapter.start()
+    for key in range(5):
+        adapter.insert(key, key)
+    touched = adapter.recover()
+    assert touched
+    root = adapter.root
+    adapter.root = 10 ** 9  # a wild root: the recovery function segfaults
+    with pytest.raises(Trap):
+        adapter.recover()
+    assert not adapter.trace._captures
+    adapter.root = root
+    assert adapter.recover() == touched
+    assert not adapter.trace._captures

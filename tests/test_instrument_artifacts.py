@@ -16,13 +16,18 @@ from repro.systems.memcached import MemcachedAdapter
 
 def test_trace_roundtrip(tmp_path):
     trace = PMTrace()
+    trace.record("g2", 200)
     trace.record("g1", 100)
     trace.record("g2", 200)
     path = str(tmp_path / "trace.json")
+    # the file holds the distinct pairs, sorted
     assert save_trace(trace, path) == 2
     loaded = load_trace(path)
-    assert loaded.records == trace.records
+    assert loaded.pairs() == [("g1", 100), ("g2", 200)]
+    assert sorted(loaded.pairs()) == sorted(trace.pairs())
+    assert len(loaded) == 2
     assert loaded.addresses_for_guid("g1") == {100}
+    assert loaded.guids_for_address(200) == {"g2"}
 
 
 def test_checkpoint_log_roundtrip(tmp_path):

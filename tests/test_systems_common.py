@@ -39,7 +39,8 @@ def test_tracing_and_checkpoint_toggles():
     traced.start()
     traced.insert(1, 1)
     traced.trace.flush()
-    assert len(traced.trace.records) > 0
+    assert len(traced.trace) > 0
+    assert traced.trace.pairs()
 
 
 def test_restart_counts_and_reseeds():
