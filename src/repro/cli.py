@@ -139,10 +139,7 @@ def _cmd_matrix(args) -> int:
     from repro.harness.matrix import expand_matrix, run_matrix
 
     specs = expand_matrix(solutions=[args.solution], seeds=[args.seed])
-    report = run_matrix(
-        specs, jobs=args.jobs, cell_timeout=args.cell_timeout,
-        progress=_progress_line,
-    )
+    report = run_matrix(specs, jobs=args.jobs, progress=_progress_line)
     by_key = report.by_key()
     rows = [
         _matrix_row(spec.fid, by_key[spec.key]) for spec in specs
@@ -162,10 +159,7 @@ def _cmd_matrix_all(args) -> int:
     from repro.harness.sweep import write_report
 
     specs = expand_matrix(seeds=range(args.seeds))
-    report = run_matrix(
-        specs, jobs=args.jobs, cell_timeout=args.cell_timeout,
-        progress=_progress_line,
-    )
+    report = run_matrix(specs, jobs=args.jobs, progress=_progress_line)
     from repro.faults.registry import scenario_by_id
 
     def _recovered(c) -> bool:
@@ -222,7 +216,6 @@ def _cmd_matrix_all(args) -> int:
         "config": {
             "seeds": args.seeds,
             "jobs": report.jobs,
-            "cell_timeout": args.cell_timeout,
         },
         "families": family_json,
         "report": report.to_json(),
@@ -390,8 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
     matrix_p.add_argument("--jobs", type=int, default=None,
                           help="worker processes (default: CPU count; "
                                "1 = exact serial path)")
-    matrix_p.add_argument("--cell-timeout", type=float, default=None,
-                          help="per-cell wall-clock budget in seconds")
 
     matrix_all_p = sub.add_parser(
         "matrix-all",
@@ -403,8 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
     matrix_all_p.add_argument("--jobs", type=int, default=None,
                               help="worker processes (default: CPU count; "
                                    "1 = exact serial path)")
-    matrix_all_p.add_argument("--cell-timeout", type=float, default=None,
-                              help="per-cell wall-clock budget in seconds")
     matrix_all_p.add_argument("--out", default="results/matrix_all.json",
                               help="JSON report path ('-' to skip writing)")
 

@@ -1,19 +1,18 @@
 """The Arthas detector (paper Section 4.3).
 
 Monitors a PM system for crashes, assertion failures, hangs, PM-space
-exhaustion, leaks and failed user-defined checks; compares failure
-signatures across restarts to decide whether a failure is *potentially
-hard* (recurring) and therefore worth invoking the reactor on.
+exhaustion and leaks; compares failure signatures across restarts to
+decide whether a failure is *potentially hard* (recurring) and therefore
+worth invoking the reactor on.
 """
 
-from repro.detector.monitor import Detector, LeakMonitor, RunOutcome, UserCheck
+from repro.detector.monitor import Detector, LeakMonitor, RunOutcome
 from repro.detector.signature import FailureSignature, signatures_similar
 
 __all__ = [
     "Detector",
     "LeakMonitor",
     "RunOutcome",
-    "UserCheck",
     "FailureSignature",
     "signatures_similar",
 ]

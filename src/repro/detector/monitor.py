@@ -1,4 +1,4 @@
-"""Failure detection: crash/hang/leak/user-check monitoring.
+"""Failure detection: crash/hang/leak monitoring.
 
 :class:`Detector.observe` wraps one execution of the target system,
 turning guest traps into :class:`RunOutcome` values, recording failure
@@ -7,8 +7,9 @@ failure that recurred after a restart is a *potential hard failure*.
 
 :class:`LeakMonitor` watches PM usage growth relative to the live-item
 count — the "PM usage monitor" the paper uses to stop leaking systems.
-User-defined checks (e.g. "inserted key/value items exist") are callables
-returning a violation message or None.
+The paper's user-defined checks (e.g. "inserted key/value items exist")
+run as each fault scenario's ``manifest``/``verify`` guest checks
+(:mod:`repro.faults.registry`), not here.
 """
 
 from __future__ import annotations
@@ -21,9 +22,6 @@ from repro.errors import Trap
 from repro.lang.interp import FaultInfo, Machine
 from repro.pmem.allocator import PMAllocator
 
-#: a user check returns None when satisfied, else a violation message
-UserCheck = Callable[[], Optional[str]]
-
 
 @dataclass
 class RunOutcome:
@@ -32,7 +30,8 @@ class RunOutcome:
     ok: bool
     fault: Optional[FaultInfo] = None
     signature: Optional[FailureSignature] = None
-    #: message from a failed user check (fault-free data-loss failures)
+    #: why a trap-free run failed (leak monitor, or a scenario's
+    #: manifest check in the harness)
     violation: Optional[str] = None
 
     @property
@@ -79,12 +78,7 @@ class Detector:
 
     def __init__(self) -> None:
         self.history: List[FailureSignature] = []
-        self.user_checks: List[UserCheck] = []
         self.leak_monitor: Optional[LeakMonitor] = None
-
-    def add_user_check(self, check: UserCheck) -> None:
-        """Register a user-defined check consulted after trap-free runs."""
-        self.user_checks.append(check)
 
     def set_leak_monitor(self, monitor: LeakMonitor) -> None:
         """Attach the PM usage monitor consulted after trap-free runs."""
@@ -101,11 +95,7 @@ class Detector:
             signature = FailureSignature.from_fault(fault)
             self.history.append(signature)
             return RunOutcome(ok=False, fault=fault, signature=signature)
-        # trap-free: consult user checks and the leak monitor
-        for check in self.user_checks:
-            violation = check()
-            if violation is not None:
-                return RunOutcome(ok=False, violation=violation)
+        # trap-free: consult the leak monitor
         if self.leak_monitor is not None:
             violation = self.leak_monitor.check()
             if violation is not None:

@@ -6,8 +6,8 @@ across many steps, and a crash can land between any two of them.  This
 module lets the harness *prove* the pipeline survives its own failures:
 
 * instrumented code calls :func:`fire` at **named sites** — every
-  persist/flush boundary (:mod:`repro.pmem.pool`,
-  :mod:`repro.pmem.persist`), every checkpoint ``record_*`` hook
+  flush/fence boundary (:mod:`repro.pmem.pool`, which every guest
+  persists through), every checkpoint ``record_*`` hook
   (:mod:`repro.checkpoint.manager`), and between reversion steps
   (:mod:`repro.reactor.revert`);
 * an :class:`InjectionPlan` decides whether the site fires a fault.
@@ -49,7 +49,6 @@ site family                fired from
 =========================  ====================================================
 ``pmem.flush``             :meth:`PMPool.flush` (clwb boundary)
 ``pmem.fence``             :meth:`PMPool.fence`, before durability (sfence)
-``pmem.api.<fn>``          each wrapper in :mod:`repro.pmem.persist`
 ``ckpt.record_update``     :class:`CheckpointManager` persist hook
 ``ckpt.record_alloc``      alloc hook
 ``ckpt.record_free``       free hook
@@ -116,17 +115,8 @@ CLUSTER_SITES = (
 #: kinds that only make sense at specific site families
 _TORN_SITES = ("pmem.fence",)
 _BITFLIP_SITES = ("ckpt.record_update",)
-_SKIP_FLUSH_SITES = (
-    "pmem.flush",
-    "pmem.api.pmem_flush",
-    "pmem.api.pmem_persist",
-    "pmem.api.pmem_memcpy_persist",
-)
-_SKIP_FENCE_SITES = (
-    "pmem.fence",
-    "pmem.api.pmem_drain",
-    "pmem.api.pmem_persist",
-)
+_SKIP_FLUSH_SITES = ("pmem.flush",)
+_SKIP_FENCE_SITES = ("pmem.fence",)
 
 
 @dataclass(frozen=True, order=True)

@@ -18,11 +18,12 @@ them out over a :class:`concurrent.futures.ProcessPoolExecutor`:
   JSON-artifact convention of :mod:`repro.instrument.artifacts`).
 
 Failure handling: a cell that raises inside a worker produces a per-cell
-*error record* instead of aborting the sweep; a cell that exceeds the
-optional per-cell timeout is recorded as ``timeout``; a worker process
-dying (``BrokenProcessPool``) rebuilds the pool and retries the
-unfinished cells once before recording ``worker-crash`` errors.
-Progress is reported incrementally as futures complete.
+*error record* instead of aborting the sweep; a worker process dying
+(``BrokenProcessPool``) rebuilds the pool and retries the unfinished
+cells once (:data:`MAX_WORKER_CRASH_RETRIES`) before recording
+``worker-crash`` errors.  A cell needs no wall-clock timeout: the guest
+step budget already turns a hung guest into a ``HangTrap``.  Progress is
+reported incrementally as futures complete.
 
 Determinism: ``run_experiment`` depends only on the cell spec, so the
 parallel sweep must produce summary-*equal* cells to the serial loop at
@@ -33,9 +34,7 @@ comparison).  ``tests/test_matrix_parallel.py`` enforces exactly that.
 
 from __future__ import annotations
 
-import ctypes
 import os
-import threading
 import time
 import traceback
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -61,6 +60,10 @@ ALL_SOLUTIONS = SOLUTIONS
 
 #: fields of ExperimentResult handled specially by the summary round-trip
 _NESTED_FIELDS = ("detection_fault", "mitigation")
+
+#: resubmissions of an unfinished cell after worker death before it is
+#: recorded as a ``worker-crash``
+MAX_WORKER_CRASH_RETRIES = 1
 
 
 # ----------------------------------------------------------------------
@@ -191,109 +194,21 @@ def result_from_summary(summary: Dict[str, object]) -> ExperimentResult:
 # ----------------------------------------------------------------------
 # the worker side
 # ----------------------------------------------------------------------
-class CellTimeout(BaseException):
-    """Raised inside a worker when a cell exceeds its wall-clock budget.
-
-    Subclasses ``BaseException`` (like ``KeyboardInterrupt``) so that no
-    ``except Exception`` inside the experiment stack can swallow it.
-    """
-
-
-class _CellWatchdog:
-    """Monitor-thread timeout: raise :class:`CellTimeout` in a target
-    thread after ``timeout`` seconds.
-
-    Replaces the old ``SIGALRM`` timer: signals only deliver to a
-    process's main thread (and not at all on some platforms), so the
-    alarm silently did nothing when a cell ran on a worker thread.  A
-    :class:`threading.Timer` plus ``PyThreadState_SetAsyncExc`` works on
-    any thread and any platform.  The async exception is delivered at
-    the target thread's next bytecode boundary — the same granularity
-    the signal handler had.
-
-    :meth:`cancel` and the timer callback race when the cell finishes at
-    the deadline; the lock-guarded ``_done`` flag makes that race safe,
-    and a late-delivered ``CellTimeout`` is still caught by the payload
-    wrapper's outer handler.
-
-    One CPython caveat remains: a pending async exception delivered
-    while the interpreter is inside a *gc callback* (hypothesis installs
-    one process-wide) is reported as unraisable and cleared — the cell
-    then finishes normally despite the timer having fired.  ``fired``
-    records the timer's verdict so the payload wrapper can convert such
-    a lost delivery into a timeout record deterministically.
-    """
-
-    def __init__(self, timeout: float, thread_id: int):
-        self.timeout = timeout
-        self.thread_id = thread_id
-        self._lock = threading.Lock()
-        self._done = False
-        #: True once the deadline passed and the async exception was sent
-        self.fired = False
-        self._timer = threading.Timer(timeout, self._fire)
-        self._timer.daemon = True
-
-    def start(self) -> None:
-        self._timer.start()
-
-    def _fire(self) -> None:
-        with self._lock:
-            if self._done:
-                return
-            self.fired = True
-            ctypes.pythonapi.PyThreadState_SetAsyncExc(
-                ctypes.c_ulong(self.thread_id), ctypes.py_object(CellTimeout)
-            )
-
-    def cancel(self) -> None:
-        with self._lock:
-            self._done = True
-        self._timer.cancel()
-
-
-def _run_cell_payload(
-    key: Tuple[str, str, int], timeout: Optional[float]
-) -> Dict[str, object]:
+def _run_cell_payload(key: Tuple[str, str, int]) -> Dict[str, object]:
     """Execute one cell; returns an ``ok`` or ``error`` payload dict.
 
     Runs in the worker process (and, for ``jobs=1``, in the caller).  All
     expected failures are converted to data here so the future never
     carries an exception for an in-cell error — only worker *death*
-    surfaces at the pool level.  The per-cell timeout is enforced by
-    :class:`_CellWatchdog`, which works on any thread of any platform.
+    surfaces at the pool level.
     """
     fid, solution, seed = key
     start = time.perf_counter()
-    watchdog: Optional[_CellWatchdog] = None
-    if timeout is not None and timeout > 0:
-        watchdog = _CellWatchdog(timeout, threading.get_ident())
-        watchdog.start()
     try:
-        try:
-            result = run_experiment(fid, solution, seed=seed)
-            payload: Dict[str, object] = {
-                "status": "ok",
-                "summary": summarize_result(result),
-                "seconds": time.perf_counter() - start,
-            }
-        finally:
-            if watchdog is not None:
-                watchdog.cancel()
-        if watchdog is not None and watchdog.fired:
-            # the deadline passed but the async exception was lost (e.g.
-            # swallowed by a gc callback); honour the timer's verdict
-            raise CellTimeout()
-        return payload
-    except CellTimeout:
+        result = run_experiment(fid, solution, seed=seed)
         return {
-            "status": "error",
-            "error": {
-                "kind": "timeout",
-                "type": "CellTimeout",
-                "message": f"cell exceeded {timeout:.3f}s",
-                "traceback": "",
-            },
+            "status": "ok",
+            "summary": summarize_result(result),
             "seconds": time.perf_counter() - start,
         }
     except Exception as exc:
@@ -392,9 +307,7 @@ def default_jobs() -> int:
 def run_matrix(
     specs: Sequence[CellSpec],
     jobs: Optional[int] = None,
-    cell_timeout: Optional[float] = None,
     progress: Optional[ProgressFn] = None,
-    max_crash_retries: int = 1,
 ) -> MatrixReport:
     """Run every cell, serially (``jobs=1``) or over a process pool.
 
@@ -420,12 +333,10 @@ def run_matrix(
 
     if n_jobs == 1 or len(specs) <= 1:
         for i, spec in enumerate(specs):
-            payload = _run_cell_payload(spec.key, cell_timeout)
+            payload = _run_cell_payload(spec.key)
             record(i, _outcome_from_payload(spec, payload, attempts=1))
     else:
-        _run_pooled(
-            specs, n_jobs, cell_timeout, record, max_crash_retries
-        )
+        _run_pooled(specs, n_jobs, record)
 
     report = MatrixReport(jobs=n_jobs)
     report.cells = [outcomes[i] for i in range(len(specs))]
@@ -448,9 +359,7 @@ def _outcome_from_payload(
 def _run_pooled(
     specs: List[CellSpec],
     n_jobs: int,
-    cell_timeout: Optional[float],
     record: Callable[[int, CellOutcome], None],
-    max_crash_retries: int,
 ) -> None:
     """Fan the cells out, rebuilding the pool after worker death.
 
@@ -466,7 +375,7 @@ def _run_pooled(
     attempts: Dict[int, int] = {i: 0 for i in pending}
     # bounded pool rebuilds: each rebuild errors-out or retires at least
     # one cell, but cap defensively anyway
-    for _rebuild in range(len(specs) + max_crash_retries + 1):
+    for _rebuild in range(len(specs) + MAX_WORKER_CRASH_RETRIES + 1):
         if not pending:
             return
         ctx = get_context("spawn")
@@ -475,7 +384,7 @@ def _run_pooled(
             max_workers=min(n_jobs, len(pending)), mp_context=ctx
         ) as pool:
             futures = {
-                pool.submit(_run_cell_payload, spec.key, cell_timeout): i
+                pool.submit(_run_cell_payload, spec.key): i
                 for i, spec in pending.items()
             }
             not_done = set(futures)
@@ -516,7 +425,7 @@ def _run_pooled(
         # cells that exhausted the retry budget, resubmit the rest
         for i in list(pending):
             attempts[i] += 1
-            if attempts[i] > max_crash_retries:
+            if attempts[i] > MAX_WORKER_CRASH_RETRIES:
                 record(i, CellOutcome(
                     spec=pending[i],
                     error={

@@ -40,7 +40,7 @@ from repro.pmem.pool import PMPool
 BACKOFF_BASE = 2.0
 BACKOFF_CAP = 30.0
 
-#: default per-rung crash-retry budget
+#: per-rung crash-retry budget
 MAX_CRASH_RETRIES = 6
 
 
@@ -88,18 +88,13 @@ class LadderReport:
         }
 
 
-def backoff_delay(retry: int, base: float = BACKOFF_BASE,
-                  cap: float = BACKOFF_CAP) -> float:
+def backoff_delay(retry: int) -> float:
     """Exponential backoff for the k-th retry (1-based), capped."""
-    return min(cap, base * (2 ** (retry - 1)))
+    return min(BACKOFF_CAP, BACKOFF_BASE * (2 ** (retry - 1)))
 
 
 def with_crash_retries(
-    step: Callable[[], StepResult],
-    pool: PMPool,
-    clock,
-    max_retries: int = MAX_CRASH_RETRIES,
-    base_backoff: float = BACKOFF_BASE,
+    step: Callable[[], StepResult], pool: PMPool, clock
 ) -> Tuple[StepResult, int]:
     """Run ``step``, restarting it after each injected crash.
 
@@ -108,7 +103,7 @@ def with_crash_retries(
     steps must be idempotent (reversion cuts are pure functions of the
     log; the intent journal skips completed work).  Returns the step's
     result and how many times it crashed.  Re-raises the final
-    :class:`InjectedCrash` once the retry budget is spent.
+    :class:`InjectedCrash` once :data:`MAX_CRASH_RETRIES` is spent.
     """
     retries = 0
     while True:
@@ -117,31 +112,27 @@ def with_crash_retries(
         except InjectedCrash:
             retries += 1
             pool.crash()
-            if retries > max_retries:
+            if retries > MAX_CRASH_RETRIES:
                 raise
-            clock.advance(backoff_delay(retries, base_backoff))
+            clock.advance(backoff_delay(retries))
 
 
 def ladder_run(
     rungs: Sequence[Tuple[str, Callable[[], StepResult]]],
     pool: PMPool,
     clock,
-    max_crash_retries: int = MAX_CRASH_RETRIES,
-    base_backoff: float = BACKOFF_BASE,
 ) -> LadderReport:
     """Drive the degradation ladder until a rung recovers or all fail."""
     report = LadderReport()
     for name, step in rungs:
         t0 = clock.now
         try:
-            res, retries = with_crash_retries(
-                step, pool, clock, max_crash_retries, base_backoff
-            )
+            res, retries = with_crash_retries(step, pool, clock)
         except InjectedCrash as exc:
-            report.crash_retries += max_crash_retries + 1
+            report.crash_retries += MAX_CRASH_RETRIES + 1
             report.rungs.append(RungOutcome(
                 rung=name, recovered=False,
-                crash_retries=max_crash_retries + 1,
+                crash_retries=MAX_CRASH_RETRIES + 1,
                 duration_seconds=clock.now - t0,
                 notes=f"crash-retry budget exhausted: {exc}",
             ))

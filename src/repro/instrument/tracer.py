@@ -5,8 +5,8 @@ Like the paper's implementation, records are buffered in memory and
 flushed to the durable trace asynchronously; whatever is still buffered
 when the process crashes is lost (``crash()``).
 
-The durable trace is what the Reactor reads: a GUID → address index
-(and its inverse), so its size follows the distinct pairs the program
+The durable trace is what the Reactor reads: a GUID → address index,
+so its size follows the distinct pairs the program
 has touched, not the number of records it has emitted.  A caller that
 needs the records of one call (a shipped op's slice, the addresses a
 recovery run touched) opens a capture with :meth:`PMTrace.mark` and
@@ -29,9 +29,8 @@ class PMTrace:
         self._buffer: List[Pair] = []
         #: records made durable so far (flushed, extended or loaded)
         self._durable = 0
-        # indexes over *flushed* records
+        # index over *flushed* records
         self._addrs_by_guid: Dict[str, Set[int]] = {}
-        self._guids_by_addr: Dict[int, Set[str]] = {}
         #: open captures by ``id`` of their mark, each collecting the
         #: records made durable since it
         self._captures: Dict[int, List[Pair]] = {}
@@ -63,7 +62,7 @@ class PMTrace:
     def load(self, pairs: List[Pair], emitted: int) -> None:
         """Replace the durable trace wholesale (node rebase).
 
-        Drops the buffer and both indexes, then installs ``pairs`` (a
+        Drops the buffer and the index, then installs ``pairs`` (a
         source trace's :meth:`pairs`) as the flushed trace — the
         trace-level analogue of :meth:`PMPool.load_durable`.
         ``emitted`` is the source's ``len``, which this trace's count
@@ -71,22 +70,16 @@ class PMTrace:
         """
         self._buffer = []
         self._addrs_by_guid = {}
-        self._guids_by_addr = {}
         self._make_durable(pairs)
         self._durable = emitted
 
     def _make_durable(self, pairs: List[Pair]) -> None:
         by_guid = self._addrs_by_guid
-        by_addr = self._guids_by_addr
         for guid, addr in pairs:
             addrs = by_guid.get(guid)
             if addrs is None:
                 addrs = by_guid[guid] = set()
             addrs.add(addr)
-            guids = by_addr.get(addr)
-            if guids is None:
-                guids = by_addr[addr] = set()
-            guids.add(guid)
         for tail in self._captures.values():
             tail.extend(pairs)
         self._durable += len(pairs)
@@ -116,17 +109,6 @@ class PMTrace:
     def addresses_for_guid(self, guid: str) -> Set[int]:
         """PM addresses the instruction with ``guid`` touched (flushed records)."""
         return self._addrs_by_guid.get(guid, set())
-
-    def guids_for_address(self, addr: int) -> Set[str]:
-        """GUIDs of instructions observed touching ``addr``."""
-        return self._guids_by_addr.get(addr, set())
-
-    def addresses_for_guids(self, guids) -> Set[int]:
-        """Union of traced addresses over several GUIDs."""
-        out: Set[int] = set()
-        for guid in guids:
-            out |= self.addresses_for_guid(guid)
-        return out
 
     def pairs(self) -> List[Pair]:
         """The distinct durable (guid, address) pairs, in index order."""

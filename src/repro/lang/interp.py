@@ -17,10 +17,9 @@ the Arthas toolchain needs from a runtime:
 * **Fault injection** — host callbacks keyed by instruction id run before
   an instruction executes; they can flip persisted bits (hardware faults)
   or raise :class:`~repro.errors.InjectedCrash` (untimely crashes).
-* **Cooperative threads** — ``spawn`` creates background threads;
-  ``call_concurrent`` interleaves threads with a seeded preemptive
-  scheduler, which is how the race-condition faults are triggered
-  deterministically.
+* **Cooperative threads** — ``call_concurrent`` interleaves threads
+  with a seeded preemptive scheduler, which is how the race-condition
+  faults are triggered deterministically.
 * **Tracing hooks** — instructions carrying a GUID report their runtime PM
   address to an attached tracer (the paper's ``<GUID, pmem_address>``
   trace).
@@ -174,18 +173,17 @@ class Machine:
         self._vol_next = VOL_BASE
         self._vol_valid: set[int] = set()
         self._vol_allocs: Dict[int, int] = {}
-        # background threads awaiting scheduling
-        self._background: List[Thread] = []
         # host integration
         self.injections: Dict[int, List[InjectionFn]] = {}
         self.tracer: Optional[TraceFn] = None
         #: cooperative yield point: when set, called every
         #: ``step_hook_every`` executed steps, counted on the
         #: machine-lifetime ``steps_executed`` counter so runs of many
-        #: short calls still yield (fused and table paths alike, same
-        #: accounting as the budget check).  The live-traffic server
-        #: parks mitigation re-executions here so the event loop can
-        #: serve between probe steps.  Must not touch guest state.
+        #: short calls still yield (compiled segments and single steps
+        #: alike, same accounting as the budget check).  The
+        #: live-traffic server parks mitigation re-executions here so
+        #: the event loop can serve between probe steps.  Must not
+        #: touch guest state.
         self.step_hook: Optional[Callable[[], None]] = None
         self.step_hook_every: int = 0
         self._next_step_hook: int = 0
@@ -205,34 +203,14 @@ class Machine:
     def call(self, fname: str, *args: int, step_budget: Optional[int] = None) -> Optional[int]:
         """Run ``fname(*args)`` on a fresh main thread to completion.
 
-        Background threads previously spawned get interleaved at yield
-        points.  Raises the guest's :class:`Trap` on failure, after
-        recording :attr:`last_fault`.
+        Raises the guest's :class:`Trap` on failure, after recording
+        :attr:`last_fault`.
         """
         thread = self._make_thread(fname, args, name=f"main:{fname}")
         self.calls_executed += 1
         budget = step_budget if step_budget is not None else self.step_budget
-        self._run([thread] + self._background, budget, preempt=False)
-        self._background = [t for t in self._background if not t.done]
+        self._run([thread], budget, preempt=False)
         return thread.result
-
-    def spawn(self, fname: str, *args: int, name: Optional[str] = None) -> Thread:
-        """Create a background thread; it runs during future calls."""
-        thread = self._make_thread(fname, args, name=name or f"bg:{fname}")
-        self._background.append(thread)
-        return thread
-
-    def run_background(self, step_budget: Optional[int] = None) -> None:
-        """Run pending background threads to completion."""
-        if not self._background:
-            return
-        budget = step_budget if step_budget is not None else self.step_budget
-        self._run(list(self._background), budget, preempt=False)
-        self._background = [t for t in self._background if not t.done]
-
-    def pending_background(self) -> int:
-        """Number of spawned threads that have not finished."""
-        return len(self._background)
 
     def call_concurrent(
         self,
@@ -263,7 +241,6 @@ class Machine:
         self._vol_valid.clear()
         self._vol_allocs.clear()
         self._vol_next = VOL_BASE
-        self._background = []
 
     def add_injection(self, iid: int, fn: InjectionFn) -> None:
         """Run ``fn`` before every execution of instruction ``iid``."""
@@ -309,32 +286,71 @@ class Machine:
         preempt: bool,
         quantum: Tuple[int, int] = (1, 12),
     ) -> None:
-        if not preempt and self.dep_recorder is None and not self.injections:
-            # no preemption (so no rng draws), no per-instruction host
-            # hooks: the compiled-segment runner is step-exact with the
-            # table path
-            self._run_fused(threads, step_budget)
-            return
-        self._run_table(threads, step_budget, preempt, quantum)
+        """Schedule ``threads`` until all finish or one traps.
 
-    def _run_table(
-        self,
-        threads: List[Thread],
-        step_budget: int,
-        preempt: bool,
-        quantum: Tuple[int, int] = (1, 12),
-    ) -> None:
-        """Per-step table dispatch: preemptive scheduling, injections and
-        the dependence recorder all need a hook before every instruction."""
+        Straight-line runs execute as one compiled-segment call
+        (:mod:`repro.lang.fuse`) when nothing needs a hook between
+        instructions: no preemption (so no rng draws), no injections and
+        no dependence recorder.  Everything else — and any segment that
+        would overrun the step budget, or any instruction a segment
+        abandoned after a raw-coded ``KeyError``/``ZeroDivisionError`` —
+        single-steps through :meth:`_step`, which owns the exact trap
+        conversions.  Step accounting is the same on both paths: elided
+        superinstruction temps still count, and a segment only runs when
+        its full count fits the remaining budget.
+        """
         live = [t for t in threads if not t.done]
         if not live:
             return
+        fuse = not preempt and self.dep_recorder is None and not self.injections
         current = 0
         slice_left = self.rng.randint(*quantum) if preempt else 1 << 60
         steps = 0
         hook = self._hook_prologue()
         while live:
             thread = live[current % len(live)]
+            if fuse:
+                frame = thread.frames[-1]
+                block = frame.func.blocks[frame.block]
+                segs = block._fused_segs
+                if segs is None:
+                    segs = compile_block_segments(frame.func, block)
+                seg = segs.get(frame.index)
+                if seg is not None and steps + seg.n_steps <= step_budget:
+                    try:
+                        seg.run(self, thread, frame)
+                    except Trap as trap:
+                        prefix = frame.index - seg.start
+                        if prefix > 0:
+                            steps += prefix
+                            self.steps_executed += prefix
+                        self._record_fault(trap, thread)
+                        raise
+                    except (KeyError, ZeroDivisionError):
+                        # a raw-coded statement faulted: commit the
+                        # completed prefix, then let the table re-execute
+                        # the faulting instruction (frame.index points at
+                        # it) for the exact ReproError/ArithmeticTrap
+                        # conversion
+                        prefix = frame.index - seg.start
+                        if prefix > 0:
+                            steps += prefix
+                            self.steps_executed += prefix
+                    except BaseException:
+                        prefix = frame.index - seg.start
+                        if prefix > 0:
+                            steps += prefix
+                            self.steps_executed += prefix
+                        raise
+                    else:
+                        steps += seg.n_steps
+                        self.steps_executed += seg.n_steps
+                        if hook is not None and self.steps_executed >= self._next_step_hook:
+                            hook()
+                            self._next_step_hook = (
+                                self.steps_executed + self.step_hook_every
+                            )
+                        continue
             try:
                 switch = self._step(thread)
             except Trap as trap:
@@ -362,92 +378,6 @@ class Machine:
             if switch or slice_left <= 0:
                 current = (current + 1) % len(live)
                 slice_left = self.rng.randint(*quantum) if preempt else 1 << 60
-
-    def _run_fused(
-        self, threads: List[Thread], step_budget: int
-    ) -> None:
-        """Cooperative scheduling over compiled segments.
-
-        Straight-line runs execute as one closure call
-        (:mod:`repro.lang.fuse`); everything else — and any segment that
-        would overrun the step budget, or any instruction a segment
-        abandoned after a raw-coded ``KeyError``/``ZeroDivisionError`` —
-        single-steps through the table path, which owns the exact trap
-        conversions.  Step accounting matches :meth:`_run_table` to the
-        step: elided superinstruction temps still count, and a segment
-        only runs when its full count fits the remaining budget.
-        """
-        live = [t for t in threads if not t.done]
-        if not live:
-            return
-        current = 0
-        steps = 0
-        hook = self._hook_prologue()
-        while live:
-            thread = live[current % len(live)]
-            frame = thread.frames[-1]
-            block = frame.func.blocks[frame.block]
-            segs = block._fused_segs
-            if segs is None:
-                segs = compile_block_segments(frame.func, block)
-            seg = segs.get(frame.index)
-            if seg is not None and steps + seg.n_steps <= step_budget:
-                try:
-                    seg.run(self, thread, frame)
-                except Trap as trap:
-                    prefix = frame.index - seg.start
-                    if prefix > 0:
-                        steps += prefix
-                        self.steps_executed += prefix
-                    self._record_fault(trap, thread)
-                    raise
-                except (KeyError, ZeroDivisionError):
-                    # a raw-coded statement faulted: commit the completed
-                    # prefix, then let the table re-execute the faulting
-                    # instruction (frame.index points at it) for the
-                    # exact ReproError/ArithmeticTrap conversion
-                    prefix = frame.index - seg.start
-                    if prefix > 0:
-                        steps += prefix
-                        self.steps_executed += prefix
-                except BaseException:
-                    prefix = frame.index - seg.start
-                    if prefix > 0:
-                        steps += prefix
-                        self.steps_executed += prefix
-                    raise
-                else:
-                    steps += seg.n_steps
-                    self.steps_executed += seg.n_steps
-                    if hook is not None and self.steps_executed >= self._next_step_hook:
-                        hook()
-                        self._next_step_hook = (
-                            self.steps_executed + self.step_hook_every
-                        )
-                    continue
-            try:
-                switch = self._step(thread)
-            except Trap as trap:
-                self._record_fault(trap, thread)
-                raise
-            steps += 1
-            self.steps_executed += 1
-            if steps > step_budget:
-                trap = HangTrap(
-                    f"step budget {step_budget} exceeded in {thread.name}",
-                    location=self._current_location(thread),
-                )
-                self._record_fault(trap, thread)
-                raise trap
-            if hook is not None and self.steps_executed >= self._next_step_hook:
-                hook()
-                self._next_step_hook = self.steps_executed + self.step_hook_every
-            if thread.done:
-                live = [t for t in live if not t.done]
-                current = 0
-                continue
-            if switch:
-                current = (current + 1) % len(live)
 
     def _current_instr(self, thread: Thread) -> Instr:
         frame = thread.frame

@@ -1,15 +1,10 @@
-"""libpmem-style convenience API over :class:`~repro.pmem.pool.PMPool`.
+"""The persistence probe: what a power loss right now would lose.
 
-Mirrors the low-level half of PMDK that the paper's "native persistence"
-systems use (``pmem_map_file``, ``pmem_persist``, ``pmem_flush``,
-``pmem_drain``, ``pmem_memcpy_persist``).  Systems written with the
-high-level object API use :class:`~repro.pmem.allocator.PMAllocator` and
-:class:`~repro.pmem.tx.TransactionManager` instead.
-
-The wrappers honor the ``skip-flush`` / ``skip-fence`` fault kinds at
-their own ``pmem.api.*`` sites (the call is silently elided, modelling a
-*missing* libpmem call in the program), which is how the
-crash-consistency fuzzer perturbs native-persistence guests.
+Guests persist through the VM's ``persist``/``flush``/``fence`` ops,
+which land on :meth:`PMPool.persist`, :meth:`PMPool.flush` and
+:meth:`PMPool.fence` — the libpmem ``pmem_persist``/``clwb``/``sfence``
+analogues, and the ``pmem.flush``/``pmem.fence`` sites the
+crash-consistency fuzzer perturbs.
 
 :func:`probe_persistence` is the WITCHER-style likely-invariant probe:
 it inspects the simulated CPU write buffer / staged-line state and
@@ -20,83 +15,11 @@ fuzzer's consistency checks and the new fault families are built on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Tuple
+from typing import List, Tuple
 
-from repro import faultinject
-from repro.errors import PoolError
 from repro.pmem.pool import WORDS_PER_LINE, PMPool
 
-#: registry of mapped pools by path, emulating the pmem_map_file namespace
-_mapped: Dict[str, PMPool] = {}
 
-
-def pmem_map_file(path: str, size_words: int) -> PMPool:
-    """Map (create or reopen) a persistent pool identified by ``path``."""
-    if path in _mapped:
-        pool = _mapped[path]
-        if pool.size_words != size_words:
-            raise PoolError(
-                f"pool {path} already mapped with size {pool.size_words}, "
-                f"requested {size_words}"
-            )
-        return pool
-    pool = PMPool(size_words, name=path)
-    _mapped[path] = pool
-    return pool
-
-
-def pmem_unmap(path: str) -> None:
-    """Remove a pool from the mapped-file registry (its data is dropped)."""
-    _mapped.pop(path, None)
-
-
-def pmem_persist(pool: PMPool, addr: int, nwords: int) -> None:
-    """Flush a range and fence — the fundamental durability primitive."""
-    spec = faultinject.fire("pmem.api.pmem_persist")
-    if spec is not None and spec.kind == "skip-flush":
-        pool.stats["skipped_flushes"] += 1
-        pool.fence()  # the fence still runs; the range was never staged
-        return
-    if spec is not None and spec.kind == "skip-fence":
-        pool.stats["skipped_fences"] += 1
-        pool.flush(addr, nwords)  # staged, but never ordered here
-        return
-    pool.persist(addr, nwords)
-
-
-def pmem_flush(pool: PMPool, addr: int, nwords: int) -> None:
-    """Stage a range for writeback without ordering it (``clwb``)."""
-    spec = faultinject.fire("pmem.api.pmem_flush")
-    if spec is not None and spec.kind == "skip-flush":
-        pool.stats["skipped_flushes"] += 1
-        return
-    pool.flush(addr, nwords)
-
-
-def pmem_drain(pool: PMPool) -> None:
-    """Order previously flushed ranges (``sfence``)."""
-    spec = faultinject.fire("pmem.api.pmem_drain")
-    if spec is not None and spec.kind == "skip-fence":
-        pool.stats["skipped_fences"] += 1
-        return
-    pool.fence()
-
-
-def pmem_memcpy_persist(pool: PMPool, dst: int, values: Iterable[int]) -> None:
-    """Copy words into PM and persist them in one call."""
-    spec = faultinject.fire("pmem.api.pmem_memcpy_persist")
-    values = list(values)
-    pool.write_range(dst, values)
-    if spec is not None and spec.kind == "skip-flush":
-        pool.stats["skipped_flushes"] += 1
-        pool.fence()
-        return
-    pool.persist(dst, len(values))
-
-
-# ----------------------------------------------------------------------
-# likely-invariant probes over the simulated cache/fence layer
-# ----------------------------------------------------------------------
 @dataclass
 class PersistProbe:
     """What a power loss *right now* would do to a pool.

@@ -55,56 +55,3 @@ def restore_snapshot(
     if allocator is not None and snapshot.allocator_meta:
         allocator.import_meta(snapshot.allocator_meta)
 
-
-@dataclass
-class EpochSnapshot:
-    """A lightweight snapshot: an open dirty-word epoch plus allocator meta.
-
-    Unlike :class:`PoolSnapshot` this does not copy the durable image — the
-    pool records pre-images of the words mutated after ``take_epoch_snapshot``
-    and restore rewrites only those.  Cost is O(words dirtied since the
-    snapshot) instead of O(pool).
-    """
-
-    taken_at: float
-    #: epoch token from :meth:`PMPool.open_epoch`
-    epoch: int = 0
-    allocator_meta: dict = field(default_factory=dict)
-    label: str = ""
-
-    def dirty_words(self, pool: PMPool) -> int:
-        """Words mutated since the snapshot (the restore cost)."""
-        return pool.epoch_dirty_words(self.epoch)
-
-
-def take_epoch_snapshot(
-    pool: PMPool,
-    allocator: Optional[PMAllocator] = None,
-    taken_at: float = 0.0,
-    label: str = "",
-) -> EpochSnapshot:
-    """Open a dirty-word epoch; later mutations are undoable in O(delta)."""
-    return EpochSnapshot(
-        taken_at=taken_at,
-        epoch=pool.open_epoch(),
-        allocator_meta=allocator.export_meta() if allocator is not None else {},
-        label=label,
-    )
-
-
-def restore_epoch_snapshot(
-    pool: PMPool,
-    snapshot: EpochSnapshot,
-    allocator: Optional[PMAllocator] = None,
-    close: bool = True,
-) -> int:
-    """Rewrite only the words dirtied since the snapshot; returns that count.
-
-    With ``close=False`` the epoch stays open (emptied), so the caller can
-    keep mutating and restore again later.  Epochs must be restored newest-
-    first (LIFO) when several are open.
-    """
-    undone = pool.epoch_undo(snapshot.epoch, close=close)
-    if allocator is not None and snapshot.allocator_meta:
-        allocator.import_meta(snapshot.allocator_meta)
-    return undone

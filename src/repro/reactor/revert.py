@@ -376,14 +376,8 @@ class Reverter:
                     informed.add(a)
         return writes, informed
 
-    def restore_range_before(self, addr: int, size: int, cut_seq: int) -> None:
-        """Apply the pre-``cut_seq`` reconstruction of a range."""
-        writes, _informed = self._plan_range_before(addr, size, cut_seq)
-        for a, value in writes.items():
-            self.pool.durable_write(a, value)
-
     def restore_ranges_before(self, ranges, cut_seq: int) -> None:
-        """Batched :meth:`restore_range_before` over many ranges at once.
+        """Apply the pre-``cut_seq`` reconstruction of many ranges at once.
 
         The reconstructed value of a word depends only on ``(word,
         cut_seq)`` — ``_plan_range_before`` picks the newest pre-cut
@@ -513,9 +507,9 @@ class Reverter:
             reverted.extend(v.seq for v in newer)
             touched.append((entry.address, max(v.size for v in entry.versions)))
         # one coalesced planning + write pass over all touched ranges
-        # (the seed looped restore_range_before per entry; the reference
-        # reverter still does, and the pool-image equality tests pin the
-        # two paths to identical durable bytes)
+        # (the linear-scan oracle restores one range per entry, and the
+        # pool-image equality tests pin the two paths to identical
+        # durable bytes)
         self.restore_ranges_before(touched, seq)
         # allocator events, newest first (events_after is seq-ascending)
         for ev in reversed(self.log.events_after(seq - 1)):

@@ -155,6 +155,12 @@ class LinearScanReverter(Reverter):
                     informed.add(a)
         return writes, informed
 
+    def restore_range_before(self, addr: int, size: int, cut_seq: int) -> None:
+        """Apply the pre-``cut_seq`` reconstruction of one range."""
+        writes, _informed = self._plan_range_before(addr, size, cut_seq)
+        for a, value in writes.items():
+            self.pool.durable_write(a, value)
+
     def _expected_word(self, addr: int) -> Optional[int]:
         return expected_word(self.log, addr)
 

@@ -2,12 +2,19 @@
 
 from typing import List, Tuple
 
+from repro.errors import HangTrap, Trap
 from repro.lang.interp import Machine, Thread
 
 
 class TableMachine(Machine):
     """A :class:`Machine` that single-steps every run through table
-    dispatch, so compiled segments never execute."""
+    dispatch, so compiled segments never execute.
+
+    The scheduler below is a standalone copy of the production loop's
+    per-step path (budget, step hook, preemption, thread switching), so
+    a change to :meth:`Machine._run` is checked against it rather than
+    against itself.
+    """
 
     def _run(
         self,
@@ -16,4 +23,39 @@ class TableMachine(Machine):
         preempt: bool,
         quantum: Tuple[int, int] = (1, 12),
     ) -> None:
-        self._run_table(threads, step_budget, preempt, quantum)
+        live = [t for t in threads if not t.done]
+        if not live:
+            return
+        current = 0
+        slice_left = self.rng.randint(*quantum) if preempt else 1 << 60
+        steps = 0
+        hook = self._hook_prologue()
+        while live:
+            thread = live[current % len(live)]
+            try:
+                switch = self._step(thread)
+            except Trap as trap:
+                self._record_fault(trap, thread)
+                raise
+            steps += 1
+            self.steps_executed += 1
+            if steps > step_budget:
+                trap = HangTrap(
+                    f"step budget {step_budget} exceeded in {thread.name}",
+                    location=self._current_location(thread),
+                )
+                self._record_fault(trap, thread)
+                raise trap
+            if hook is not None and self.steps_executed >= self._next_step_hook:
+                hook()
+                self._next_step_hook = self.steps_executed + self.step_hook_every
+            if thread.done:
+                live = [t for t in live if not t.done]
+                current = 0
+                slice_left = self.rng.randint(*quantum) if preempt else 1 << 60
+                continue
+            if preempt:
+                slice_left -= 1
+            if switch or slice_left <= 0:
+                current = (current + 1) % len(live)
+                slice_left = self.rng.randint(*quantum) if preempt else 1 << 60

@@ -77,14 +77,6 @@ class TestDetector:
         out2 = detector.observe(machine, lambda: machine.call("boom"))
         assert detector.is_potential_hard_failure(out2.signature)
 
-    def test_user_checks(self):
-        machine = self._machine()
-        detector = Detector()
-        detector.add_user_check(lambda: "items missing")
-        out = detector.observe(machine, lambda: machine.call("ok"))
-        assert not out.ok
-        assert out.violation == "items missing"
-
 
 class TestLeakMonitor:
     def test_flags_ratio_breach(self):

@@ -184,11 +184,14 @@ def test_clean_quiescent_pool_probe_consistent():
 
 def test_skip_kinds_apply_only_to_persistence_sites():
     assert kind_applies("pmem.flush", "skip-flush")
-    assert kind_applies("pmem.api.pmem_persist", "skip-flush")
     assert not kind_applies("pmem.fence", "skip-flush")
     assert kind_applies("pmem.fence", "skip-fence")
-    assert kind_applies("pmem.api.pmem_drain", "skip-fence")
     assert not kind_applies("pmem.flush", "skip-fence")
+    # no libpmem wrapper sites: guests persist through the pool only
+    for site in ("pmem.api.pmem_persist", "pmem.api.pmem_flush",
+                 "pmem.api.pmem_memcpy_persist", "pmem.api.pmem_drain"):
+        assert not kind_applies(site, "skip-flush")
+        assert not kind_applies(site, "skip-fence")
     assert not kind_applies("ckpt.record_update", "skip-flush")
     for site in FUZZ_SITES:
         assert any(kind_applies(site, k) for k in FUZZ_KINDS)

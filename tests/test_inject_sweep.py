@@ -61,7 +61,8 @@ def test_crash_between_cuts_converges_to_uninterrupted_state():
 
 
 def test_unreachable_site_cell_reports_unfired_not_verified():
-    cell = run_cell("f9", InjectionSpec("pmem.api.pmem_persist", 1, "crash"),
+    # single-node mitigation never promotes a cluster node
+    cell = run_cell("f9", InjectionSpec("cluster.promote", 1, "crash"),
                     seed=0)
     assert not cell.fired
     assert not cell.verified

@@ -27,7 +27,7 @@ def test_trace_roundtrip(tmp_path):
     assert sorted(loaded.pairs()) == sorted(trace.pairs())
     assert len(loaded) == 2
     assert loaded.addresses_for_guid("g1") == {100}
-    assert loaded.guids_for_address(200) == {"g2"}
+    assert loaded.addresses_for_guid("g2") == {200}
 
 
 def test_checkpoint_log_roundtrip(tmp_path):

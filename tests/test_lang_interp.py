@@ -232,35 +232,6 @@ class TestThreads:
 
         assert run(3) == run(3)
 
-    def test_background_thread_runs(self):
-        src = (
-            "def setup():\n    return pm_alloc(1)\n"
-            "def bg(p):\n    p[0] = 42\n    persist(p, 1)\n    return 0\n"
-            "def readp(p):\n    return p[0]\n"
-        )
-        module = compile_module("t", src)
-        machine = Machine(module)
-        p = machine.call("setup")
-        machine.spawn("bg", p)
-        assert machine.pending_background() == 1
-        machine.run_background()
-        assert machine.pending_background() == 0
-        assert machine.call("readp", p) == 42
-
-    def test_spawned_thread_dies_on_crash(self):
-        src = (
-            "def setup():\n    return pm_alloc(1)\n"
-            "def bg(p):\n    p[0] = 42\n    persist(p, 1)\n    return 0\n"
-            "def readp(p):\n    return p[0]\n"
-        )
-        module = compile_module("t", src)
-        machine = Machine(module)
-        p = machine.call("setup")
-        machine.spawn("bg", p)
-        machine.crash()
-        assert machine.pending_background() == 0
-        assert machine.call("readp", p) == 0
-
 
 class TestTracing:
     def test_tracer_receives_pm_addresses(self):

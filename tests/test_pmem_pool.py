@@ -169,14 +169,17 @@ class TestDurableAccess:
 class TestStats:
     def test_counters(self, pool):
         pool.write(PM_BASE, 1)
+        pool.write(PM_BASE + 1, 2)
         pool.read(PM_BASE)
+        # the fence writes back the whole staged line: both words
         pool.persist(PM_BASE, 1)
-        pool.crash()
-        assert pool.stats["writes"] == 1
-        assert pool.stats["reads"] == 1
-        assert pool.stats["flushes"] == 1
-        assert pool.stats["fences"] == 1
-        assert pool.stats["crashes"] == 1
+        assert pool.stats["persisted_words"] == 2
+        pool.fence()  # nothing staged
+        pool.write(PM_BASE + WORDS_PER_LINE, 3)
+        pool.crash()  # lost, never persisted
+        assert pool.stats == {
+            "persisted_words": 2, "skipped_flushes": 0, "skipped_fences": 0,
+        }
 
 
 # ----------------------------------------------------------------------

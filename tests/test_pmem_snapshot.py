@@ -1,7 +1,12 @@
-"""Tests for whole-pool snapshot/restore (the pmCRIU substrate)."""
+"""Tests for whole-pool snapshot/restore (the pmCRIU substrate) and
+the pool's dirty-word epochs (the incremental-probe substrate)."""
 
-from repro.pmem.pool import PM_BASE, PMPool
+import pytest
+
+from repro.errors import PoolError
+from repro.pmem.pool import PM_BASE
 from repro.pmem.snapshot import restore_snapshot, take_snapshot
+from repro.reactor.revert import _ProbeDelta
 
 
 def test_snapshot_restore_roundtrip(pool, allocator):
@@ -44,16 +49,8 @@ def test_restore_clears_later_state(pool):
 
 
 # ----------------------------------------------------------------------
-# dirty-word epoch snapshots (the incremental-probe substrate)
+# dirty-word epochs (the incremental-probe substrate)
 # ----------------------------------------------------------------------
-
-import pytest
-
-from repro.errors import PoolError
-from repro.pmem.snapshot import (
-    restore_epoch_snapshot,
-    take_epoch_snapshot,
-)
 
 
 def test_epoch_snapshot_restores_only_dirty_words(pool, allocator):
@@ -61,16 +58,17 @@ def test_epoch_snapshot_restores_only_dirty_words(pool, allocator):
     for i in range(8):
         pool.write(a + i, 10 + i)
     pool.persist(a, 8)
-    snap = take_epoch_snapshot(pool, allocator, taken_at=3.0, label="ep")
+    token = pool.open_epoch()
     # mutate a small subset; the epoch only tracks those words
     pool.write(a + 2, 999)
     pool.persist(a + 2, 1)
     pool.durable_write(a + 5, 888)
-    assert snap.dirty_words(pool) == 2
-    restored = restore_epoch_snapshot(pool, snap, allocator)
+    assert pool.epoch_dirty_words(token) == 2
+    restored = pool.epoch_undo(token)
     assert restored == 2
     assert [pool.read(a + i) for i in range(8)] == list(range(10, 18))
-    assert snap.taken_at == 3.0 and snap.label == "ep"
+    with pytest.raises(PoolError):
+        pool.epoch_undo(token)  # undo closed the epoch
 
 
 def test_epoch_restore_matches_full_snapshot_restore(pool, allocator):
@@ -80,11 +78,11 @@ def test_epoch_restore_matches_full_snapshot_restore(pool, allocator):
     pool.durable_write(a, 1)
     pool.durable_write(a + 1, 0)  # explicit zero entry stays an entry
     full = take_snapshot(pool, allocator)
-    epoch = take_epoch_snapshot(pool, allocator)
+    epoch = pool.open_epoch()
     pool.durable_write(a, 7)
     pool.durable_write(a + 1, 7)
     pool.durable_write(a + 2, 7)  # previously absent
-    restore_epoch_snapshot(pool, epoch, allocator)
+    pool.epoch_undo(epoch)
     after_epoch = pool.durable_items()
     pool.durable_write(a, 7)
     pool.durable_write(a + 1, 7)
@@ -130,10 +128,14 @@ def test_epoch_undo_keep_open_continues_tracking(pool):
 
 
 def test_epoch_snapshot_captures_allocator_meta(pool, allocator):
+    # a probe delta pairs an epoch with the allocator metadata as it
+    # stood when the delta opened, captured on the first mutation
     a = allocator.zalloc(4)
-    snap = take_epoch_snapshot(pool, allocator)
+    delta = _ProbeDelta(pool, allocator)
+    assert delta.pre_meta is None
     b = allocator.zalloc(4)
     allocator.free(a)
-    restore_epoch_snapshot(pool, snap, allocator)
+    assert delta.pre_meta is not None
+    delta.undo()
     assert allocator.is_allocated(a)
     assert not allocator.is_allocated(b)

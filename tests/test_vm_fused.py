@@ -6,16 +6,17 @@ Python closures and elides single-use temporaries into their consumers;
 the per-step dict-dispatch table.  The two must be indistinguishable
 from outside: identical results, identical ``steps_executed``, identical
 fault attribution (trap type, iid, step of occurrence), identical
-``HangTrap`` budget accounting — across compute kernels, trap programs
-and all twelve real fault experiments.  A timing pin keeps the reason
-the fused path exists: it must stay well ahead of table dispatch.
+``HangTrap`` budget accounting — across compute kernels, trap programs,
+seeded thread races, injections and all twelve real fault experiments.
+A timing pin keeps the reason the fused path exists: it must stay well
+ahead of table dispatch.
 """
 
 import time
 
 import pytest
 
-from repro.errors import ArithmeticTrap, HangTrap, SegfaultTrap
+from repro.errors import ArithmeticTrap, HangTrap, InjectedCrash, SegfaultTrap
 from repro.harness.experiment import run_experiment
 from repro.lang.compiler import compile_module
 from repro.lang.interp import Machine
@@ -149,24 +150,140 @@ def test_hang_budget_parity(budget):
 
 
 # ----------------------------------------------------------------------
+# the per-step branch: preemption and injections
+#
+# The production loop takes its per-step branch whenever a run is
+# preempted or an instruction carries an injection; these cases pin it
+# against the oracle's standalone copy of that loop.
+# ----------------------------------------------------------------------
+_RACE_SRC = """
+def setup():
+    return pm_alloc(4)
+
+def bump(p, slot, n):
+    i = 0
+    while i < n:
+        v = p[0]
+        p[slot] = p[slot] + v
+        p[0] = v + 1
+        persist(p, 4)
+        i = i + 1
+    return p[0]
+
+def spin(p):
+    i = 0
+    while 1:
+        p[3] = p[3] + i
+        i = i + 1
+    return i
+"""
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_concurrent_race_parity(seed):
+    # three racing read-modify-write loops of different lengths: lost
+    # updates depend on the interleaving, and the scheduler redraws its
+    # time slice each time a thread finishes
+    module = compile_module("t", _RACE_SRC)
+    observed = {}
+    for engine, cls in VMS.items():
+        machine = cls(module, seed=seed)
+        p = machine.call("setup")
+        results = machine.call_concurrent([
+            ("bump", (p, 1, 5)), ("bump", (p, 2, 17)), ("bump", (p, 3, 40)),
+        ])
+        observed[engine] = (
+            results, machine.steps_executed, machine.pool.durable_items(),
+        )
+    assert observed["table"] == observed["fused"]
+
+
+def _injected_at(cls, module, iid, crash_on=None):
+    """A machine whose injection on ``iid`` logs the step count at each
+    firing, and raises an injected crash on firing number ``crash_on``."""
+    machine = cls(module)
+    fired = []
+
+    def hook(m, thread, instr):
+        fired.append(m.steps_executed)
+        if len(fired) == crash_on:
+            raise InjectedCrash("injected", location="test")
+
+    machine.add_injection(iid, hook)
+    return machine, fired
+
+
+def test_injection_inside_fusable_run_parity():
+    # the injected instruction sits mid-way through a straight-line run
+    # the production machine would otherwise execute as one segment
+    module = compile_module("t", _SPIN_SRC)
+    xor = next(i for i in module.instructions()
+               if i.op == "binop" and i.args[0] == "^")
+    observed = {}
+    for engine, cls in VMS.items():
+        machine, fired = _injected_at(cls, module, xor.iid)
+        result = machine.call("spin", 40)
+        observed[engine] = (result, fired, machine.steps_executed)
+    assert observed["table"] == observed["fused"]
+    assert len(observed["fused"][1]) == 40
+
+
+def test_injected_crash_inside_fusable_run_parity():
+    module = compile_module("t", _SPIN_SRC)
+    xor = next(i for i in module.instructions()
+               if i.op == "binop" and i.args[0] == "^")
+    observed = {}
+    for engine, cls in VMS.items():
+        machine, fired = _injected_at(cls, module, xor.iid, crash_on=3)
+        with pytest.raises(InjectedCrash):
+            machine.call("spin", 40)
+        observed[engine] = (fired, machine.steps_executed, machine.last_fault)
+    assert observed["table"] == observed["fused"]
+    assert observed["fused"][2].kind == "injected-crash"
+    assert observed["fused"][2].iid == xor.iid
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_preempted_spin_hang_parity(seed):
+    # two spinners never finish and one short thread does; the budget
+    # runs out in whichever spinner the scheduler holds at that step
+    module = compile_module("t", _RACE_SRC)
+    observed = {}
+    for engine, cls in VMS.items():
+        machine = cls(module, seed=seed)
+        p = machine.call("setup")
+        before = machine.steps_executed
+        with pytest.raises(HangTrap):
+            machine.call_concurrent(
+                [("spin", (p,)), ("bump", (p, 1, 3)), ("spin", (p,))],
+                step_budget=400,
+            )
+        observed[engine] = (
+            machine.steps_executed - before, machine.last_fault,
+            machine.pool.read(p + 3),
+        )
+    assert observed["table"] == observed["fused"]
+    assert observed["fused"][0] == 401
+
+
+# ----------------------------------------------------------------------
 # the production machine runs compiled segments
 # ----------------------------------------------------------------------
-def test_default_engine_is_fused(monkeypatch):
+def _compiled_blocks(module):
+    return [
+        block for func in module.functions.values()
+        for block in func.blocks.values() if block._fused_segs is not None
+    ]
+
+
+def test_default_engine_is_fused():
     module = compile_module("t", "def f():\n    return 1\n")
-    entered = []
-    real = Machine._run_fused
-
-    def spy(self, threads, step_budget):
-        entered.append(step_budget)
-        return real(self, threads, step_budget)
-
-    monkeypatch.setattr(Machine, "_run_fused", spy)
-    assert Machine(module).call("f") == 1
-    assert entered
-    # the oracle never does
-    entered.clear()
+    # the oracle never compiles a segment
     assert TableMachine(module).call("f") == 1
-    assert not entered
+    assert _compiled_blocks(module) == []
+    # the production machine does, on a plain call
+    assert Machine(module).call("f") == 1
+    assert _compiled_blocks(module)
 
 
 def test_fused_beats_table_dispatch():
