@@ -19,6 +19,13 @@ holding the version data of every staged update back to back (a plain
 list: guest words are unbounded Python ints).  No :class:`Version`, no
 :class:`LogEvent`, no index touch, no checksum on the hot path.
 
+The merged event stream stays columnar too: a seq column
+(``array('Q')``, ascending) beside a row column holding the same
+stride-4 ``(kind, addr, size, tx)`` rows the staging buffer holds, which
+the merge appends wholesale.  No log keeps a Python object per event;
+:class:`LogEvent` objects are built only for what a query returns (the
+``events`` property builds a fresh list on every access).
+
 The derived indexes absorb the staging tail lazily, in one merge pass
 (:meth:`CheckpointLog.flush_staging`), triggered by
 
@@ -66,9 +73,11 @@ indexes are:
   single multi-KB persisted range widened for **every** lookup,
   degrading planning toward a full scan; here a huge range only widens
   the window of its own (sparsely populated) class;
-* the **event stream position index** — events already arrive in
-  sequence order, so ``events_after`` is a single ``bisect_right``;
-* a **free-event address index** (per-base event lists plus a sorted
+* the **seq column** itself — events arrive in sequence order, so
+  locating a seq or the start of a tail is a single bisect, and the
+  tail queries (``alloc_free_events_after``, ``update_addrs_since``)
+  scan the kind/addr columns from there;
+* a **free-event address index** (per-base seq columns plus a sorted
   base-address list) answering "newest free covering address ``a``"
   without sorting the whole event stream;
 * an incrementally maintained **live-allocation map**, replacing the
@@ -79,7 +88,8 @@ indexes are:
 All queries preserve the exact result (including list/dict ordering) of
 the original linear scans; ``tests/oracles/checkpoint.py`` keeps the
 scan implementations for equivalence testing.
-Deserialized logs (``instrument.artifacts``) call
+Deserialized logs (``instrument.artifacts``) install their events
+through the ``events`` setter and call
 :meth:`CheckpointLog.rebuild_indexes` after populating the raw state.
 """
 
@@ -101,8 +111,9 @@ MAX_VERSIONS = 3
 #: default staging-buffer capacity before an automatic index merge
 STAGING_LIMIT = 4096
 
-#: staged record kinds, by column code
-_KIND_NAMES = ("update", "alloc", "free", "tx-begin", "tx-commit")
+#: event kinds, by column code
+EVENT_KINDS = ("update", "alloc", "free", "tx-begin", "tx-commit")
+_KIND_CODES = {name: code for code, name in enumerate(EVENT_KINDS)}
 _UPDATE, _ALLOC, _FREE, _TX_BEGIN, _TX_COMMIT = range(5)
 
 #: fields per record in the interleaved staging buffer
@@ -285,7 +296,10 @@ class CheckpointLog:
         self._stage_words: List[int] = []
         # ---- merged state (behind flush-on-access properties) ----
         self._entries: Dict[int, CheckpointEntry] = {}
-        self._events: List[LogEvent] = []
+        #: the merged event stream as two columns: ascending seqs, and
+        #: the parallel stride-``_STRIDE`` (kind, addr, size, tx_id) rows
+        self._seq_col = array("Q")
+        self._row_col = array("Q")
         self._next_seq = 1
         #: update-event seqs grouped by transaction id
         self._tx_members: Dict[int, List[int]] = {}
@@ -299,10 +313,8 @@ class CheckpointLog:
         self._size_class_addrs: Dict[int, List[int]] = {}
         #: entry base address -> its current class exponent
         self._entry_class: Dict[int, int] = {}
-        #: event seqs, parallel to ``events`` (ascending by construction)
-        self._event_seqs: List[int] = []
-        #: free events grouped by base address, each list seq-ascending
-        self._frees_by_addr: Dict[int, List[LogEvent]] = {}
+        #: free-event seqs grouped by base address, each seq-ascending
+        self._frees_by_addr: Dict[int, array] = {}
         #: sorted base addresses of free events
         self._free_addrs: List[int] = []
         #: widest freed block seen so far
@@ -343,15 +355,34 @@ class CheckpointLog:
     def entries(self, value: Dict[int, CheckpointEntry]) -> None:
         self._entries = value
 
+    def _event_rows(self):
+        """``(seq, kind, addr, nwords, tx_id)`` per merged event, decoded
+        from the columns in seq order (callers have flushed)."""
+        names = EVENT_KINDS
+        it = iter(self._row_col)
+        return (
+            (seq, names[kind], addr, size, tx)
+            for seq, kind, addr, size, tx in zip(self._seq_col, it, it, it, it)
+        )
+
     @property
     def events(self) -> List[LogEvent]:
+        """The merged event stream, built fresh from the columns on
+        every access (mutating the list does not touch the log)."""
         if self._stage:
             self.flush_staging()
-        return self._events
+        return [LogEvent(*row) for row in self._event_rows()]
 
     @events.setter
     def events(self, value: List[LogEvent]) -> None:
-        self._events = value
+        """Install an event stream as given (the one door for
+        deserialized events); :meth:`validate_raw_state` judges it."""
+        codes = _KIND_CODES
+        self._seq_col = array("Q", [ev.seq for ev in value])
+        rows = array("Q")
+        for ev in value:
+            rows.extend((codes[ev.kind], ev.addr, ev.nwords, ev.tx_id))
+        self._row_col = rows
 
     @property
     def tx_members(self) -> Dict[int, List[int]]:
@@ -364,11 +395,6 @@ class CheckpointLog:
         self._tx_members = value
 
     # ------------------------------------------------------------------
-    def _next(self) -> int:
-        seq = self._next_seq
-        self._next_seq += 1
-        return seq
-
     def _new_entry(self, addr: int) -> CheckpointEntry:
         entry = CheckpointEntry(addr, self.max_versions)
         entry.order = len(self._entries)
@@ -507,12 +533,15 @@ class CheckpointLog:
 
         Observably identical to having run the eager per-record
         maintenance: same entry creation order, same version rings, same
-        ``max_size`` growth, same event stream.  Version data stays
-        **slab-packed**: the merge appends pending rows referencing the
-        word slab; :class:`Version` objects (tuple + dataclass + crc)
-        only materialize when the owning entry is first queried.
-        Versions evicted from the ring while still pending are simply
-        dropped — never materialized, never checksummed.
+        ``max_size`` growth, same event stream.  The staged rows join
+        the event columns wholesale (one seq range, one array extend);
+        the per-record pass only maintains entries, transaction
+        membership, live allocations and the free index.  Version data
+        stays **slab-packed**: the merge appends pending rows
+        referencing the word slab; :class:`Version` objects (tuple +
+        dataclass + crc) only materialize when the owning entry is first
+        queried.  Versions evicted from the ring while still pending are
+        simply dropped — never materialized, never checksummed.
 
         Fires the ``ckpt.index_merge`` fault-injection site *before*
         mutating anything: an injected crash leaves the staging buffers
@@ -528,22 +557,19 @@ class CheckpointLog:
         self._stage = array("Q")
         self._stage_words = []
 
+        # staged records are exactly the last n seqs issued
+        seq = self._next_seq - len(buf) // _STRIDE
+        self._seq_col.extend(range(seq, self._next_seq))
+        self._row_col.extend(buf)
+
         entries = self._entries
-        append_event = self._events.append
-        append_seq = self._event_seqs.append
         tx_members = self._tx_members
         live = self._live_allocs
         frees_by_addr = self._frees_by_addr
         new_entry = self._new_entry
-        names = _KIND_NAMES
         off = 0
-        # staged records are exactly the last n seqs issued
-        seq = self._next_seq - len(buf) // _STRIDE
         it = iter(buf)
         for kind, addr, size, tx in zip(it, it, it, it):
-            ev = LogEvent(seq, names[kind], addr, size, tx)
-            append_event(ev)
-            append_seq(seq)
             if kind == _UPDATE:
                 entry = entries.get(addr)
                 if entry is None:
@@ -568,9 +594,9 @@ class CheckpointLog:
             elif kind == _FREE:
                 live.pop(addr, None)
                 if addr not in frees_by_addr:
-                    frees_by_addr[addr] = []
+                    frees_by_addr[addr] = array("Q")
                     insort(self._free_addrs, addr)
-                frees_by_addr[addr].append(ev)
+                frees_by_addr[addr].append(seq)
                 if size > self._max_free_size:
                     self._max_free_size = size
             seq += 1
@@ -621,12 +647,12 @@ class CheckpointLog:
         if self._stage:
             self.flush_staging()
         last = 0
-        for ev in self._events:
-            if ev.seq <= last:
+        for seq in self._seq_col:
+            if seq <= last:
                 raise CorruptLogError(
-                    f"event stream out of order: seq {ev.seq} after {last}"
+                    f"event stream out of order: seq {seq} after {last}"
                 )
-            last = ev.seq
+            last = seq
         if last >= self._next_seq:
             raise CorruptLogError(
                 f"event seq {last} >= next_seq {self._next_seq}"
@@ -663,7 +689,8 @@ class CheckpointLog:
                     )
 
     def rebuild_indexes(self, validate: bool = True) -> None:
-        """Recompute every derived index from ``entries`` and ``events``.
+        """Recompute every derived index from ``entries`` and the event
+        columns (the seq column is primary data, not an index).
 
         Deserialization (:mod:`repro.instrument.artifacts`) populates the
         raw entry/event state directly; this restores the invariants the
@@ -687,18 +714,18 @@ class CheckpointLog:
             self._size_class_addrs.setdefault(exp, []).append(entry.address)
         for addrs in self._size_class_addrs.values():
             addrs.sort()
-        self._event_seqs = [ev.seq for ev in self._events]
         self._frees_by_addr = {}
         self._max_free_size = 1
         self._live_allocs = {}
-        for ev in self._events:
-            if ev.kind == "free":
-                self._frees_by_addr.setdefault(ev.addr, []).append(ev)
-                if ev.nwords > self._max_free_size:
-                    self._max_free_size = ev.nwords
-                self._live_allocs.pop(ev.addr, None)
-            elif ev.kind == "alloc":
-                self._live_allocs[ev.addr] = ev.nwords
+        it = iter(self._row_col)
+        for seq, kind, addr, size, _tx in zip(self._seq_col, it, it, it, it):
+            if kind == _FREE:
+                self._frees_by_addr.setdefault(addr, array("Q")).append(seq)
+                if size > self._max_free_size:
+                    self._max_free_size = size
+                self._live_allocs.pop(addr, None)
+            elif kind == _ALLOC:
+                self._live_allocs[addr] = size
         self._free_addrs = sorted(self._frees_by_addr)
 
     def structural_digest(self) -> int:
@@ -717,10 +744,7 @@ class CheckpointLog:
             self.flush_staging()
         acc: List[tuple] = [
             ("meta", self._next_seq, self.total_updates),
-            ("events", tuple(
-                (ev.seq, ev.kind, ev.addr, ev.nwords, ev.tx_id)
-                for ev in self._events
-            )),
+            ("events", tuple(self._event_rows())),
         ]
         for addr in sorted(self._entries):
             entry = self._entries[addr]
@@ -734,8 +758,7 @@ class CheckpointLog:
             ))
         acc.append(("live", tuple(sorted(self._live_allocs.items()))))
         acc.append(("frees", tuple(
-            (a, tuple(ev.seq for ev in evs))
-            for a, evs in sorted(self._frees_by_addr.items())
+            (a, tuple(seqs)) for a, seqs in sorted(self._frees_by_addr.items())
         )))
         acc.append(("tx", tuple(
             (tx, tuple(seqs)) for tx, seqs in sorted(self._tx_members.items())
@@ -767,20 +790,28 @@ class CheckpointLog:
     # ------------------------------------------------------------------
     # queries used by the reactor
     # ------------------------------------------------------------------
-    def event(self, seq: int) -> Optional[LogEvent]:
-        """The event recorded at ``seq`` (None if out of range).
-
-        A bisect over the (sorted) event-seq list: event lookups are
-        reactor-rare, so the merge no longer maintains a seq->event
-        dict just to make them O(1).
-        """
-        if self._stage:
-            self.flush_staging()
-        seqs = self._event_seqs
+    def _row_of(self, seq: int) -> int:
+        """Row index of the event recorded at ``seq``, or -1 (a bisect
+        over the seq column; callers have flushed)."""
+        seqs = self._seq_col
         i = bisect_left(seqs, seq)
         if i < len(seqs) and seqs[i] == seq:
-            return self._events[i]
-        return None
+            return i
+        return -1
+
+    def _event_at(self, i: int) -> LogEvent:
+        """Build the :class:`LogEvent` for row ``i`` of the columns."""
+        rows = self._row_col
+        r = i * _STRIDE
+        return LogEvent(self._seq_col[i], EVENT_KINDS[rows[r]], rows[r + 1],
+                        rows[r + 2], rows[r + 3])
+
+    def event(self, seq: int) -> Optional[LogEvent]:
+        """The event recorded at ``seq`` (None if out of range)."""
+        if self._stage:
+            self.flush_staging()
+        i = self._row_of(seq)
+        return self._event_at(i) if i >= 0 else None
 
     def entries_overlapping(self, addr: int) -> List[CheckpointEntry]:
         """Entries whose latest range covers ``addr``."""
@@ -814,8 +845,10 @@ class CheckpointLog:
 
     def tx_of_seq(self, seq: int) -> int:
         """Transaction id of an update (0 when not transactional)."""
-        ev = self.event(seq)
-        return ev.tx_id if ev else 0
+        if self._stage:
+            self.flush_staging()
+        i = self._row_of(seq)
+        return self._row_col[i * _STRIDE + 3] if i >= 0 else 0
 
     def max_seq(self) -> int:
         """The newest sequence number issued so far.
@@ -825,38 +858,56 @@ class CheckpointLog:
         """
         return self._next_seq - 1
 
-    def events_after(self, seq: int) -> List[LogEvent]:
-        """All events with sequence number strictly greater than ``seq``."""
+    def alloc_free_events_after(self, seq: int) -> List[LogEvent]:
+        """The alloc and free events with sequence number strictly
+        greater than ``seq``, seq-ascending (the rollback's allocator
+        pass); the tail's kind column is scanned, and only matches
+        become :class:`LogEvent` objects."""
         if self._stage:
             self.flush_staging()
-        return self._events[bisect_right(self._event_seqs, seq):]
+        i = bisect_right(self._seq_col, seq)
+        return [
+            self._event_at(j)
+            for j, kind in enumerate(self._row_col[i * _STRIDE::_STRIDE], i)
+            if kind == _ALLOC or kind == _FREE
+        ]
 
     def update_addrs_since(self, seq: int) -> List[int]:
         """Addresses with an update event at-or-after ``seq``, each listed
         once, ordered by the owning entry's creation rank (the order the
-        pre-index reactor visited them)."""
-        seen: set = set()
-        for ev in self.events_after(seq - 1):
-            if ev.kind == "update":
-                seen.add(ev.addr)
-        addrs = list(seen)
-        addrs.sort(key=lambda a: self._entries[a].order)
+        pre-index reactor visited them).
+
+        Addresses without an entry are skipped: a log repaired by
+        :func:`~repro.instrument.artifacts.open_and_verify` keeps the
+        update events of an entry record it quarantined."""
+        if self._stage:
+            self.flush_staging()
+        r = bisect_left(self._seq_col, seq) * _STRIDE
+        rows = self._row_col
+        seen = {
+            addr for kind, addr in zip(rows[r::_STRIDE], rows[r + 1::_STRIDE])
+            if kind == _UPDATE
+        }
+        entries = self._entries
+        addrs = [a for a in seen if a in entries]
+        addrs.sort(key=lambda a: entries[a].order)
         return addrs
 
     def newest_free_covering(self, target: int) -> Optional[LogEvent]:
         """The newest free event whose block contains ``target``."""
         if self._stage:
             self.flush_staging()
-        best: Optional[LogEvent] = None
+        best = -1  # rows ascend with seqs: the newest free has the top row
+        rows = self._row_col
         i = bisect_left(self._free_addrs, target - self._max_free_size + 1)
         j = bisect_right(self._free_addrs, target, lo=i)
         for base in self._free_addrs[i:j]:
-            for ev in reversed(self._frees_by_addr[base]):
-                if ev.addr <= target < ev.addr + ev.nwords:
-                    if best is None or ev.seq > best.seq:
-                        best = ev
+            for seq in reversed(self._frees_by_addr[base]):
+                row = self._row_of(seq)
+                if target < base + rows[row * _STRIDE + 2]:
+                    best = max(best, row)
                     break
-        return best
+        return self._event_at(best) if best >= 0 else None
 
     def expected_word(self, addr: int) -> Optional[int]:
         """Value the newest retained version covering ``addr`` holds for

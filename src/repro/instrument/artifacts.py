@@ -41,7 +41,13 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.checkpoint.log import CheckpointEntry, CheckpointLog, LogEvent, Version
+from repro.checkpoint.log import (
+    EVENT_KINDS,
+    CheckpointEntry,
+    CheckpointLog,
+    LogEvent,
+    Version,
+)
 from repro.errors import CorruptLogError
 from repro.instrument.tracer import PMTrace
 
@@ -108,6 +114,20 @@ def _entry_from_json(ej: dict) -> CheckpointEntry:
 def _event_to_json(ev: LogEvent) -> dict:
     return {"t": "event", "seq": ev.seq, "kind": ev.kind, "addr": ev.addr,
             "nwords": ev.nwords, "tx": ev.tx_id}
+
+
+def _event_from_json(rec: dict) -> Optional[LogEvent]:
+    """The event a record describes, or None when it does not fit the
+    log's columns: a kind outside :data:`EVENT_KINDS`, or a seq, addr,
+    nwords or tx that is not an int in ``[0, 2**64)``."""
+    if rec.get("kind") not in EVENT_KINDS:
+        return None
+    fields = [rec.get(k) for k in ("seq", "addr", "nwords", "tx")]
+    for v in fields:
+        if type(v) is not int or not 0 <= v < 1 << 64:
+            return None
+    seq, addr, nwords, tx = fields
+    return LogEvent(seq, rec["kind"], addr, nwords, tx)
 
 
 def _canonical(rec: dict) -> bytes:
@@ -248,6 +268,7 @@ def _build_log(
     last_committed = commit["last_seq"] if commit is not None else None
     max_seq_seen = 0
     seen_seqs: set = set()
+    events: List[LogEvent] = []
     for rec in records[1:]:
         kind = rec.get("t")
         if kind == "entry":
@@ -264,8 +285,13 @@ def _build_log(
                     entry.versions = kept
             log.entries[entry.address] = entry
         elif kind == "event":
-            ev = LogEvent(rec["seq"], rec["kind"], rec["addr"],
-                          rec["nwords"], rec["tx"])
+            ev = _event_from_json(rec)
+            if ev is None:
+                report.quarantined_records += 1
+                report.notes.append(
+                    f"malformed event record {rec!r}; quarantined"
+                )
+                continue
             if last_committed is not None and ev.seq > last_committed:
                 report.truncated_records += 1
                 report.notes.append(
@@ -278,13 +304,14 @@ def _build_log(
                 report.notes.append(f"duplicate event seq {ev.seq}; dropped")
                 continue
             seen_seqs.add(ev.seq)
-            log.events.append(ev)
+            events.append(ev)
             max_seq_seen = max(max_seq_seen, ev.seq)
         elif kind == "tx-members":
             log.tx_members = {
                 int(k): list(v) for k, v in rec["members"].items()
             }
-    log.events.sort(key=lambda ev: ev.seq)
+    events.sort(key=lambda ev: ev.seq)
+    log.events = events
     log._next_seq = max(header["next_seq"], max_seq_seen + 1)
 
     # clear realloc links into entries that did not survive verification
@@ -364,6 +391,10 @@ def load_checkpoint_log(path: str) -> CheckpointLog:
     if commit["file_crc"] != running or commit["n_records"] != len(records) - 1:
         raise CorruptLogError(f"{path}: commit record does not match region")
     log = _build_log(records, report)
+    if report.quarantined_records:
+        raise CorruptLogError(
+            f"{path}: corrupt checkpoint region: " + "; ".join(report.notes)
+        )
     bad = log.verify_checksums()
     if bad:
         raise CorruptLogError(

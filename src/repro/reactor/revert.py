@@ -498,9 +498,7 @@ class Reverter:
         # the *oldest* versions), so only the log suffix is scanned
         touched: List[tuple] = []
         for addr in self.log.update_addrs_since(seq):
-            entry = self.log.entries.get(addr)
-            if entry is None:  # pragma: no cover - defensive
-                continue
+            entry = self.log.entries[addr]
             newer = [v for v in entry.versions if v.seq >= seq]
             if not newer:  # pragma: no cover - see invariant above
                 continue
@@ -511,8 +509,8 @@ class Reverter:
         # pool-image equality tests pin the two paths to identical
         # durable bytes)
         self.restore_ranges_before(touched, seq)
-        # allocator events, newest first (events_after is seq-ascending)
-        for ev in reversed(self.log.events_after(seq - 1)):
+        # allocator events, newest first (the query is seq-ascending)
+        for ev in reversed(self.log.alloc_free_events_after(seq - 1)):
             if ev.kind == "free":
                 try:
                     self.allocator.unfree(ev.addr, ev.nwords)

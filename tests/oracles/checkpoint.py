@@ -48,6 +48,10 @@ def events_after(log: CheckpointLog, seq: int) -> List[LogEvent]:
     return [ev for ev in log.events if ev.seq > seq]
 
 
+def alloc_free_events_after(log: CheckpointLog, seq: int) -> List[LogEvent]:
+    return [ev for ev in events_after(log, seq) if ev.kind in ("alloc", "free")]
+
+
 def live_unfreed_allocs(log: CheckpointLog) -> Dict[int, int]:
     live: Dict[int, int] = {}
     for ev in log.events:

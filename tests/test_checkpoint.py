@@ -1,5 +1,7 @@
 """Tests for the versioned checkpoint log and its manager."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -83,9 +85,76 @@ class TestLog:
 
     def test_events_after(self):
         log = CheckpointLog()
-        s1 = log.record_update(100, 1, [1])
-        s2 = log.record_update(104, 1, [2])
-        assert [e.seq for e in log.events_after(s1)] == [s2]
+        s1 = log.record_alloc(100, 4)
+        s2 = log.record_update(100, 1, [1])
+        s3 = log.record_free(100, 4)
+        s4 = log.record_tx_begin(7)
+        assert [e.seq for e in log.events] == [s1, s2, s3, s4]
+        # the rollback's allocator pass sees only alloc/free events
+        assert [e.seq for e in log.alloc_free_events_after(s1)] == [s3]
+        assert [e.kind for e in log.alloc_free_events_after(0)] == [
+            "alloc", "free"
+        ]
+
+
+def _history(log, base, tx_id):
+    """A short record stream touching every event kind and index."""
+    for i in range(6):
+        log.record_alloc(base + 8 * i, 4)
+        log.record_update(base + 8 * i, 2, [tx_id, i])
+    log.record_free(base, 4)
+    log.record_tx_begin(tx_id)
+    log.record_update(base + 8, 1, [tx_id], tx_id=tx_id)
+    log.record_tx_commit(tx_id)
+
+
+class TestClone:
+    def test_clone_matches_source_at_capture(self):
+        src = CheckpointLog()
+        _history(src, PM_BASE, 1)  # left staged: clone() merges it
+        dup = src.clone()
+        assert dup.structural_digest() == src.structural_digest()
+        assert dup.events == src.events
+
+    def test_records_on_clone_leave_source_unchanged(self):
+        src = CheckpointLog()
+        _history(src, PM_BASE, 1)
+        dup = src.clone()
+        digest, events = src.structural_digest(), src.events
+        _history(dup, PM_BASE, 2)
+        dup.flush_staging()
+        assert src.structural_digest() == digest
+        assert src.events == events
+
+    def test_records_on_source_leave_clone_unchanged(self):
+        src = CheckpointLog()
+        _history(src, PM_BASE, 1)
+        dup = src.clone()
+        digest, events = dup.structural_digest(), dup.events
+        _history(src, PM_BASE, 2)
+        src.flush_staging()
+        assert dup.structural_digest() == digest
+        assert dup.events == events
+
+
+def test_merged_event_retains_at_most_64_bytes():
+    """The merged event stream holds column rows, not an object per event."""
+    n_tx = 12_500  # four events each: 50k merged events
+    tracemalloc.start()
+    try:
+        log = CheckpointLog()
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(n_tx):
+            log.record_tx_begin(i + 1)
+            log.record_update(PM_BASE + i % 8, 1, [i])
+            log.record_update(PM_BASE + 8 + i % 8, 1, [i])
+            log.record_tx_commit(i + 1)
+        log.flush_staging()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(log.events) == 4 * n_tx
+    assert retained / (4 * n_tx) <= 64
 
 
 class TestManager:

@@ -20,8 +20,10 @@ from repro.instrument.artifacts import (
     open_and_verify,
     save_checkpoint_log,
 )
-from repro.pmem.pool import PM_BASE
-from repro.reactor.revert import IntentJournal
+from repro.pmem.allocator import PMAllocator
+from repro.pmem.pool import PM_BASE, PMPool
+from repro.reactor.revert import IntentJournal, Reverter
+from tests.oracles import checkpoint as reference
 
 A = PM_BASE
 B = PM_BASE + 64
@@ -84,14 +86,18 @@ def test_bitflip_is_detected_and_quarantined_not_deserialized():
 # ----------------------------------------------------------------------
 def test_rebuild_indexes_rejects_out_of_order_event_seqs():
     log = _small_log()
-    log.events[0], log.events[1] = log.events[1], log.events[0]
+    events = log.events
+    events[0], events[1] = events[1], events[0]
+    log.events = events
     with pytest.raises(CorruptLogError, match="out of order"):
         log.rebuild_indexes()
 
 
 def test_rebuild_indexes_rejects_seq_beyond_next_seq():
     log = _small_log()
-    log.events[-1].seq = 999
+    events = log.events
+    events[-1].seq = 999
+    log.events = events
     with pytest.raises(CorruptLogError, match="next_seq"):
         log.rebuild_indexes()
 
@@ -214,6 +220,81 @@ def test_open_and_verify_quarantines_checksum_failing_version(tmp_path):
     assert victim.seq not in [v.seq for v in loaded.entries[A].versions]
 
 
+def _write_region(path, wrappers):
+    with open(path, "w") as f:
+        f.write("\n".join(json.dumps(w, sort_keys=True) for w in wrappers))
+        f.write("\n")
+
+
+def _reseal_region(path, mutate):
+    """Apply ``mutate`` to every record, then re-seal each line's CRC
+    and the commit record, so the mutation is the region's only damage."""
+    recs = [json.loads(ln)["rec"] for ln in _region_lines(path)]
+    running = 0
+    wrappers = []
+    for rec in recs[:-1]:
+        mutate(rec)
+        body = json.dumps(rec, sort_keys=True, separators=(",", ":")).encode()
+        running = zlib.crc32(body, running) & 0xFFFFFFFF
+        wrappers.append({"crc": zlib.crc32(body) & 0xFFFFFFFF, "rec": rec})
+    commit = dict(recs[-1], file_crc=running)
+    body = json.dumps(commit, sort_keys=True, separators=(",", ":")).encode()
+    wrappers.append({"crc": zlib.crc32(body) & 0xFFFFFFFF, "rec": commit})
+    _write_region(path, wrappers)
+
+
+def test_rollback_on_repaired_log_skips_quarantined_entry(tmp_path):
+    # the loader quarantines A's entry record (its line CRC fails) but
+    # keeps the update events naming A; a rollback must still run
+    log = _small_log()
+    b_seq = log.entries[B].versions[-1].seq
+    path = str(tmp_path / "ckpt.jsonl")
+    save_checkpoint_log(log, path)
+    wrappers = [json.loads(ln) for ln in _region_lines(path)]
+    victim = next(w for w in wrappers
+                  if w["rec"]["t"] == "entry" and w["rec"]["address"] == A)
+    victim["crc"] ^= 1
+    _write_region(path, wrappers)
+    loaded, report = open_and_verify(path)
+    assert report.quarantined_records == 1
+    assert A not in loaded.entries
+    assert "update" in [ev.kind for ev in loaded.events if ev.addr == A]
+    assert loaded.update_addrs_since(1) == [B]
+    assert loaded.update_addrs_since(1) == \
+        reference.update_addrs_since(loaded, 1)
+    pool = PMPool(1024)
+    reverter = Reverter(loaded, pool, PMAllocator(pool), lambda: None)
+    assert reverter.rollback_to_before(1) == [b_seq]
+
+
+@pytest.mark.parametrize("field,value", [
+    ("kind", "bogus"),
+    ("addr", -5),
+    ("seq", 1 << 64),
+    ("nwords", "4"),
+    ("tx", None),
+])
+def test_loaders_quarantine_malformed_event_record(tmp_path, field, value):
+    log = _small_log()
+    victim_seq = next(ev.seq for ev in log.events if ev.kind == "free")
+    path = str(tmp_path / "ckpt.jsonl")
+    save_checkpoint_log(log, path)
+
+    def mutate(rec):
+        if rec["t"] == "event" and rec["seq"] == victim_seq:
+            rec[field] = value
+
+    _reseal_region(path, mutate)
+    with pytest.raises(CorruptLogError, match="malformed event"):
+        load_checkpoint_log(path)
+    loaded, report = open_and_verify(path)
+    assert report.quarantined_records == 1
+    assert any("malformed event" in note for note in report.notes)
+    assert [ev.seq for ev in loaded.events] == \
+        [ev.seq for ev in log.events if ev.seq != victim_seq]
+    loaded.rebuild_indexes()  # what survived is structurally valid
+
+
 def test_open_and_verify_requires_a_header(tmp_path):
     path = str(tmp_path / "junk.jsonl")
     with open(path, "w") as f:
@@ -283,7 +364,7 @@ def test_crash_at_index_merge_leaves_staging_intact_and_retry_converges():
         # index are exactly as they were
         assert log._stage.tobytes() == staged_before
         assert log._stage_words == words_before
-        assert log._events == []
+        assert len(log._seq_col) == 0 and len(log._row_col) == 0
         assert log._entries == {}
         # the spec is one-shot, so the post-crash retry merges clean
         log.flush_staging()

@@ -89,8 +89,13 @@ def _assert_queries_match(log):
         assert log.newest_free_covering(addr) == reference.newest_free_covering(
             log, addr
         )
+    by_seq = {ev.seq: ev for ev in log.events}
     for seq in range(0, log.max_seq() + 2):
-        assert log.events_after(seq) == reference.events_after(log, seq)
+        assert log.event(seq) == by_seq.get(seq)
+        assert log.tx_of_seq(seq) == (by_seq[seq].tx_id if seq in by_seq else 0)
+        assert log.alloc_free_events_after(
+            seq
+        ) == reference.alloc_free_events_after(log, seq)
         assert log.update_addrs_since(seq) == sorted(
             reference.update_addrs_since(log, seq),
             key=lambda a: log.entries[a].order,
@@ -118,7 +123,6 @@ def test_rebuild_indexes_restores_equivalence(ops):
     log = _build_log(ops)
     log._size_class_addrs = {}
     log._entry_class = {}
-    log._event_seqs = []
     log._frees_by_addr = {}
     log._free_addrs = []
     log._live_allocs = {}
