@@ -15,9 +15,9 @@ restart reproduces it) and runs the promotion protocol:
 4. *cascade* — requests causally after a discarded one are reverted
    on whatever node applied them, until the cut is causally
    consistent,
-5. *resync/handoff* — the healed node is re-based from a live mirror
-   plus the delta tail it missed and rejoins as a replica (demoted,
-   never re-promoted).
+5. *resync/handoff* — the healed node is re-based by copying a live
+   mirror's current state, which holds every op and revert it missed,
+   and rejoins as a replica (demoted, never re-promoted).
 
 Run:  python examples/distributed_recovery.py
 """

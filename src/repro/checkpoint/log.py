@@ -514,7 +514,7 @@ class CheckpointLog:
         raise CheckpointError(f"unknown shipped record kind {kind}")
 
     def clone(self) -> "CheckpointLog":
-        """Deep-copy this log (compaction base images / node rebase).
+        """Deep-copy this log (node rebase).
 
         Flushes staging first so the copy starts merged; the capture tap
         is never carried over.

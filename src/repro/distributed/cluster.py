@@ -33,8 +33,9 @@ re-execution.  Deltas are group-committed (``replication_batch`` deltas
 per replica round, drained early whenever a node must serve a read or
 execute as primary), and every full round truncates the stream at the
 lowest ack pointer among live nodes, so it holds only the unacked tail.
-A healed node installs a :class:`BaseImage` captured off a live mirror
-plus the tail past it instead of replaying its whole share.
+A healed node copies the state of a live mirror at the head of the
+stream instead of replaying its whole share; nothing caches node state
+between heals.
 
 A physical word delta is only byte-exact between nodes whose op
 histories are *aligned* — per-node counters (``m_time``), first-fit
@@ -44,8 +45,8 @@ keeps its routing/ack/vector-clock meaning on the ring, and routed
 lookups still touch only their primary).  At ``replication ==
 n_nodes`` this is byte-identical per node to re-executing each op on
 every node (the oracle in ``tests/oracles``); diverged or rebuilt
-nodes are never patched in place but *re-based* from a base image
-captured off a live aligned mirror.
+nodes are never patched in place but *re-based*: they copy the current
+state of a live aligned mirror.
 """
 
 from __future__ import annotations
@@ -112,9 +113,6 @@ class OpRecord:
     #: nothing — the old ``0`` sentinel made a real stored 0 ambiguous)
     value: Optional[int]
     vc: VectorClock
-    #: primary-node span, kept as plain fields for single-node callers
-    first_seq: int
-    last_seq: int
     #: node id -> (first_seq, last_seq) on *every* node that applied
     #: the op (primary and mirrors; credited again when a healed node
     #: is re-based)
@@ -161,33 +159,6 @@ class ShippedDelta:
     pos: int  #: global stream position (survives compaction)
     delta: ReplicaDelta
     op: OpRecord
-
-
-@dataclass
-class BaseImage:
-    """An incremental compaction base: one mirror's state at ``pos``.
-
-    Everything is a deep copy — installing the image on another node
-    (plus the delta tail past ``pos``) re-bases that node onto the
-    mirror's aligned history without replaying the whole oplog share.
-    """
-
-    pos: int  #: stream position the image folds in (deltas < pos)
-    source: int  #: node the image was captured from
-    items: Dict[int, int]  #: durable pool words
-    meta: dict  #: allocator metadata (export_meta shape)
-    log: object  #: CheckpointLog clone (cloned again per install)
-    structural: int  #: the clone's structural digest at capture
-    tx_next: int
-    #: the source trace's distinct (guid, address) pairs
-    trace: List[Tuple[str, int]]
-    #: records the source trace had emitted (``len`` of it)
-    trace_len: int
-    oracle: Dict[int, int]
-    #: op_id -> seq span on the source at capture time
-    spans: Dict[int, Tuple[int, int]]
-    #: op_ids already reverted on the source at capture time
-    reverted: Set[int]
 
 
 class Cluster:
@@ -244,15 +215,10 @@ class Cluster:
         #: next stream position to assign
         self._log_pos = 0
         #: truncation horizon: positions < horizon are no longer in
-        #: ``_delta_log`` (acked by every live node not awaiting rebase,
-        #: or folded into ``_base`` by a compaction)
+        #: ``_delta_log`` (acked by every live node not awaiting rebase)
         self._horizon = 0
         #: per-node next stream position to apply
         self._applied: Dict[int, int] = {i: 0 for i in range(n_nodes)}
-        #: cached base image (None until a compact or rebase captures
-        #: one; dropped by out-of-band guest mutations and by a
-        #: truncation past its position)
-        self._base: Optional[BaseImage] = None
         #: nodes whose pool was rebuilt/diverged and must be re-based
         #: before they may receive deltas again
         self._needs_rebase: Set[int] = set()
@@ -342,7 +308,6 @@ class Cluster:
     ) -> OpRecord:
         """Stamp clocks and append one op record (``spans`` holds at
         least the primary's span)."""
-        first_seq, last_seq = spans[node_ids[0]]
         record = OpRecord(
             op_id=self._next_op_id,
             client=client,
@@ -351,8 +316,6 @@ class Cluster:
             key=key,
             value=value,
             vc=self._stamp(client, node_ids),
-            first_seq=first_seq,
-            last_seq=last_seq,
             spans=spans,
         )
         self._next_op_id += 1
@@ -500,9 +463,7 @@ class Cluster:
         """Drop stream positions below ``horizon``; returns how many.
 
         A node whose pointer the cut passes (down, or awaiting rebase)
-        can no longer drain and is flagged for rebase; a cached base the
-        cut passes has lost its tail and is dropped, so the next rebase
-        captures a fresh one off a live mirror.
+        can no longer drain and is flagged for rebase.
         """
         cut = horizon - self._horizon
         if cut <= 0:
@@ -512,8 +473,6 @@ class Cluster:
         for nid, pointer in self._applied.items():
             if pointer < horizon:
                 self._needs_rebase.add(nid)
-        if self._base is not None and self._base.pos < horizon:
-            self._base = None
         return cut
 
     def _drain_node(self, node_id: int) -> int:
@@ -667,31 +626,27 @@ class Cluster:
         self._needs_rebase.add(node_id)
 
     def compact(self) -> int:
-        """Fold the whole stream into a new base image (the handoff step).
+        """Fold the stream's tail (the handoff step).
 
-        Drains a full replica round without truncating, captures a
-        :class:`BaseImage` off one aligned live mirror, fires the
-        ``cluster.compact`` injection site (after capture, before
-        truncation — a crash there retries into a fresh capture, so the
-        step is idempotent), then truncates the stream at the base.
-        Nodes whose pointer the new horizon passes (down at compaction
-        time) are flagged for rebase.  Returns the number of deltas
-        folded — the tail since the last full round, since
-        :meth:`drain` truncates the rest; 0 when no aligned live source
-        exists.
+        Drains a full replica round without truncating, fires the
+        ``cluster.compact`` injection site (after the round, before
+        truncation — a crash there leaves the stream untruncated and
+        the retried step folds the same tail), then truncates the
+        stream at its head.  Nodes whose pointer the new horizon passes
+        (down at compaction time) are flagged for rebase.  Returns the
+        number of deltas folded — the tail since the last full round,
+        since :meth:`drain` truncates the rest; 0 when no aligned live
+        node exists.
         """
         self._drain_round()
-        source = self._capture_base_source()
-        if source is None:
+        if self._aligned_mirror() is None:
             return 0
-        base = self._capture_base(source)
         faultinject.fire("cluster.compact")
-        folded = self._truncate(self._log_pos)
-        self._base = base
-        return folded
+        return self._truncate(self._log_pos)
 
-    def _capture_base_source(self, exclude: Optional[int] = None) -> Optional[int]:
-        """First live node whose pointer acks the whole stream."""
+    def _aligned_mirror(self, exclude: Optional[int] = None) -> Optional[int]:
+        """First live node, not awaiting rebase, whose pointer acks the
+        whole stream."""
         for nid in range(self.n_nodes):
             if nid == exclude or nid in self._needs_rebase:
                 continue
@@ -701,76 +656,44 @@ class Cluster:
                 return nid
         return None
 
-    def _capture_base(self, source: int) -> BaseImage:
-        """Deep-copy one aligned mirror's state at the current position."""
-        node = self.nodes[source]
-        log_clone = node.ckpt.log.clone()
-        if node.trace is not None:
-            node.trace.flush()
-            trace = node.trace.pairs()
-            trace_len = len(node.trace)
-        else:
-            trace, trace_len = [], 0
-        spans: Dict[int, Tuple[int, int]] = {}
-        for op in self._ops_by_node.get(source, ()):
-            span = op.spans.get(source)
-            if span is not None:
-                spans[op.op_id] = span
-        return BaseImage(
-            pos=self._log_pos,
-            source=source,
-            items=node.pool.durable_items(),
-            meta=node.allocator.export_meta(),
-            log=log_clone,
-            structural=log_clone.structural_digest(),
-            tx_next=node.txman._next_tx_id,
-            trace=trace,
-            trace_len=trace_len,
-            oracle=dict(self.oracles[source]),
-            spans=spans,
-            reverted={
-                op.op_id for op in self.oplog if source in op.reverted_on
-            },
-        )
-
     def rebase_node(self, node_id: int, tick=None) -> Tuple[int, int]:
-        """Re-align a healed/rebuilt node: install ``base + delta tail``.
+        """Re-align a healed/rebuilt node by copying a live mirror.
 
-        Instead of re-executing the node's oplog share, the current base
-        image (captured fresh off a live mirror when none is cached) is
-        installed wholesale — pool words, allocator metadata,
-        checkpoint-log clone, transaction counter, trace — and the delta
-        tail past the base is drained on top.  The mirror's reverts come
-        with the image, so any revert the node owed while it was down is
-        settled too.  ``tick`` is called once per op credited from the
-        base, which threads the supervisor's ``cluster.resync``
-        injection site through the rebase; a crash mid-rebase retries
-        from scratch (every step reinstalls).  Returns ``(credited,
-        reverted)``: ops credited to the node and how many of those
-        carry an inherited revert.
+        Instead of re-executing the node's oplog share, a full
+        :meth:`drain` brings every live node to the head of the stream
+        and the first aligned live mirror's state is copied wholesale —
+        pool words, allocator metadata, one checkpoint-log clone,
+        transaction counter, trace, oracle.  No copy aliases the
+        mirror.  The mirror's reverts come with its state, so any revert
+        the node owed while it was down is settled too, and the mirror
+        sits at the stream head, so no tail is left to drain.  ``tick``
+        is called once per op credited from the mirror, which threads
+        the supervisor's ``cluster.resync`` injection site through the
+        rebase; a crash mid-rebase retries from scratch (every step
+        reinstalls).  Returns ``(credited, reverted)``: ops credited to
+        the node and how many of those carry an inherited revert.
         """
-        base = self._base
-        if base is None:
-            self.drain()
-            source = self._capture_base_source(exclude=node_id)
-            if source is None:
-                raise RuntimeError(
-                    f"no aligned live mirror to rebase node {node_id} from"
-                )
-            base = self._base = self._capture_base(source)
+        self.drain()
+        source = self._aligned_mirror(exclude=node_id)
+        if source is None:
+            raise RuntimeError(
+                f"no aligned live mirror to rebase node {node_id} from"
+            )
+        mirror = self.nodes[source]
         node = self.nodes[node_id]
-        node.pool.load_durable(base.items)
-        node.allocator.import_meta(base.meta)
-        node.ckpt.log = base.log.clone()
+        node.pool.load_durable(mirror.pool.durable_items())
+        node.allocator.import_meta(mirror.allocator.export_meta())
+        node.ckpt.log = mirror.ckpt.log.clone()
         node.txman.reset()
-        node.txman._next_tx_id = base.tx_next
+        node.txman._next_tx_id = mirror.txman._next_tx_id
         if node.trace is not None:
-            node.trace.load(base.trace, emitted=base.trace_len)
+            mirror.trace.flush()
+            node.trace.load(mirror.trace.pairs(), emitted=len(mirror.trace))
         # fresh machine over the installed image; init re-finds the root
         node.restart()
         oracle = self.oracles[node_id]
         oracle.clear()
-        oracle.update(base.oracle)
+        oracle.update(self.oracles[source])
         for op in self._ops_by_node.pop(node_id, []):
             op.spans.pop(node_id, None)
             op.reverted_on.discard(node_id)
@@ -778,29 +701,20 @@ class Cluster:
         reverted = 0
         index = self._ops_by_node.setdefault(node_id, [])
         for op in self.oplog:
-            span = base.spans.get(op.op_id)
+            span = op.spans.get(source)
             if span is None:
                 continue
             if tick is not None:
                 tick()
             op.spans[node_id] = span
-            if op.op_id in base.reverted:
+            if source in op.reverted_on:
                 op.reverted_on.add(node_id)
                 reverted += 1
             index.append(op)
             credited += 1
-        self._applied[node_id] = base.pos
+        self._applied[node_id] = self._log_pos
         self._needs_rebase.discard(node_id)
-        credited += self._drain_node(node_id)
         return (credited, reverted)
-
-    def note_out_of_band(self) -> None:
-        """An out-of-band guest mutation happened (revert cascade, peer
-        recovery run): live mirrors stayed mutually aligned — the same
-        reverts run on every span holder in the same order — but the
-        cached base image no longer matches them, so drop it.  The next
-        compaction or rebase captures a fresh one."""
-        self._base = None
 
 
 class ClusterClient:

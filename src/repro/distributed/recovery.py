@@ -76,10 +76,6 @@ class DistributedReactor:
                 self._revert_spans(orphan)
             cascaded.extend(orphans)
             frontier = orphans
-        if discarded or cascaded:
-            # the reverts mutated live mirrors out-of-band: the cached
-            # compaction base no longer matches them
-            self.cluster.note_out_of_band()
         return discarded, cascaded, rounds
 
     # ------------------------------------------------------------------

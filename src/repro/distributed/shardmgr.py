@@ -33,10 +33,10 @@ throughout:
    to discarded client ops, orphans are reverted through every live
    replica's log — including orphans whose primary is the demoted node
    itself.
-4. **resync + handoff** — re-base the node from a live mirror's base
-   image plus the delta tail it missed (which also settles every revert
-   the cascade could not apply while it was down), then demote it
-   (sticky replica duty), mark it up and compact the delta stream.
+4. **resync + handoff** — re-base the node by copying a live mirror at
+   the head of the delta stream (which also settles every revert the
+   cascade could not apply while it was down), then demote it (sticky
+   replica duty), mark it up and fold the stream's tail.
 
 Each phase records completion in a per-node journal and every
 externally-visible effect is idempotent (ring flags are sets, reverts
@@ -124,7 +124,8 @@ class HealJournal:
     """Write-ahead record of completed promotion-protocol phases.
 
     Re-entering a phase that already completed is a no-op — the
-    idempotence anchor for crash-retried heals.
+    idempotence anchor for crash-retried heals.  Each heal that finds a
+    failure starts the node's journal empty.
     """
 
     PHASES = ("promote", "mitigate", "rebuild", "cascade", "resync", "handoff")
@@ -324,10 +325,6 @@ class ShardManager:
             peer = self.cluster.nodes[nid]
             peer.restart()
             peer.recover()
-        if discarded or cascaded or touched:
-            # reverts and peer recoveries mutate guests outside the
-            # delta stream: the cached compaction base is stale
-            self.cluster.note_out_of_band()
         self.health[node_id].discarded_ops += len(discarded)
         journal.complete(
             "cascade", discarded=discarded, cascaded=cascaded, rounds=rounds
@@ -364,10 +361,10 @@ class ShardManager:
         Two crash-retried steps around the ``cluster.resync`` /
         ``cluster.handoff`` sites:
 
-        * catch-up — :meth:`Cluster.rebase_node` installs a live
-          mirror's base image plus the delta tail, which carries every
-          discard the cascade applied while this node was down; the
-          rebase reinstalls from scratch, so a mid-rebase crash retries
+        * catch-up — :meth:`Cluster.rebase_node` copies a live
+          mirror's current state, which carries every discard the
+          cascade applied while this node was down; the rebase
+          reinstalls from scratch, so a mid-rebase crash retries
           cleanly;
         * handoff — demote (sticky) + mark up, in that order, so the
           node never fronts reads between the two flags, then compact
@@ -406,10 +403,10 @@ class ShardManager:
             def handoff() -> StepResult:
                 self.cluster.ring.demote(node_id)
                 self.cluster.ring.mark_up(node_id)
-                # capture a base and fold the stream's tail now that
-                # every node is live and aligned; a crash at the
-                # cluster.compact site retries into a fresh capture
-                # (idempotent)
+                # fold the stream's tail now that every node is live and
+                # aligned; a crash at the cluster.compact site leaves
+                # the stream untruncated and the retry folds the same
+                # tail (idempotent)
                 folded = self.cluster.compact()
                 faultinject.fire("cluster.handoff")
                 return StepResult(recovered=True, notes=f"compacted={folded}")
@@ -440,21 +437,24 @@ class ShardManager:
 
         Detection runs on the node through :func:`detect` (``trapped``:
         the caller's traffic already raised the trap); when nothing
-        manifests the heal stops there — no verdict, no promotion, an
-        empty journal.  Otherwise :func:`confirm_hard` restarts the node
-        and watches the failure recur, the verdict is recorded, and the
-        protocol runs whatever confirmation says.  ``serve(phase)`` (if
-        given) runs after ``"promote"`` and after ``"mitigate"``, so
-        the caller serves its window where it needs it.  ``inject_plan``
-        is armed from promotion on, so the ``cluster.*`` second-fault
-        sites can fire.  One :class:`SimClock` paces promote, mitigate
-        and resync, and ``crash_retries`` sums all three.
+        manifests the heal stops there — no verdict, no promotion, the
+        journal untouched.  Otherwise the node's journal starts empty
+        (a fault on an already-healed node runs every phase again),
+        :func:`confirm_hard` restarts the node and watches the failure
+        recur, the verdict is recorded, and the protocol runs whatever
+        confirmation says.  ``serve(phase)`` (if given) runs after
+        ``"promote"`` and after ``"mitigate"``, so the caller serves
+        its window where it needs it.  ``inject_plan`` is armed from
+        promotion on, so the ``cluster.*`` second-fault sites can fire.
+        One :class:`SimClock` paces promote, mitigate and resync, and
+        ``crash_retries`` sums all three.
         """
         report = HealReport(node_id=node_id)
         detector = make_detector(ctx)
         outcome = detect(ctx, detector, trapped)
         if outcome.ok:
             return report
+        self._journals[node_id] = HealJournal()
         report.manifested = True
         report.signature = outcome.signature
         report.confirmed_hard = confirm_hard(ctx, detector, outcome)

@@ -63,17 +63,17 @@ site family                fired from
                            node is marked down on the ring, before the
                            promotion journal entry completes
 ``cluster.resync``         :meth:`ShardManager.resync`, at the start of
-                           the catch-up pass and before each replayed
-                           oplog-tail op
+                           the catch-up pass and before each op the
+                           rebase credits
 ``cluster.handoff``        :meth:`ShardManager.resync`, after the healed
                            node is demoted + marked up, before the
                            journal records the handoff
 ``cluster.ship_delta``     :meth:`Cluster._drain_node`, before a queued
                            batch of physical replica deltas is applied
                            to one node (delta replication engine)
-``cluster.compact``        :meth:`Cluster.compact`, after the base image
-                           is captured, before the acked delta prefix is
-                           truncated
+``cluster.compact``        :meth:`Cluster.compact`, after the replica
+                           round is drained, before the acked delta prefix
+                           is truncated
 =========================  ====================================================
 
 The ``cluster.*`` sites model a *second* fault arriving mid-promotion:

@@ -20,8 +20,8 @@ checks.  The acceptance bar is checked per cell:
   runs see the same oplog, the same vector clocks and the same replica
   sets (the window runs while the target is down either way), so after
   cascade + resync every node's pool digest must be byte-identical
-  across the two runs — serving during mitigation changed *when* work
-  happened, never *what* state converged;
+  across the two runs — serving the window before mitigation changed
+  *when* work happened, never *what* state converged;
 * **causal cut** — no surviving oplog op causally depends on a
   discarded one (``vc_less`` over the cluster clocks);
 * **serving** — after the heal, the last surviving write of every

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.checkpoint.log import CheckpointLog
 from repro.lang.compiler import compile_module
 from repro.lang.interp import Machine
 from repro.pmem.allocator import PMAllocator
@@ -108,6 +109,20 @@ def kv_module():
 @pytest.fixture
 def kv_machine(kv_module):
     return Machine(kv_module, pool_size=4096)
+
+
+@pytest.fixture
+def cloned_logs(monkeypatch):
+    """Every :class:`CheckpointLog` the test clones, in call order."""
+    cloned = []
+    clone = CheckpointLog.clone
+
+    def spy(log):
+        cloned.append(log)
+        return clone(log)
+
+    monkeypatch.setattr(CheckpointLog, "clone", spy)
+    return cloned
 
 
 @pytest.fixture(scope="session")

@@ -136,6 +136,43 @@ class TestHeal:
         assert journal.phases_done() == list(journal.PHASES)
 
 
+def test_heal_clones_one_checkpoint_log(cloned_logs):
+    """The rebase copies one mirror's checkpoint log, once; the heal
+    clones nothing else (the handoff's compaction copies no state)."""
+    cluster, ctx = _wedged_cluster()
+    report = ShardManager(cluster).heal(0, ctx)
+    assert report.recovered and report.demoted
+    assert len(cloned_logs) == 1
+    # node 1: the lowest live node that acks the whole stream
+    assert cloned_logs[0] is cluster.nodes[1].ckpt.log
+
+
+def test_second_heal_of_a_healed_node_runs_every_phase_again():
+    """A fault on a node that already healed starts a new journal: the
+    second heal promotes, mitigates and re-bases the node again instead
+    of replaying the first heal's journal entries."""
+    cluster, ctx = _wedged_cluster()
+    mgr = ShardManager(cluster)
+    r1 = mgr.heal(0, ctx)
+    assert r1.recovered and r1.demoted
+    scenario = scenario_by_id("f1")
+    ctx2 = ExperimentContext(cluster.nodes[0], scenario, 0)
+    ctx2.oracle = cluster.oracles[0]
+    scenario.trigger(ctx2)
+    down = {}
+
+    def serve(phase):
+        down[phase] = cluster.is_down(0)
+
+    r2 = mgr.heal(0, ctx2, serve=serve)
+    assert r2.manifested and r2.promoted and r2.recovered and r2.demoted
+    assert down["promote"]
+    assert r2.run is not r1.run and r2.run.attempts >= 1
+    assert mgr.health[0].mitigations == 2
+    assert not cluster.is_down(0)
+    assert detect(ctx2, make_detector(ctx2)).ok
+
+
 def test_heal_stops_when_nothing_manifests():
     """f18's trigger does not survive the sharded keyspace: detection
     finds no failure, so the heal records no verdict, promotes nothing

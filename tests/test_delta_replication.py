@@ -7,7 +7,8 @@ never re-executing the guest on a mirror.  These tests pin that
 equivalence across guest systems, group-commit batch sizes, injected
 crashes at the two replication sites (``cluster.ship_delta``,
 ``cluster.compact``), a torn op on the primary, and the compaction
-round-trip through ``rebuild_node`` + ``rebase_node``.
+round-trip through ``rebuild_node`` + ``rebase_node``, whose copy of the
+mirror must share no object with it.
 """
 
 import random
@@ -197,8 +198,8 @@ class TestCrashAtCompact:
         with faultinject.activate(plan):
             with pytest.raises(InjectedCrash):
                 cluster.compact()
-        # the crash hit after capture but before truncation: nothing
-        # moved, and the retry folds the same prefix
+        # the crash hit after the drain round but before truncation:
+        # nothing moved, and the retry folds the same prefix
         assert cluster._horizon == 0
         assert len(cluster._delta_log) == n_deltas
         folded = cluster.compact()
@@ -217,7 +218,7 @@ class TestCrashAtCompact:
 
 
 class TestCompactionRoundTrip:
-    def test_rebuild_then_rebase_from_compacted_base(self):
+    def test_rebuild_then_rebase_after_compaction(self):
         adapter_cls = scenario_by_id("f1").adapter_cls()
         cluster = _run_workload(
             Cluster, adapter_cls, batch=N_OPS + 1, drain=False
@@ -225,13 +226,14 @@ class TestCompactionRoundTrip:
         queued = len(cluster._delta_log)
         folded = cluster.compact()
         assert folded == queued > 0
-        base = cluster._base
         n_ops = len(cluster.oplog)
 
         cluster.rebuild_node(1)
         assert 1 in cluster._needs_rebase
         credited, reverted = cluster.rebase_node(1)
-        assert cluster._base is base  # installed the compacted base
+        # copied at the head of the stream: no tail is left to drain
+        assert cluster._applied[1] == cluster._log_pos
+        assert cluster.drain(1) == 0
         assert credited == n_ops
         assert reverted == 0
         assert 1 not in cluster._needs_rebase
@@ -243,19 +245,60 @@ class TestCompactionRoundTrip:
         adapter_cls = scenario_by_id("f1").adapter_cls()
         cluster = _run_workload(Cluster, adapter_cls, n_ops=40, batch=64)
         cluster.compact()
-        base = cluster._base
         # grow a post-compaction tail (no full round truncates it), then
-        # heal through base + tail
+        # heal: the rebase drains the tail into the mirror it copies
         client = ClusterClient(cluster, 0)
         for key in range(200, 212):
             client.insert(key, 30 + key)
         assert len(cluster._delta_log) == 12
         cluster.rebuild_node(2)
         credited, _ = cluster.rebase_node(2)
-        assert cluster._base is base
+        assert not cluster._delta_log
+        assert cluster._applied[2] == cluster._log_pos
         assert credited == len(cluster.oplog)
         digests = _digests(cluster)
         assert digests[2] == digests[0]
+
+
+class TestRebaseCopiesMirror:
+    def test_rebased_node_shares_no_state_with_its_mirror(self):
+        """A rebase copies the mirror's state: an aliased pool image,
+        allocator table, log or trace index would pass every digest
+        equality above, since both sides would read the same object."""
+        adapter_cls = scenario_by_id("f1").adapter_cls()
+        cluster = _run_workload(Cluster, adapter_cls, n_ops=40)
+        cluster.rebuild_node(1)
+        cluster.rebase_node(1)
+        # node 0 is the lowest live node that acks the whole stream
+        source, target = cluster.nodes[0], cluster.nodes[1]
+        assert target.ckpt.log is not source.ckpt.log
+        assert target.pool._durable is not source.pool._durable
+        for name in ("_free", "_allocations", "_sites"):
+            assert (getattr(target.allocator, name)
+                    is not getattr(source.allocator, name))
+        src_index = source.trace._addrs_by_guid
+        dst_index = target.trace._addrs_by_guid
+        assert dst_index is not src_index
+        shared = set(src_index) & set(dst_index)
+        assert shared
+        assert all(dst_index[g] is not src_index[g] for g in shared)
+
+        def state(node):
+            return (pool_digest(node.pool, node.allocator),
+                    node.ckpt.log.structural_digest())
+
+        copied = state(target)
+        assert copied == state(source)
+        # mutate the mirror: an allocation (allocator table plus its
+        # checkpoint record), a durable write, a logged update and a
+        # trace pair
+        addr = source.allocator.zalloc(4, site="alias-probe")
+        source.pool.durable_write(addr, 4242)
+        source.ckpt.log.record_update(addr, 1, [4242])
+        source.trace.extend([("alias-probe", addr)])
+        assert state(source) != copied
+        assert state(target) == copied
+        assert target.trace.addresses_for_guid("alias-probe") == set()
 
 
 class TestBoundedStream:
@@ -284,15 +327,15 @@ class TestBoundedStream:
         assert _digests(cluster) == _digests(control)
         assert cluster.oracles == control.oracles
 
-    def test_down_node_is_flagged_then_rebased_from_a_fresh_base(self):
+    def test_down_node_is_flagged_then_rebased_from_a_fresh_base(
+        self, cloned_logs
+    ):
         cluster = Cluster(n_nodes=3, n_clients=2, seed=5, replication=2)
         clients = [ClusterClient(cluster, i) for i in range(2)]
         rng = random.Random(3)
         for i in range(30):
             _mixed_op(clients, rng, i, keyspace=48)
         cluster.compact()
-        cached = cluster._base
-        assert cached is not None
         down = 1
         cluster.ring.mark_down(down)
         pos_down = cluster._log_pos
@@ -303,19 +346,24 @@ class TestBoundedStream:
         assert cluster._log_pos == pos_down + n_writes
         assert cluster._horizon >= pos_down + 3 * cluster.replication_batch
         assert down in cluster._needs_rebase
-        assert cluster._base is None  # the horizon passed the cached base
         assert cluster._applied[down] < cluster._horizon
         assert cluster.drain(down) == 0  # down: nothing to do
         cluster.ring.mark_up(down)
         assert cluster.drain(down) == 0  # awaiting rebase: never raises
         cluster.drain()
+        # the source is the lowest live node that acks the whole stream
+        source = 0
+        assert not cluster.is_down(source)
+        assert source not in cluster._needs_rebase
+        assert cluster._applied[source] == cluster._log_pos
         credited, reverted = cluster.rebase_node(down)
+        # the one clone of the test (compaction copies nothing)
+        assert len(cloned_logs) == 1
+        assert cloned_logs[0] is cluster.nodes[source].ckpt.log
         assert credited == len(cluster.oplog)
         assert reverted == 0
         assert down not in cluster._needs_rebase
-        assert cluster._base is not cached
-        assert cluster._base.pos == cluster._log_pos
-        source = cluster._base.source
+        assert cluster._applied[down] == cluster._log_pos
         assert source != down
         assert _digests(cluster)[down] == _digests(cluster)[source]
         assert cluster.oracles[down] == cluster.oracles[source]
@@ -363,6 +411,7 @@ class TestTornApplyAtomicity:
         assert len(cluster.oplog) == oplog_before + 1
         op = cluster.oplog[-1]
         assert op.key == 2 and op.node == cluster.node_for(2)
-        assert op.first_seq <= op.last_seq
+        first, last = op.spans[op.node]
+        assert first <= last
         assert _digests(cluster) == [_digests(cluster)[0]] * N_NODES
         assert set(op.spans) == set(range(N_NODES))

@@ -58,16 +58,19 @@ class TestCluster:
     def test_oplog_records_sequence_spans(self):
         cluster = Cluster(n_nodes=2)
         client = ClusterClient(cluster, 0)
+        log = cluster.nodes[cluster.node_for(4)].ckpt.log
+        before = log.max_seq()
         rec = client.insert(4, 7)
-        assert rec.first_seq <= rec.last_seq
-        node = cluster.nodes[rec.node]
-        assert node.ckpt.log.max_seq() >= rec.last_seq
+        first, last = rec.spans[rec.node]
+        assert rec.node == cluster.node_for(4)
+        assert first == before + 1 and first <= last
+        assert log.max_seq() >= last
         # the primary's span is recorded when the op executes...
-        assert rec.spans == {rec.node: (rec.first_seq, rec.last_seq)}
+        assert set(rec.spans) == {rec.node}
         # ...and every mirror's once its group-commit round drains
         cluster.drain()
         assert set(rec.spans) == set(range(cluster.n_nodes))
-        assert rec.spans[rec.node] == (rec.first_seq, rec.last_seq)
+        assert rec.spans[rec.node] == (first, last)
 
     def test_replicas_hold_the_data(self):
         cluster = Cluster(n_nodes=3, replication=2)
@@ -119,7 +122,7 @@ class TestCluster:
         cluster = Cluster(n_nodes=1)
         client = ClusterClient(cluster, 0)
         recs = [client.insert(k, 100 + k) for k in range(4)]
-        spans = [(r.first_seq, r.last_seq) for r in recs]
+        spans = [r.spans[r.node] for r in recs]
         # exactly the middle two ops: every seq of their spans
         target = set(range(spans[1][0], spans[2][1] + 1))
         hit = cluster.ops_overlapping_seqs(0, target)
@@ -137,7 +140,8 @@ class TestCluster:
         # an operation that produced no checkpoint records: its span is
         # empty (first > last) and must never be discarded
         empty = client.delete(999)
-        assert empty.first_seq > empty.last_seq
+        first, last = empty.spans[empty.node]
+        assert first > last
         every_seq = set(range(1, cluster.nodes[0].ckpt.log.max_seq() + 1))
         hit = cluster.ops_overlapping_seqs(0, every_seq)
         assert rec in hit and empty not in hit
