@@ -19,7 +19,7 @@ Run:  python examples/memcached_refcount_recovery.py
 from repro.detector.monitor import Detector
 from repro.harness.simclock import ReexecDelay, SimClock
 from repro.reactor.revert import Reverter
-from repro.reactor.server import ReactorClient, ReactorServer
+from repro.reactor.server import ReactorServer
 from repro.systems.memcached import MemcachedAdapter
 
 
@@ -55,8 +55,7 @@ def main():
 
     # step 4: the reactor server already has the PDG; request mitigation
     server = ReactorServer(mc.module, analysis=mc.analysis)
-    client = ReactorClient(server)
-    plan = client.request_mitigation_plan(
+    plan = server.compute_plan(
         mc.guid_map, mc.trace, mc.ckpt.log, outcome.fault.iid
     )
     print(f"reversion plan: {len(plan.candidates)} candidates "

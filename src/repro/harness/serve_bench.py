@@ -68,7 +68,7 @@ def bench_live_traffic(
             keyspace=keyspace, detect_every=detect_every,
             release_after=release_after,
         )
-        sides[mode] = server.run_sync(
+        sides[mode] = server.run(
             n_requests, arrival_period_s=arrival_period_s
         )
     scoped, stw = sides["quarantine"], sides["stop-the-world"]

@@ -182,7 +182,7 @@ class Machine:
         #: short calls still yield (compiled segments and single steps
         #: alike, same accounting as the budget check).  The
         #: live-traffic server parks mitigation re-executions here so
-        #: the event loop can serve between probe steps.  Must not
+        #: its serving thread can serve between probe steps.  Must not
         #: touch guest state.
         self.step_hook: Optional[Callable[[], None]] = None
         self.step_hook_every: int = 0

@@ -20,7 +20,7 @@ latency only pays for slicing.
 from repro.reactor.leakfix import find_leaked_objects, mitigate_leak
 from repro.reactor.plan import Candidate, ReversionPlan, compute_plan
 from repro.reactor.revert import MitigationResult, Reverter
-from repro.reactor.server import ReactorClient, ReactorServer
+from repro.reactor.server import ReactorServer
 
 __all__ = [
     "Candidate",
@@ -29,7 +29,6 @@ __all__ = [
     "MitigationResult",
     "Reverter",
     "ReactorServer",
-    "ReactorClient",
     "find_leaked_objects",
     "mitigate_leak",
 ]

@@ -1,18 +1,19 @@
-"""Reactor client/server architecture (paper Section 5) + live traffic.
+"""Reactor server (paper Section 5) + live traffic.
 
 Computing the static PDG and pointer analysis can take a long time, so
 the paper runs the reactor as a server that precomputes the PDG as soon
 as the target code is available and parses the PM trace incrementally; a
 thin RPC client invokes it at failure time and only pays the (fast)
-slicing cost.  :class:`ReactorServer` / :class:`ReactorClient` model
-that split in-process.
+slicing cost.  :class:`ReactorServer` models that server in-process;
+its callers invoke :meth:`ReactorServer.compute_plan` directly.
 
-The rest of the module is the **live-traffic recovery server**: an
-asyncio front-end that keeps serving a sustained YCSB stream against a
-PM-backed miniature while a hard fault is detected in-line, quarantined,
-and mitigated *cooperatively* — the number that matters at production
-scale is the p50/p99 a client sees during a mitigation, not mitigation
-wall-time.
+The rest of the module is the **live-traffic recovery server**: an open
+loop that keeps serving a sustained YCSB stream against a PM-backed
+miniature while a hard fault is detected in-line, quarantined, and
+mitigated *cooperatively* on a worker thread that parks at every
+checkpoint so the serving thread can answer the arrivals due — the
+number that matters at production scale is the p50/p99 a client sees
+during a mitigation, not mitigation wall-time.
 
 Serving contract during a mitigation (the soundness core):
 
@@ -21,9 +22,8 @@ Serving contract during a mitigation (the soundness core):
   never touch the pool mid-mitigation: reads are answered from the
   server's reconciled view (the oracle plus a read-your-writes overlay),
   writes are deferred and re-applied in arrival order once recovery
-  lands, and requests against quarantined keys get a typed
-  :class:`Quarantined` response with a retry-after, burning an explicit
-  error budget.
+  lands, and requests against quarantined keys get a ``quarantined``
+  response with a retry-after, burning an explicit error budget.
 * Quarantine is *scoped*: the reversion plan's candidate addresses are
   joined back through the checkpoint log (update spans; whole blocks
   only when small) to a :class:`RangeLockTable`, and the
@@ -40,7 +40,6 @@ Serving contract during a mitigation (the soundness core):
 
 from __future__ import annotations
 
-import asyncio
 import threading
 import time
 from bisect import bisect_left, bisect_right
@@ -101,23 +100,6 @@ class ReactorServer:
         )
 
 
-class ReactorClient:
-    """Thin stand-in for the paper's RPC client."""
-
-    def __init__(self, server: ReactorServer):
-        self.server = server
-
-    def request_mitigation_plan(
-        self,
-        guid_map: GuidMap,
-        trace: PMTrace,
-        log: CheckpointLog,
-        fault_iid: int,
-        policy: Optional[PolicyFn] = None,
-    ) -> ReversionPlan:
-        return self.server.compute_plan(guid_map, trace, log, fault_iid, policy)
-
-
 # ======================================================================
 # quarantine machinery
 # ======================================================================
@@ -142,25 +124,8 @@ class RangeLockTable:
             j += 1
         rs[i:j] = [(lo, hi)]
 
-    def covers(self, addr: int) -> bool:
-        rs = self._ranges
-        k = bisect_right(rs, (addr,))
-        if k < len(rs) and rs[k][0] <= addr < rs[k][1]:
-            return True
-        return k > 0 and rs[k - 1][0] <= addr < rs[k - 1][1]
-
-    def overlaps(self, lo: int, hi: int) -> bool:
-        rs = self._ranges
-        k = bisect_right(rs, (lo,))
-        if k > 0 and rs[k - 1][1] > lo:
-            return True
-        return k < len(rs) and rs[k][0] < hi
-
     def ranges(self) -> Tuple[Tuple[int, int], ...]:
         return tuple(self._ranges)
-
-    def clear(self) -> None:
-        self._ranges = []
 
     @property
     def locked_words(self) -> int:
@@ -222,14 +187,6 @@ class KeyTouchIndex:
 
 
 @dataclass(slots=True)
-class Quarantined:
-    """Typed rejection for a request against a quarantined key."""
-
-    key: int
-    retry_after_s: float
-
-
-@dataclass(slots=True)
 class ServeRecord:
     """One client request as the server answered it."""
 
@@ -246,27 +203,20 @@ class ServeRecord:
 
 
 class WorkerGate:
-    """Turnstile between a serving side and a mitigation worker thread.
+    """Turnstile between a serving thread and a mitigation worker thread.
 
     Strict alternation: the worker parks at every :meth:`checkpoint`
     (each re-execution, plus the macro-phase boundaries); the serving
-    side observes the park, does its serving turn, and
+    thread blocks in :meth:`wait_parked`, does its serving turn, and
     :meth:`resume`\\ s it.  Exactly one side is ever active, so no shared
-    state needs finer locking.
+    state needs finer locking.  The live-traffic server and every caller
+    of ``ShardManager.mitigate(gate=...)`` serve this way.
 
-    The serving side is either a plain thread, which blocks in
-    :meth:`wait_parked` (the shard supervisor serves healthy shards from
-    the caller's thread while a sick node mitigates), or an asyncio
-    event loop: with ``loop`` given, every park also sets :attr:`wake`
-    on that loop, so the live-traffic server awaits it instead of
-    blocking.  :meth:`close` retires the gate — late checkpoints become
-    no-ops, so the worker can finish after the serving side stops
-    listening.
+    :meth:`close` retires the gate — late checkpoints become no-ops, so
+    the worker can finish after the serving side stops listening.
     """
 
-    def __init__(self, loop: Optional[asyncio.AbstractEventLoop] = None) -> None:
-        self._loop = loop
-        self.wake = asyncio.Event() if loop is not None else None
+    def __init__(self) -> None:
         self._parked = threading.Event()
         self._grant = threading.Event()
         self.checkpoints = 0
@@ -279,8 +229,6 @@ class WorkerGate:
         self.checkpoints += 1
         self._grant.clear()
         self._parked.set()
-        if self._loop is not None:
-            self._loop.call_soon_threadsafe(self.wake.set)
         self._grant.wait()
 
     def wait_parked(self, timeout: Optional[float] = None) -> bool:
@@ -290,8 +238,6 @@ class WorkerGate:
     def resume(self) -> None:
         """Serving side: let the worker run to its next checkpoint."""
         self._parked.clear()
-        if self.wake is not None:
-            self.wake.clear()
         self._grant.set()
 
     def close(self) -> None:
@@ -545,13 +491,14 @@ class LiveRecoveryServer:
     # ------------------------------------------------------------------
     # the serving loop
     # ------------------------------------------------------------------
-    async def run(
+    def run(
         self, n_requests: int, arrival_period_s: float = 0.0005
     ) -> dict:
+        """Serve ``n_requests`` open-loop arrivals, one due every
+        ``arrival_period_s``, and return the serving report."""
         from repro.harness.experiment import detect
         from repro.harness.supervisor import pool_digest
 
-        loop = asyncio.get_running_loop()
         ops = list(self.workload.run_ops(n_requests))
         trigger_at = n_requests // 3
         period = arrival_period_s
@@ -574,7 +521,7 @@ class LiveRecoveryServer:
             arrival = t0 + shift + idx * period
             delay = arrival - time.perf_counter()
             if delay > 0:
-                await asyncio.sleep(delay)
+                time.sleep(delay)
             rec = self._serve_request(idx, ops[idx], arrival)
             idx += 1
             # detection in-line on the request path: the trap a request
@@ -593,8 +540,8 @@ class LiveRecoveryServer:
             if self._mitigations >= MAX_MITIGATIONS:
                 self._unavailable = True
                 continue
-            idx, shift = await self._mitigation_window(
-                loop, ops, idx, n_requests, t0, shift, period, outcome
+            idx, shift = self._mitigation_window(
+                ops, idx, n_requests, t0, shift, period, outcome
             )
         report = self._report(n_requests, period, t0)
         report["final_digest"] = pool_digest(
@@ -602,87 +549,48 @@ class LiveRecoveryServer:
         )
         return report
 
-    def run_sync(self, n_requests: int, arrival_period_s: float = 0.0005) -> dict:
-        return asyncio.run(self.run(n_requests, arrival_period_s))
-
     # ------------------------------------------------------------------
     def _serve_request(self, idx: int, op: Op, arrival: float) -> ServeRecord:
         """Serve one request outside a mitigation window."""
-        if not self._served_through_view:
-            # pre-fault steady state: full read-through, side effects on
-            self.ctx.op_index = self._op_base + idx
-            self.ctx.clock.advance(self._op_period)
-            if not self._detected_ever:
-                self.snapshotter.maybe_snapshot(self.ctx.clock.now)
-            try:
-                self._apply_traced(op)
-            except Trap:
-                self._detected_ever = True
+        if self._served_through_view:
+            # after the first mitigation, reads come from the reconciled
+            # view for good (index-deterministic pool traffic); writes
+            # apply below like pre-fault traffic
+            self._maybe_reconcile(idx)
+            if op.key in self.quarantined_keys and idx < self._release_index:
+                return self._quarantined(idx, op, arrival)
+            if op.kind is OpKind.GET:
                 return self._record(
-                    idx, op, "fault", arrival, time.perf_counter()
+                    idx, op, "ok", arrival, time.perf_counter(),
+                    value=self._view_value(op.key),
                 )
-            value = self._view_value(op.key) if op.kind is OpKind.GET else op.value
-            return self._record(
-                idx, op, "ok", arrival, time.perf_counter(), value=value
-            )
-
-        # post-mitigation serving: reads come from the reconciled view
-        # permanently (index-deterministic pool traffic), writes apply
-        self._maybe_reconcile(idx)
-        held = op.key in self.quarantined_keys and idx < self._release_index
-        if held:
-            retry_after = max(
-                (self._release_index - idx), 1
-            ) * self._retry_period
-            return self._record(
-                idx, op, "quarantined", arrival, time.perf_counter(),
-                retry_after=retry_after,
-            )
-        if op.kind is OpKind.GET:
-            return self._record(
-                idx, op, "ok", arrival, time.perf_counter(),
-                value=self._view_value(op.key),
-            )
         self.ctx.op_index = self._op_base + idx
         self.ctx.clock.advance(self._op_period)
+        if not self._detected_ever:
+            self.snapshotter.maybe_snapshot(self.ctx.clock.now)
         try:
             self._apply_traced(op)
         except Trap:
             self._detected_ever = True
             return self._record(idx, op, "fault", arrival, time.perf_counter())
+        value = self._view_value(op.key) if op.kind is OpKind.GET else op.value
         return self._record(
-            idx, op, "ok", arrival, time.perf_counter(), value=op.value
+            idx, op, "ok", arrival, time.perf_counter(), value=value
         )
 
-    def _serve_during(
-        self, idx: int, op: Op, arrival: float,
-        completion: Optional[float] = None,
-    ) -> ServeRecord:
+    def _serve_during(self, idx: int, op: Op, arrival: float) -> ServeRecord:
         """Classify one window arrival (never touches the pool)."""
-        now = completion if completion is not None else time.perf_counter()
+        # a quarantined key's reads are rejected, and its writes inside
+        # the release horizon (index-deterministic, so every mode rejects
+        # the same set); other writes are deferred for the in-order drain
+        if op.key in self.quarantined_keys and (
+            op.kind is OpKind.GET or idx < self._release_index
+        ):
+            return self._quarantined(idx, op, arrival, during=True)
         if op.kind is OpKind.GET:
-            if op.key in self.quarantined_keys:
-                retry_after = max(
-                    (self._release_index - idx), 1
-                ) * self._retry_period
-                return self._record(
-                    idx, op, "quarantined", arrival, now, during=True,
-                    retry_after=retry_after,
-                )
             return self._record(
-                idx, op, "ok", arrival, now,
+                idx, op, "ok", arrival, time.perf_counter(),
                 value=self._view_value(op.key), during=True,
-            )
-        # writes: reject quarantined ones inside the release horizon
-        # (index-deterministic, so every mode rejects the same set);
-        # defer the rest for the in-order drain
-        if op.key in self.quarantined_keys and idx < self._release_index:
-            retry_after = max(
-                (self._release_index - idx), 1
-            ) * self._retry_period
-            return self._record(
-                idx, op, "quarantined", arrival, now, during=True,
-                retry_after=retry_after,
             )
         self._deferred.append((idx, op))
         if op.kind is OpKind.DELETE:
@@ -693,15 +601,37 @@ class LiveRecoveryServer:
         # tests) can replay the window from the response stream alone
         value = -1 if op.kind is OpKind.DELETE else op.value
         return self._record(
-            idx, op, "deferred", arrival, now, value=value, during=True
+            idx, op, "deferred", arrival, time.perf_counter(), value=value,
+            during=True,
+        )
+
+    def _quarantined(
+        self, idx: int, op: Op, arrival: float, during: bool = False
+    ) -> ServeRecord:
+        """Reject a request against a quarantined key, with a retry hint."""
+        retry_after = max(self._release_index - idx, 1) * self._retry_period
+        return self._record(
+            idx, op, "quarantined", arrival, time.perf_counter(),
+            during=during, retry_after=retry_after,
         )
 
     # ------------------------------------------------------------------
-    async def _mitigation_window(
-        self, loop, ops: List[Op], idx: int, n: int, t0: float,
+    def _mitigation_window(
+        self, ops: List[Op], idx: int, n: int, t0: float,
         shift: float, period: float, outcome: RunOutcome,
     ) -> Tuple[int, float]:
-        """Run one cooperative mitigation; returns (next index, shift)."""
+        """Run one cooperative mitigation; returns (next index, shift).
+
+        The mitigation runs on a worker thread that parks at every
+        :class:`WorkerGate` checkpoint, and once more when it finishes;
+        this thread serves.  At each park it holds the arrivals now due.
+        In ``quarantine`` mode, once the quarantine is derived, it answers
+        everything held, in index order, before resuming the worker, so a
+        held request never waits for a newer arrival.  ``stop-the-world``
+        answers them after the window; ``quiesced`` takes none during it.
+        On any exit the gate is closed and the worker joined, so an error
+        on the serving side never leaves the worker parked.
+        """
         self._mitigations += 1
         self._detected_ever = True
         self._served_through_view = True
@@ -713,40 +643,49 @@ class LiveRecoveryServer:
         self._deferred = []
         self._quarantine_ready = False
         start_wall = time.perf_counter()
-        gate = WorkerGate(loop)
-        fut = loop.run_in_executor(None, self._mitigate_blocking, gate, outcome)
-        preq: List[Tuple[int, Op, float]] = []
-        while True:
-            wake = asyncio.ensure_future(gate.wake.wait())
-            await asyncio.wait({wake, fut}, return_when=asyncio.FIRST_COMPLETED)
-            if not gate.wake.is_set():
-                wake.cancel()
-                if fut.done():
+        gate = WorkerGate()
+        box: Dict[str, object] = {}
+
+        def work() -> None:
+            try:
+                box["run"] = self._mitigate_blocking(gate, outcome)
+            except BaseException as exc:  # noqa: BLE001 — re-raised below
+                box["error"] = exc
+            finally:
+                box["done"] = True
+                gate.checkpoint()  # hand the last turn back to the server
+
+        worker = threading.Thread(target=work, name="mitigate")
+        worker.start()
+        held: List[Tuple[int, Op, float]] = []
+        try:
+            while True:
+                gate.wait_parked()
+                if self.mode != "quiesced":
+                    now = time.perf_counter()
+                    while idx < n and t0 + shift + idx * period <= now:
+                        held.append((idx, ops[idx], t0 + shift + idx * period))
+                        idx += 1
+                if self.mode == "quarantine" and self._quarantine_ready:
+                    for j, qop, qarr in held:
+                        self._serve_during(j, qop, qarr)
+                    held = []
+                if box.get("done"):
                     break
-                continue
-            wake.cancel()
-            # worker parked at a checkpoint: drain due arrivals, resume
-            if self.mode != "quiesced":
-                now = time.perf_counter()
-                while idx < n and t0 + shift + idx * period <= now:
-                    arrival = t0 + shift + idx * period
-                    if self.mode == "stop-the-world" or not self._quarantine_ready:
-                        preq.append((idx, ops[idx], arrival))
-                    else:
-                        while preq:
-                            j, qop, qarr = preq.pop(0)
-                            self._serve_during(j, qop, qarr)
-                        self._serve_during(idx, ops[idx], arrival)
-                    idx += 1
-            gate.resume()
-        run = await fut
+                gate.resume()
+        finally:
+            gate.close()
+            worker.join()
+        if "error" in box:
+            raise box["error"]
+        run = box["run"]
         end_wall = time.perf_counter()
         self._windows.append((start_wall, end_wall))
         if self.mode == "quiesced":
             shift += end_wall - start_wall
         # stalled window arrivals drain with identical classification
-        for j, qop, qarr in preq:
-            self._serve_during(j, qop, qarr, completion=time.perf_counter())
+        for j, qop, qarr in held:
+            self._serve_during(j, qop, qarr)
         if not run.recovered:
             self._unavailable = True
             return idx, shift

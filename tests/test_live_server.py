@@ -13,11 +13,19 @@ from __future__ import annotations
 
 import threading
 import time
+from typing import Iterator, List, Optional
 
 import pytest
 
 from repro.faultinject import InjectionPlan, InjectionSpec
-from repro.reactor.server import KeyTouchIndex, LiveRecoveryServer, RangeLockTable
+from repro.harness import experiment
+from repro.reactor import server as server_module
+from repro.reactor.server import (
+    KeyTouchIndex,
+    LiveRecoveryServer,
+    RangeLockTable,
+    WorkerGate,
+)
 from repro.workloads.ycsb import zipf_keys
 
 #: small-but-real serving config used by every server test: the stream
@@ -34,7 +42,7 @@ ALL_FIDS = [f"f{i}" for i in range(1, 13)]
 
 def _run(fid: str, mode: str, **kw) -> LiveRecoveryServer:
     server = LiveRecoveryServer(fid, mode=mode, seed=0, **CONFIG, **kw)
-    server.report = server.run_sync(N_REQUESTS, arrival_period_s=PERIOD)
+    server.report = server.run(N_REQUESTS, arrival_period_s=PERIOD)
     return server
 
 
@@ -50,18 +58,6 @@ def test_range_lock_table_merges_overlapping_ranges():
     assert table.ranges() == ((10, 50),)
     assert len(table) == 1
     assert table.locked_words == 40
-
-
-def test_range_lock_table_covers_and_overlaps():
-    table = RangeLockTable()
-    table.lock(100, 110)
-    assert table.covers(100) and table.covers(109)
-    assert not table.covers(99) and not table.covers(110)
-    assert table.overlaps(105, 200)
-    assert table.overlaps(90, 101)
-    assert not table.overlaps(110, 120)  # half-open: no touch
-    table.clear()
-    assert table.ranges() == () and table.locked_words == 0
 
 
 def test_key_touch_index_skips_structural_words():
@@ -99,6 +95,31 @@ def test_live_stream_digest_matches_quiesced_mitigation():
     assert live.digest_after_mitigation == quiesced.digest_after_mitigation
     assert live.report["final_digest"] == quiesced.report["final_digest"]
     assert not live._unavailable and not quiesced._unavailable
+    # the live run really served through the window, not stop-the-world
+    end = live._windows[-1][1]
+    assert any(
+        r.during_mitigation and r.arrival_s + r.latency_s <= end
+        for r in live.records
+    )
+
+
+@pytest.mark.parametrize("fid", ["f1", "f9"])
+def test_scoped_window_answers_held_requests_before_mitigation_ends(fid):
+    # every request is due before the window opens, so none arrives
+    # after the quarantine is ready: held requests must be answered at
+    # the worker's parks, not left for the post-window drain
+    live = LiveRecoveryServer(fid, mode="quarantine", seed=0, **CONFIG)
+    report = live.run(N_REQUESTS, arrival_period_s=0.0)
+    quiesced = _run(fid, "quiesced")
+    assert len(live._windows) == 1
+    end = live._windows[0][1]
+    during = [r for r in live.records if r.during_mitigation]
+    late = [r for r in during if r.arrival_s + r.latency_s > end]
+    assert during and not late, (
+        f"{len(late)} of {len(during)} window requests answered after "
+        "the window closed"
+    )
+    assert report["final_digest"] == quiesced.report["final_digest"]
 
 
 def test_injected_crash_mid_mitigation_live_vs_quiesced():
@@ -132,7 +153,7 @@ def test_no_mid_rollback_value_observed(fid):
         return orig_lookup(key)
 
     server.adapter.lookup = spying_lookup
-    server.run_sync(N_REQUESTS, arrival_period_s=PERIOD)
+    server.run(N_REQUESTS, arrival_period_s=PERIOD)
 
     if not server._windows:
         # scenario never manifested under this stream (e.g. silent-loss
@@ -140,7 +161,7 @@ def test_no_mid_rollback_value_observed(fid):
         assert not any(r.during_mitigation for r in server.records)
         return
 
-    # (a) the event loop never read the pool while a window was open —
+    # (a) the serving thread never read the pool while a window was open —
     # every in-window lookup belongs to the mitigation worker thread
     for when, ident, _key in pool_reads:
         if any(s <= when <= e for s, e in server._windows):
@@ -192,3 +213,72 @@ def test_report_surfaces_reactor_accounting_and_budget():
         + budget["unavailable_responses"]
     )
     assert len(report["quarantine"]["stream_keys"]) < server.keyspace
+
+
+# ----------------------------------------------------------------------
+# failure paths: an error on either side leaves no thread behind
+# ----------------------------------------------------------------------
+@pytest.fixture
+def gates(monkeypatch) -> Iterator[List[WorkerGate]]:
+    """Every gate the server builds, closed at teardown so a worker the
+    server leaks parked fails its test instead of hanging the session."""
+    made: List[WorkerGate] = []
+
+    class RecordingGate(WorkerGate):
+        def __init__(self) -> None:
+            super().__init__()
+            made.append(self)
+
+    monkeypatch.setattr(server_module, "WorkerGate", RecordingGate)
+    yield made
+    for gate in made:
+        gate.close()
+
+
+def _run_raising(server: LiveRecoveryServer) -> Optional[Exception]:
+    """Run ``server`` on a daemon thread; return what it raised."""
+    box = {}
+
+    def serve() -> None:
+        try:
+            server.run(N_REQUESTS, arrival_period_s=0.0)
+        except Exception as exc:  # noqa: BLE001 — handed to the test
+            box["error"] = exc
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive(), "the serving loop hung"
+    return box.get("error")
+
+
+def _mitigate_threads() -> List[threading.Thread]:
+    return [t for t in threading.enumerate() if t.name == "mitigate"]
+
+
+def test_mitigation_error_is_raised_and_leaves_no_worker(monkeypatch, gates):
+    def fail(*_args, **_kwargs):
+        raise RuntimeError("mitigation failed")
+
+    monkeypatch.setattr(experiment, "mitigate_ladder", fail)
+    server = LiveRecoveryServer("f1", mode="quarantine", seed=0, **CONFIG)
+    error = _run_raising(server)
+    assert isinstance(error, RuntimeError) and "mitigation failed" in str(error)
+    assert len(gates) == 1
+    assert not _mitigate_threads()
+
+
+def test_serving_error_mid_window_leaves_no_worker(monkeypatch, gates):
+    # arrival period 0: every request is held when the window opens, so
+    # the first park after the quarantine is ready serves, and raises,
+    # while the worker is parked
+    server = LiveRecoveryServer("f1", mode="quarantine", seed=0, **CONFIG)
+
+    def fail(*_args):
+        raise RuntimeError("serving failed")
+
+    monkeypatch.setattr(server, "_serve_during", fail)
+    error = _run_raising(server)
+    assert isinstance(error, RuntimeError) and "serving failed" in str(error)
+    assert len(gates) == 1
+    assert not _mitigate_threads()

@@ -9,7 +9,7 @@ from repro.instrument.tracer import PMTrace
 from repro.lang.compiler import compile_module
 from repro.lang.interp import Machine
 from repro.reactor.plan import compute_plan, default_policy, distance_policy
-from repro.reactor.server import ReactorClient, ReactorServer
+from repro.reactor.server import ReactorServer
 
 #: a program where a bad persisted flag causes a later panic
 SRC = '''
@@ -129,7 +129,6 @@ def test_reactor_server_precomputes_analysis():
     # cost, not how long accepting it took
     cached = ReactorServer(module, server.analysis)
     assert cached.analysis_seconds == server.analysis_seconds
-    client = ReactorClient(server)
     machine = Machine(module)
     manager = CheckpointManager(machine.pool, machine.allocator, machine.txman)
     manager.attach()
@@ -141,9 +140,7 @@ def test_reactor_server_precomputes_analysis():
     machine.call("poke", root, 1)
     detector = Detector()
     out = detector.observe(machine, lambda: machine.call("use", root))
-    plan = client.request_mitigation_plan(
-        guid_map, trace, manager.log, out.fault.iid
-    )
+    plan = server.compute_plan(guid_map, trace, manager.log, out.fault.iid)
     assert not plan.empty
     assert server.requests_served == 1
     assert plan.slicing_seconds >= 0
