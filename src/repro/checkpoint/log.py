@@ -24,7 +24,10 @@ The merged event stream stays columnar too: a seq column
 stride-4 ``(kind, addr, size, tx)`` rows the staging buffer holds, which
 the merge appends wholesale.  No log keeps a Python object per event;
 :class:`LogEvent` objects are built only for what a query returns (the
-``events`` property builds a fresh list on every access).
+``events`` property builds a fresh list on every access).  Transaction
+membership is one seq range per transaction id — first and last update
+seq plus a member count, in four arrays — and the row column's tx field
+answers for the rare transaction whose updates interleave with another's.
 
 The derived indexes absorb the staging tail lazily, in one merge pass
 (:meth:`CheckpointLog.flush_staging`), triggered by
@@ -301,8 +304,13 @@ class CheckpointLog:
         self._seq_col = array("Q")
         self._row_col = array("Q")
         self._next_seq = 1
-        #: update-event seqs grouped by transaction id
-        self._tx_members: Dict[int, List[int]] = {}
+        #: transaction ranges: ascending transaction ids and, per id,
+        #: its first and last update seq and its update count (count ==
+        #: last - first + 1 when no other update interleaves)
+        self._tx_ids = array("Q")
+        self._tx_first = array("Q")
+        self._tx_last = array("Q")
+        self._tx_count = array("Q")
         # counters for the data-loss metrics
         self.total_updates = 0
         # ---- derived indexes (synced by flush_staging) ----
@@ -386,13 +394,36 @@ class CheckpointLog:
 
     @property
     def tx_members(self) -> Dict[int, List[int]]:
+        """Update seqs per transaction id, built from the ranges on
+        every access (mutating the dict does not touch the log)."""
         if self._stage:
             self.flush_staging()
-        return self._tx_members
+        return {tx: self.seqs_in_tx(tx) for tx in self._tx_ids}
 
     @tx_members.setter
     def tx_members(self, value: Dict[int, List[int]]) -> None:
-        self._tx_members = value
+        """Install transaction membership as given (deserialization)."""
+        ids = sorted(tx for tx, seqs in value.items() if seqs)
+        self._tx_ids = array("Q", ids)
+        self._tx_first = array("Q", (min(value[tx]) for tx in ids))
+        self._tx_last = array("Q", (max(value[tx]) for tx in ids))
+        self._tx_count = array("Q", (len(value[tx]) for tx in ids))
+
+    def _tx_slot(self, tx: int, seq: int) -> int:
+        """Index of ``tx`` in the range arrays; a new transaction starts
+        an empty range at ``seq``."""
+        ids = self._tx_ids
+        if not ids or tx > ids[-1]:
+            i = len(ids)
+        else:
+            i = bisect_left(ids, tx)
+            if ids[i] == tx:
+                return i
+        ids.insert(i, tx)
+        self._tx_first.insert(i, seq)
+        self._tx_last.insert(i, seq)
+        self._tx_count.insert(i, 0)
+        return i
 
     # ------------------------------------------------------------------
     def _new_entry(self, addr: int) -> CheckpointEntry:
@@ -563,7 +594,8 @@ class CheckpointLog:
         self._row_col.extend(buf)
 
         entries = self._entries
-        tx_members = self._tx_members
+        tx_last, tx_count = self._tx_last, self._tx_count
+        cur_tx, slot = 0, -1
         live = self._live_allocs
         frees_by_addr = self._frees_by_addr
         new_entry = self._new_entry
@@ -588,7 +620,10 @@ class CheckpointLog:
                     self._reclass_entry(entry)
                 off += size
                 if tx:
-                    tx_members.setdefault(tx, []).append(seq)
+                    if tx != cur_tx:
+                        cur_tx, slot = tx, self._tx_slot(tx, seq)
+                    tx_last[slot] = seq
+                    tx_count[slot] += 1
             elif kind == _ALLOC:
                 live[addr] = size
             elif kind == _FREE:
@@ -728,43 +763,6 @@ class CheckpointLog:
                 self._live_allocs[addr] = size
         self._free_addrs = sorted(self._frees_by_addr)
 
-    def structural_digest(self) -> int:
-        """Order-insensitive-free fingerprint of the *logical* log state.
-
-        Hashes everything a reader can observe — the event stream, every
-        entry's retained versions (seq, data, size, tx, crc), realloc
-        links, eviction counts, live allocations, free events and
-        transaction membership — after merging any staged tail.  Two
-        logs with equal digests answer every reactor query identically,
-        so the staged write path can be checked against the eager
-        (``staging_limit=1``) oracle, and a crash-recovered log against
-        a never-crashed run.
-        """
-        if self._stage:
-            self.flush_staging()
-        acc: List[tuple] = [
-            ("meta", self._next_seq, self.total_updates),
-            ("events", tuple(self._event_rows())),
-        ]
-        for addr in sorted(self._entries):
-            entry = self._entries[addr]
-            acc.append((
-                "entry", addr, entry.old_entry, entry.new_entry,
-                entry.total_versions,
-                tuple(
-                    (v.seq, v.data, v.size, v.tx_id, v.crc)
-                    for v in entry.versions
-                ),
-            ))
-        acc.append(("live", tuple(sorted(self._live_allocs.items()))))
-        acc.append(("frees", tuple(
-            (a, tuple(seqs)) for a, seqs in sorted(self._frees_by_addr.items())
-        )))
-        acc.append(("tx", tuple(
-            (tx, tuple(seqs)) for tx, seqs in sorted(self._tx_members.items())
-        )))
-        return hash(tuple(acc))
-
     def _entries_intersecting(self, lo: int, hi: int) -> List[CheckpointEntry]:
         """Entries whose ``[address, address + max_size)`` span can
         intersect ``[lo, hi)``, in creation order.
@@ -838,10 +836,29 @@ class CheckpointLog:
         return seqs
 
     def seqs_in_tx(self, tx_id: int) -> List[int]:
-        """Update sequence numbers belonging to one transaction."""
+        """Update sequence numbers belonging to one transaction,
+        ascending.  A contiguous range is returned without touching a
+        row; otherwise the range's rows are filtered by kind and tx."""
         if self._stage:
             self.flush_staging()
-        return list(self._tx_members.get(tx_id, ()))
+        ids = self._tx_ids
+        i = bisect_left(ids, tx_id)
+        if i == len(ids) or ids[i] != tx_id:
+            return []
+        first, last = self._tx_first[i], self._tx_last[i]
+        if self._tx_count[i] == last - first + 1:
+            return list(range(first, last + 1))
+        seqs = self._seq_col
+        lo, hi = bisect_left(seqs, first), bisect_right(seqs, last)
+        rows = self._row_col
+        return [
+            seq for seq, kind, tx in zip(
+                seqs[lo:hi],
+                rows[lo * _STRIDE:hi * _STRIDE:_STRIDE],
+                rows[lo * _STRIDE + 3:hi * _STRIDE:_STRIDE],
+            )
+            if kind == _UPDATE and tx == tx_id
+        ]
 
     def tx_of_seq(self, seq: int) -> int:
         """Transaction id of an update (0 when not transactional)."""

@@ -16,6 +16,11 @@ cascade can revert an orphan on a demoted node's *mirrors* even while
 the demoted node itself is down.  The vector clocks define which other
 operations causally depend on the discarded ones.
 
+The log is columnar (:class:`OpLog`): one row per op across byte,
+``array('q')`` and per-node span columns, so an op costs array slots,
+not Python objects.  :class:`OpRecord` is a two-slot view of one row,
+built only for return values and query results.
+
 Routing during a failure: marking a node down on the ring makes the
 next live preference node the primary for its keys — replica
 promotion is a ring flag, not a data migration.  A healed node is
@@ -51,9 +56,11 @@ state of a live aligned mirror.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple, Type
+from dataclasses import dataclass
+from operator import le
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple, Type
 
 from repro import faultinject
 from repro.distributed.ring import HashRing
@@ -65,6 +72,16 @@ VectorClock = Tuple[int, ...]
 #: deltas per group-commit round when ``replication_batch`` is unset
 DEFAULT_REPLICATION_BATCH = 8
 
+#: op kinds, by column code
+OP_KINDS = ("insert", "delete")
+_OP_CODES = {name: code for code, name in enumerate(OP_KINDS)}
+
+#: what the key and value columns (``array('q')``) can hold
+WORD_MIN, WORD_MAX = -(1 << 63), (1 << 63) - 1
+
+#: rows per backwards window of :meth:`OpLog.last_surviving`
+_SCAN_WINDOW = 4096
+
 
 class ShardUnavailable(RuntimeError):
     """Every node in a key's replica chain is down."""
@@ -72,6 +89,16 @@ class ShardUnavailable(RuntimeError):
     def __init__(self, key: int):
         super().__init__(f"no live replica for key {key}")
         self.key = key
+
+
+def _check_word(what: str, x: int) -> None:
+    # the oplog's key and value columns are array('q'); a word they
+    # cannot hold must be refused before the guest runs, not after the
+    # primary applied it
+    if not isinstance(x, int) or not WORD_MIN <= x <= WORD_MAX:
+        raise ValueError(
+            f"{what} {x!r} does not fit the oplog's signed 64-bit columns"
+        )
 
 
 def _check_dims(a: VectorClock, b: VectorClock) -> None:
@@ -99,30 +126,294 @@ def vc_merge(a: VectorClock, b: VectorClock) -> VectorClock:
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-@dataclass
-class OpRecord:
-    """One mutating client request in the cluster operation log."""
+def minimal_clocks(clocks: Iterable[VectorClock]) -> List[VectorClock]:
+    """The clocks no other clock in ``clocks`` precedes (each kept once).
 
-    op_id: int
-    client: int
-    #: primary node at apply time (first entry of the replica set)
-    node: int
-    kind: str  # "insert" | "delete"
-    key: int
-    #: stored value for inserts; ``None`` for deletes (a delete stores
-    #: nothing — the old ``0`` sentinel made a real stored 0 ambiguous)
-    value: Optional[int]
-    vc: VectorClock
-    #: node id -> (first_seq, last_seq) on *every* node that applied
-    #: the op (primary and mirrors; credited again when a healed node
-    #: is re-based)
-    spans: Dict[int, Tuple[int, int]] = field(default_factory=dict)
-    #: set by the coordinator when the operation is discarded by recovery
-    discarded: bool = False
-    #: nodes where the discard has been physically reverted; lets the
-    #: cascade skip nodes that already reverted, and a rebase inherits
-    #: the entries of the mirror it copies
-    reverted_on: Set[int] = field(default_factory=set)
+    A clock strictly after any of ``clocks`` is strictly after one of
+    these, so a causality test against a set of clocks needs only its
+    minimal ones.  Sorting by component sum visits every clock after
+    all the clocks below it.
+    """
+    minimal: List[VectorClock] = []
+    for vc in sorted(clocks, key=sum):
+        if not any(vc_leq(m, vc) for m in minimal):
+            minimal.append(vc)
+    return minimal
+
+
+class OpRecord:
+    """One mutating client request: a view of one :class:`OpLog` row.
+
+    Every field reads the columns live, so a record ``insert`` returned
+    shows its mirror spans once they drain.  Two views are equal when
+    they name the same row.
+    """
+
+    __slots__ = ("_log", "_row")
+
+    def __init__(self, log: "OpLog", row: int):
+        self._log = log
+        self._row = row
+
+    @property
+    def op_id(self) -> int:
+        return self._row + 1
+
+    @property
+    def client(self) -> int:
+        return self._log._client[self._row]
+
+    @property
+    def node(self) -> int:
+        """Primary node at apply time (first entry of the replica set)."""
+        return self._log._node[self._row]
+
+    @property
+    def kind(self) -> str:
+        """``"insert"`` or ``"delete"``."""
+        return OP_KINDS[self._log._kind[self._row]]
+
+    @property
+    def key(self) -> int:
+        return self._log._key[self._row]
+
+    @property
+    def value(self) -> Optional[int]:
+        """The stored value for inserts; ``None`` for deletes (a delete
+        stores nothing — a ``0`` sentinel would make a stored 0
+        ambiguous)."""
+        if self._log._kind[self._row]:
+            return None
+        return self._log._value[self._row]
+
+    @property
+    def vc(self) -> VectorClock:
+        return self._log.clock(self._row)
+
+    @property
+    def spans(self) -> Dict[int, Tuple[int, int]]:
+        """node id -> (first_seq, last_seq) on every node that applied
+        the op (primary and mirrors; credited again when a healed node
+        is re-based), built fresh on each access."""
+        log, row = self._log, self._row
+        return {nid: log.span(row, nid) for nid in log.span_nodes(row)}
+
+    @property
+    def discarded(self) -> bool:
+        """Set by the coordinator when recovery discards the op."""
+        return bool(self._log._discarded[self._row])
+
+    @discarded.setter
+    def discarded(self, value: bool) -> None:
+        self._log._discarded[self._row] = 1 if value else 0
+
+    @property
+    def reverted_on(self) -> FrozenSet[int]:
+        """Nodes where the discard has been physically reverted."""
+        return frozenset(self._log._reverted_on.get(self._row, ()))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, OpRecord):
+            return NotImplemented
+        return self._row == other._row and self._log is other._log
+
+    def __repr__(self) -> str:
+        return (
+            f"OpRecord(op_id={self.op_id}, client={self.client}, "
+            f"node={self.node}, kind={self.kind!r}, key={self.key}, "
+            f"value={self.value}, vc={self.vc}, spans={self.spans}, "
+            f"discarded={self.discarded})"
+        )
+
+
+class OpLog:
+    """The cluster operation log as columns, one row per op.
+
+    Client, primary node and kind are byte columns; key and value are
+    ``array('q')`` columns (a delete's value column slot is unused);
+    the clocks are one flat ``array('q')`` of stride ``n_clients +
+    n_nodes``.  Each node has a span-first and a span-last column:
+    seqs start at 1, so first 0 means "no span on this node", and an
+    empty span (an op that wrote no checkpoint records) keeps first >
+    last.  ``discarded`` is one byte per op, and ``reverted_on`` is
+    sparse: only discarded ops ever carry one.
+
+    ``op_id`` is the row index plus 1.  Indexing, slicing and iteration
+    yield :class:`OpRecord` views.
+    """
+
+    def __init__(self, n_clients: int, n_nodes: int):
+        if n_clients > 256 or n_nodes > 256:
+            raise ValueError(
+                "the oplog keeps client and node ids in byte columns: "
+                f"{n_clients} clients / {n_nodes} nodes exceed 256"
+            )
+        self.dims = n_clients + n_nodes
+        self._client = bytearray()
+        self._node = bytearray()
+        self._kind = bytearray()
+        self._key = array("q")
+        self._value = array("q")
+        self._vc = array("q")
+        self._first = [array("q") for _ in range(n_nodes)]
+        self._last = [array("q") for _ in range(n_nodes)]
+        self._discarded = bytearray()
+        #: row -> nodes where its discard was physically reverted; lets
+        #: the cascade skip nodes that already reverted, and a rebase
+        #: inherits the entries of the mirror it copies
+        self._reverted_on: Dict[int, Set[int]] = {}
+
+    # ------------------------------------------------------------------
+    # the sequence view
+    # ------------------------------------------------------------------
+    def __len__(self) -> int:
+        return len(self._kind)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [OpRecord(self, row) for row in range(len(self))[index]]
+        return OpRecord(self, range(len(self))[index])
+
+    def __iter__(self):
+        return (OpRecord(self, row) for row in range(len(self)))
+
+    # ------------------------------------------------------------------
+    def append(
+        self,
+        client: int,
+        node: int,
+        kind: str,
+        key: int,
+        value: Optional[int],
+        vc: VectorClock,
+        spans: Dict[int, Tuple[int, int]],
+    ) -> int:
+        """Append one op and return its row — the one door a clock
+        enters the log by.  A clock of the wrong dimension raises
+        instead of being truncated or padded into the column."""
+        if len(vc) != self.dims:
+            raise ValueError(
+                f"vector clock dimension mismatch: {len(vc)} vs {self.dims}"
+            )
+        row = len(self._kind)
+        self._key.append(key)
+        self._value.append(0 if value is None else value)
+        self._vc.extend(vc)
+        self._client.append(client)
+        self._node.append(node)
+        self._discarded.append(0)
+        for firsts, lasts in zip(self._first, self._last):
+            firsts.append(0)
+            lasts.append(0)
+        for nid, (first, last) in spans.items():
+            self.set_span(row, nid, first, last)
+        # last: the kind column's length is the log's length
+        self._kind.append(_OP_CODES[kind])
+        return row
+
+    def clock(self, row: int) -> VectorClock:
+        base = row * self.dims
+        return tuple(self._vc[base:base + self.dims])
+
+    # ------------------------------------------------------------------
+    # spans
+    # ------------------------------------------------------------------
+    def span(self, row: int, node: int) -> Optional[Tuple[int, int]]:
+        first = self._first[node][row]
+        return (first, self._last[node][row]) if first else None
+
+    def set_span(self, row: int, node: int, first: int, last: int) -> None:
+        self._first[node][row] = first
+        self._last[node][row] = last
+
+    def span_nodes(self, row: int) -> List[int]:
+        """Nodes holding a span of the op, ascending."""
+        return [nid for nid, firsts in enumerate(self._first) if firsts[row]]
+
+    def rows_on(self, node: int) -> List[int]:
+        """Rows of the ops with a span on ``node``, ascending."""
+        return [row for row, first in enumerate(self._first[node]) if first]
+
+    def forget_node(self, node: int) -> None:
+        """Zero the node's span columns and drop it from every
+        ``reverted_on``: its pool no longer holds what they described."""
+        n = len(self._kind)
+        self._first[node] = array("q", bytes(8 * n))
+        self._last[node] = array("q", bytes(8 * n))
+        for nodes in self._reverted_on.values():
+            nodes.discard(node)
+
+    def copy_node(self, source: int, node: int) -> Tuple[int, int]:
+        """Give ``node`` the span columns and reverts of ``source`` (a
+        rebase copies its pool).  Returns ``(credited, reverted)``."""
+        self._first[node] = array("q", self._first[source])
+        self._last[node] = array("q", self._last[source])
+        reverted = 0
+        for nodes in self._reverted_on.values():
+            if source in nodes:
+                nodes.add(node)
+                reverted += 1
+        return len(self._kind) - self._first[source].count(0), reverted
+
+    # ------------------------------------------------------------------
+    # discards
+    # ------------------------------------------------------------------
+    def mark_reverted(self, row: int, node: int) -> None:
+        self._reverted_on.setdefault(row, set()).add(node)
+
+    def is_reverted(self, row: int, node: int) -> bool:
+        return node in self._reverted_on.get(row, ())
+
+    def surviving_rows_after(self, clocks: List[VectorClock]) -> List[int]:
+        """Rows not discarded whose clock is strictly after one of
+        ``clocks``, ascending — read straight off the clock column."""
+        dims = self.dims
+        for m in clocks:
+            if len(m) != dims:
+                raise ValueError(
+                    f"vector clock dimension mismatch: {len(m)} vs {dims}"
+                )
+        if not clocks:
+            return []
+        bounds = [array("q", m) for m in clocks]
+        vcs = self._vc
+        out = []
+        for row, gone in enumerate(self._discarded):
+            if gone:
+                continue
+            base = row * dims
+            vc = vcs[base:base + dims]
+            for m in bounds:
+                if m != vc and all(map(le, m, vc)):
+                    out.append(row)
+                    break
+        return out
+
+    def last_surviving(self, key: int, node: int) -> Optional[int]:
+        """Row of the newest op on ``key`` that is not discarded and has
+        a span on ``node`` (None when there is none).
+
+        The key column is searched backwards one window at a time; the
+        search inside a window runs in ``array.index``.
+        """
+        keys, firsts, gone = self._key, self._first[node], self._discarded
+        hi = len(keys)
+        while hi > 0:
+            lo = max(0, hi - _SCAN_WINDOW)
+            window = keys[lo:hi]
+            window.reverse()
+            i = 0
+            while True:
+                try:
+                    i = window.index(key, i)
+                except ValueError:
+                    break
+                row = hi - 1 - i
+                if firsts[row] and not gone[row]:
+                    return row
+                i += 1
+            hi = lo
+        return None
 
 
 @dataclass
@@ -199,16 +490,11 @@ class Cluster:
         self._node_vc: List[List[int]] = [
             [0] * self._dims for _ in range(n_nodes)
         ]
-        self.oplog: List[OpRecord] = []
-        #: per-node op index, appended at record time — ops_on_node was
-        #: an O(|oplog|) scan per call, which made the cascade's
-        #: ops_overlapping_seqs quadratic in ops
-        self._ops_by_node: Dict[int, List[OpRecord]] = {}
+        self.oplog = OpLog(n_clients, n_nodes)
         #: per-node logical key/value truth (what the node should hold
         #: from *cluster* traffic; node-local trigger traffic maintains
         #: the same dicts through the experiment context alias)
         self.oracles: List[Dict[int, int]] = [{} for _ in range(n_nodes)]
-        self._next_op_id = 1
         # ---- delta-replication stream state ----
         #: the unacked tail of the stream, ascending by ``pos``
         self._delta_log: List[ShippedDelta] = []
@@ -306,23 +592,13 @@ class Cluster:
         node_ids: List[int],
         spans: Dict[int, Tuple[int, int]],
     ) -> OpRecord:
-        """Stamp clocks and append one op record (``spans`` holds at
-        least the primary's span)."""
-        record = OpRecord(
-            op_id=self._next_op_id,
-            client=client,
-            node=node_ids[0],
-            kind=kind,
-            key=key,
-            value=value,
-            vc=self._stamp(client, node_ids),
-            spans=spans,
+        """Stamp clocks and append one op row (``spans`` holds at least
+        the primary's span)."""
+        row = self.oplog.append(
+            client, node_ids[0], kind, key, value,
+            self._stamp(client, node_ids), spans,
         )
-        self._next_op_id += 1
-        self.oplog.append(record)
-        for nid in spans:
-            self._ops_by_node.setdefault(nid, []).append(record)
-        return record
+        return OpRecord(self.oplog, row)
 
     # ------------------------------------------------------------------
     # delta replication
@@ -386,7 +662,7 @@ class Cluster:
         last = log.max_seq()
         words = node.pool.capture_epoch_delta(token)
         delta = ReplicaDelta(
-            op_id=self._next_op_id,
+            op_id=len(self.oplog) + 1,
             kind=kind,
             key=key,
             value=value,
@@ -509,8 +785,8 @@ class Cluster:
 
     def _apply_shipped(self, node_id: int, shipped: ShippedDelta) -> None:
         """Install one delta on one aligned mirror — no guest execution."""
-        op = shipped.op
-        if node_id in op.spans:
+        row = shipped.op._row
+        if self.oplog.span(row, node_id) is not None:
             return  # crash-retried round: this delta already landed here
         delta = shipped.delta
         node = self.nodes[node_id]
@@ -538,8 +814,7 @@ class Cluster:
             self.oracles[node_id][delta.key] = delta.value
         else:
             self.oracles[node_id].pop(delta.key, None)
-        op.spans[node_id] = (first, last)
-        self._ops_by_node.setdefault(node_id, []).append(op)
+        self.oplog.set_span(row, node_id, first, last)
 
     def insert(self, client: int, key: int, value: int) -> OpRecord:
         if value == ABSENT:
@@ -547,9 +822,12 @@ class Cluster:
                 f"refusing to store the ABSENT sentinel ({ABSENT}): a "
                 "stored -1 would be indistinguishable from a miss"
             )
+        _check_word("key", key)
+        _check_word("value", value)
         return self._apply(client, "insert", key, value)
 
     def delete(self, client: int, key: int) -> OpRecord:
+        _check_word("key", key)
         return self._apply(client, "delete", key, None)
 
     def lookup(self, client: int, key: int) -> int:
@@ -569,37 +847,38 @@ class Cluster:
     # ------------------------------------------------------------------
     def ops_on_node(self, node_id: int) -> List[OpRecord]:
         """Ops that produced checkpoint records on ``node_id`` (as
-        primary or replica), in op_id order — served from the per-node
-        index, not an oplog scan.  The node is drained first so queued
+        primary or replica), in op_id order: the rows whose span-first
+        on that node is set.  The node is drained first so queued
         deltas are credited before assessment reads the spans."""
         self.drain(node_id)
-        return list(self._ops_by_node.get(node_id, ()))
+        log = self.oplog
+        return [OpRecord(log, row) for row in log.rows_on(node_id)]
 
     def ops_overlapping_seqs(self, node_id: int, seqs) -> List[OpRecord]:
         """Operations whose span *on that node* intersects ``seqs``.
 
-        O((|node ops| + |seqs|) log |seqs|): one sorted copy of
-        ``seqs``, then a bisect per op for the smallest reverted seq >=
-        its span start — and only the node's own ops are visited.
+        O((|oplog| + |seqs|) log |seqs|): one sorted copy of ``seqs``,
+        then a bisect per span on the node's columns for the smallest
+        reverted seq >= its start.
         """
         self.drain(node_id)
         ordered = sorted(set(seqs))
         if not ordered:
             return []
+        log = self.oplog
+        n = len(ordered)
         out = []
-        for op in self._ops_by_node.get(node_id, ()):
-            span = op.spans.get(node_id)
-            if span is None:
-                continue
-            first, last = span
-            if first > last:
-                # empty span: the operation wrote no checkpoint records
-                # (e.g. a delete of an absent key), so no reverted seq
-                # can discard it
+        for row, (first, last) in enumerate(
+            zip(log._first[node_id], log._last[node_id])
+        ):
+            # first 0: no span here; first > last: the operation wrote
+            # no checkpoint records (e.g. a delete of an absent key), so
+            # no reverted seq can discard it
+            if not first or first > last:
                 continue
             i = bisect_left(ordered, first)
-            if i < len(ordered) and ordered[i] <= last:
-                out.append(op)
+            if i < n and ordered[i] <= last:
+                out.append(OpRecord(log, row))
         return out
 
     # ------------------------------------------------------------------
@@ -620,9 +899,7 @@ class Cluster:
         adapter.start()
         self.nodes[node_id] = adapter
         self.oracles[node_id].clear()
-        for op in self._ops_by_node.pop(node_id, []):
-            op.spans.pop(node_id, None)
-            op.reverted_on.discard(node_id)
+        self.oplog.forget_node(node_id)
         self._needs_rebase.add(node_id)
 
     def compact(self) -> int:
@@ -694,24 +971,12 @@ class Cluster:
         oracle = self.oracles[node_id]
         oracle.clear()
         oracle.update(self.oracles[source])
-        for op in self._ops_by_node.pop(node_id, []):
-            op.spans.pop(node_id, None)
-            op.reverted_on.discard(node_id)
-        credited = 0
-        reverted = 0
-        index = self._ops_by_node.setdefault(node_id, [])
-        for op in self.oplog:
-            span = op.spans.get(source)
-            if span is None:
-                continue
-            if tick is not None:
+        log = self.oplog
+        log.forget_node(node_id)
+        if tick is not None:
+            for _ in log.rows_on(source):
                 tick()
-            op.spans[node_id] = span
-            if source in op.reverted_on:
-                op.reverted_on.add(node_id)
-                reverted += 1
-            index.append(op)
-            credited += 1
+        credited, reverted = log.copy_node(source, node_id)
         self._applied[node_id] = self._log_pos
         self._needs_rebase.discard(node_id)
         return (credited, reverted)

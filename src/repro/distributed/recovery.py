@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from typing import List, Set, Tuple
 
-from repro.distributed.cluster import Cluster, OpRecord, vc_less
+from repro.distributed.cluster import Cluster, OpRecord, minimal_clocks
 
 
 class DistributedReactor:
@@ -57,10 +57,11 @@ class DistributedReactor:
         discarded = self.cluster.ops_overlapping_seqs(
             failing_node, set(reverted_seqs)
         )
+        log = self.cluster.oplog
         for op in discarded:
             op.discarded = True
             # the local mitigation already reverted the failing node
-            op.reverted_on.add(failing_node)
+            log.mark_reverted(op._row, failing_node)
             self._revert_spans(op)
 
         cascaded: List[OpRecord] = []
@@ -80,16 +81,17 @@ class DistributedReactor:
 
     # ------------------------------------------------------------------
     def _orphans_of(self, discarded: List[OpRecord]) -> List[OpRecord]:
-        """Not-yet-discarded ops causally after any discarded op."""
-        orphans = []
-        for op in self.cluster.oplog:
-            if op.discarded:
-                continue
-            for gone in discarded:
-                if vc_less(gone.vc, op.vc):
-                    orphans.append(op)
-                    break
-        return orphans
+        """Not-yet-discarded ops causally after any discarded op, in
+        oplog order.
+
+        Each surviving op is compared only against the minimal clocks
+        of ``discarded`` (any clock above a discarded one lies above a
+        minimal one), read straight off the clock column, so a round is
+        linear in the oplog however many ops it discards.
+        """
+        log = self.cluster.oplog
+        minimal = minimal_clocks(op.vc for op in discarded)
+        return [OpRecord(log, row) for row in log.surviving_rows_after(minimal)]
 
     def _revert_spans(self, op: OpRecord) -> None:
         """Revert an op on every live node in its span map.
@@ -97,17 +99,20 @@ class DistributedReactor:
         Down nodes are skipped: re-sync re-bases them from a live mirror,
         which already carries the revert.
         """
-        for node_id in op.spans:
-            if node_id in op.reverted_on:
+        log, row = self.cluster.oplog, op._row
+        nodes = log.span_nodes(row)
+        for node_id in nodes:
+            if log.is_reverted(row, node_id):
                 continue
             if self.cluster.is_down(node_id):
                 continue
             self._revert_op_on(op, node_id)
-            op.reverted_on.add(node_id)
+            log.mark_reverted(row, node_id)
         # conservative oracle maintenance: a discarded key is no longer
         # a trustworthy reference point on any node that applied it
-        for node_id in op.spans:
-            self.cluster.oracles[node_id].pop(op.key, None)
+        key = op.key
+        for node_id in nodes:
+            self.cluster.oracles[node_id].pop(key, None)
 
     def _revert_op_on(self, op: OpRecord, node_id: int) -> None:
         """Revert one operation on one node by logical anti-entropy.
@@ -123,13 +128,12 @@ class DistributedReactor:
         Idempotent (a pure function of the log), so a crashed-and-
         retried cascade converges.
         """
-        if node_id not in op.spans:
+        log = self.cluster.oplog
+        if log.span(op._row, node_id) is None:
             return
         node = self.cluster.nodes[node_id]
-        surviving = None
-        for prior in self.cluster.ops_on_node(node_id):
-            if prior.key == op.key and not prior.discarded:
-                surviving = prior
+        row = log.last_surviving(op.key, node_id)
+        surviving = None if row is None else OpRecord(log, row)
         if surviving is None or surviving.kind == "delete":
             node.delete(op.key)
         else:

@@ -59,7 +59,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.distributed.cluster import Cluster, ClusterClient, vc_less
+from repro.distributed.cluster import Cluster, ClusterClient, minimal_clocks
 from repro.distributed.shardmgr import HealReport, ShardManager
 from repro.errors import InjectedCrash, Trap
 from repro.faultinject import InjectionPlan, InjectionSpec
@@ -462,14 +462,11 @@ def _misserved_keys(cluster: Cluster) -> set:
 
 
 def _causal_cut_ok(cluster: Cluster) -> bool:
-    """No surviving op causally depends on a discarded one."""
-    discarded = [op for op in cluster.oplog if op.discarded]
-    surviving = [op for op in cluster.oplog if not op.discarded]
-    for d in discarded:
-        for s in surviving:
-            if vc_less(d.vc, s.vc):
-                return False
-    return True
+    """No surviving op causally depends on a discarded one (compared
+    against the minimal discarded clocks only)."""
+    log = cluster.oplog
+    minimal = minimal_clocks(op.vc for op in log if op.discarded)
+    return not log.surviving_rows_after(minimal)
 
 
 def _serving_check(cluster, scenario, ctx, client, skip_keys) -> List[str]:

@@ -13,7 +13,7 @@ from typing import Dict
 
 #: stop-the-world p99 over scoped p99 during mitigation must stay at
 #: least this high.  The measured ratio swings with machine load (the
-#: committed run is 9.7x); a real regression, cooperative chunking
+#: committed run is 7.6x); a real regression, cooperative chunking
 #: silently degrading to one long stall, lands it at ~1
 P99_RATIO_FLOOR = 2.5
 

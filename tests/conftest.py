@@ -126,6 +126,26 @@ def cloned_logs(monkeypatch):
 
 
 @pytest.fixture(scope="session")
+def arthas_bi_mitigation():
+    """``run_experiment(fid, "arthas-bi", seed=0,
+    consistency_probe=False).mitigation``, run once per fault per
+    session: the production side both the VM-engine and the
+    probe-engine equivalence tests compare their oracle run against."""
+    from repro.harness.experiment import run_experiment
+
+    runs = {}
+
+    def mitigation(fid):
+        if fid not in runs:
+            runs[fid] = run_experiment(
+                fid, "arthas-bi", seed=0, consistency_probe=False
+            ).mitigation
+        return runs[fid]
+
+    return mitigation
+
+
+@pytest.fixture(scope="session")
 def cluster_quick_report():
     """The cluster sweep's quick subset (the CI drift scope), shared by
     the cluster-sweep tests and the sweep-core drift tests."""

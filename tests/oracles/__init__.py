@@ -11,6 +11,8 @@ with ``monkeypatch`` on the name production code looks up:
   plus prefix replay (patch ``repro.reactor.revert._DeltaProbeEngine``);
 * :class:`ReexecCluster` — replication by re-executing each op on every
   replica-set node instead of shipping its word delta;
+* :func:`orphans_of` — the cascade's orphan pass comparing every
+  surviving op against every discarded one;
 * :mod:`~tests.oracles.checkpoint` — the seed's linear-scan
   checkpoint-log queries (``entries_overlapping``, ``expected_word``,
   ``newest_free_covering`` ...), each taking the log as first argument;
@@ -22,7 +24,7 @@ with ``monkeypatch`` on the name production code looks up:
 
 from tests.oracles import checkpoint
 from tests.oracles.checkpoint import LinearScanReverter, reference_compute_plan
-from tests.oracles.cluster import ReexecCluster
+from tests.oracles.cluster import ReexecCluster, orphans_of
 from tests.oracles.probe import SnapshotProbeEngine
 from tests.oracles.vm import TableMachine
 
@@ -32,5 +34,6 @@ __all__ = [
     "SnapshotProbeEngine",
     "TableMachine",
     "checkpoint",
+    "orphans_of",
     "reference_compute_plan",
 ]

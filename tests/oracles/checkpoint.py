@@ -89,6 +89,43 @@ def update_addrs_since(log: CheckpointLog, seq: int) -> List[int]:
     return addrs
 
 
+def structural_digest(log: CheckpointLog) -> int:
+    """Fingerprint of the *logical* log state.
+
+    Hashes everything a reader can observe — the event stream, every
+    entry's retained versions (seq, data, size, tx, crc), realloc
+    links, eviction counts, live allocations, free events and
+    transaction membership — after merging any staged tail.  Two logs
+    with equal digests answer every reactor query identically, so the
+    staged write path can be checked against the eager
+    (``staging_limit=1``) oracle, and a crash-recovered log against a
+    never-crashed run.
+    """
+    log.flush_staging()
+    acc: List[tuple] = [
+        ("meta", log._next_seq, log.total_updates),
+        ("events", tuple(log._event_rows())),
+    ]
+    for addr in sorted(log.entries):
+        entry = log.entries[addr]
+        acc.append((
+            "entry", addr, entry.old_entry, entry.new_entry,
+            entry.total_versions,
+            tuple(
+                (v.seq, v.data, v.size, v.tx_id, v.crc)
+                for v in entry.versions
+            ),
+        ))
+    acc.append(("live", tuple(sorted(log.live_unfreed_allocs().items()))))
+    acc.append(("frees", tuple(
+        (a, tuple(seqs)) for a, seqs in sorted(log._frees_by_addr.items())
+    )))
+    acc.append(("tx", tuple(sorted(
+        (tx, tuple(seqs)) for tx, seqs in log.tx_members.items()
+    ))))
+    return hash(tuple(acc))
+
+
 # ----------------------------------------------------------------------
 # the seed planning join, verbatim
 # ----------------------------------------------------------------------

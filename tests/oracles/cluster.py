@@ -1,8 +1,13 @@
-"""The re-execution replication oracle."""
+"""The re-execution replication oracle and the quadratic orphan pass."""
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.distributed.cluster import Cluster, OpRecord, ShardUnavailable
+from repro.distributed.cluster import (
+    Cluster,
+    OpRecord,
+    ShardUnavailable,
+    vc_less,
+)
 
 
 class ReexecCluster(Cluster):
@@ -34,3 +39,17 @@ class ReexecCluster(Cluster):
                 self.oracles[nid].pop(key, None)
             spans[nid] = (first, node.ckpt.log.max_seq())
         return self._log_op(client, kind, key, value, node_ids, spans)
+
+
+def orphans_of(cluster: Cluster, discarded: List[OpRecord]) -> List[OpRecord]:
+    """``DistributedReactor._orphans_of`` as it was: every surviving op
+    compared against every discarded op."""
+    orphans = []
+    for op in cluster.oplog:
+        if op.discarded:
+            continue
+        for gone in discarded:
+            if vc_less(gone.vc, op.vc):
+                orphans.append(op)
+                break
+    return orphans

@@ -12,6 +12,7 @@ from repro.errors import CheckpointError
 from repro.pmem.allocator import PMAllocator
 from repro.pmem.pool import PM_BASE, PMPool
 from repro.pmem.tx import TransactionManager
+from tests.oracles.checkpoint import structural_digest
 
 
 class TestLog:
@@ -113,48 +114,65 @@ class TestClone:
         src = CheckpointLog()
         _history(src, PM_BASE, 1)  # left staged: clone() merges it
         dup = src.clone()
-        assert dup.structural_digest() == src.structural_digest()
+        assert structural_digest(dup) == structural_digest(src)
         assert dup.events == src.events
 
     def test_records_on_clone_leave_source_unchanged(self):
         src = CheckpointLog()
         _history(src, PM_BASE, 1)
         dup = src.clone()
-        digest, events = src.structural_digest(), src.events
+        digest, events = structural_digest(src), src.events
         _history(dup, PM_BASE, 2)
         dup.flush_staging()
-        assert src.structural_digest() == digest
+        assert structural_digest(src) == digest
         assert src.events == events
 
     def test_records_on_source_leave_clone_unchanged(self):
         src = CheckpointLog()
         _history(src, PM_BASE, 1)
         dup = src.clone()
-        digest, events = dup.structural_digest(), dup.events
+        digest, events = structural_digest(dup), dup.events
         _history(src, PM_BASE, 2)
         src.flush_staging()
-        assert dup.structural_digest() == digest
+        assert structural_digest(dup) == digest
         assert dup.events == events
 
 
-def test_merged_event_retains_at_most_64_bytes():
-    """The merged event stream holds column rows, not an object per event."""
+def _retained_per_event(tagged: bool) -> float:
+    """Bytes a log retains per merged event over 12,500 transactions of
+    four events each; ``tagged`` passes each update its tx id, as every
+    guest transaction does."""
     n_tx = 12_500  # four events each: 50k merged events
     tracemalloc.start()
     try:
         log = CheckpointLog()
         before = tracemalloc.get_traced_memory()[0]
         for i in range(n_tx):
-            log.record_tx_begin(i + 1)
-            log.record_update(PM_BASE + i % 8, 1, [i])
-            log.record_update(PM_BASE + 8 + i % 8, 1, [i])
-            log.record_tx_commit(i + 1)
+            tx = i + 1
+            tag = tx if tagged else 0
+            log.record_tx_begin(tx)
+            log.record_update(PM_BASE + i % 8, 1, [i], tx_id=tag)
+            log.record_update(PM_BASE + 8 + i % 8, 1, [i], tx_id=tag)
+            log.record_tx_commit(tx)
         log.flush_staging()
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
     assert len(log.events) == 4 * n_tx
-    assert retained / (4 * n_tx) <= 64
+    if tagged:
+        assert log.seqs_in_tx(n_tx) == [4 * n_tx - 2, 4 * n_tx - 1]
+    return retained / (4 * n_tx)
+
+
+def test_merged_event_retains_at_most_64_bytes():
+    """The merged event stream holds column rows, not an object per event."""
+    assert _retained_per_event(tagged=False) <= 64
+
+
+def test_transactional_merged_event_retains_at_most_64_bytes():
+    """Transaction membership is a seq range per transaction, not a
+    list of seq ints (about 99 B per event retained with those)."""
+    assert _retained_per_event(tagged=True) <= 64
 
 
 class TestManager:

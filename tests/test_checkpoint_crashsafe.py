@@ -24,6 +24,7 @@ from repro.pmem.allocator import PMAllocator
 from repro.pmem.pool import PM_BASE, PMPool
 from repro.reactor.revert import IntentJournal, Reverter
 from tests.oracles import checkpoint as reference
+from tests.oracles.checkpoint import structural_digest
 
 A = PM_BASE
 B = PM_BASE + 64
@@ -369,7 +370,7 @@ def test_crash_at_index_merge_leaves_staging_intact_and_retry_converges():
         # the spec is one-shot, so the post-crash retry merges clean
         log.flush_staging()
     assert plan.all_fired
-    assert log.structural_digest() == reference.structural_digest()
+    assert structural_digest(log) == structural_digest(reference)
 
 
 def test_crash_at_midstream_autoflush_rebuild_converges():
@@ -389,7 +390,7 @@ def test_crash_at_midstream_autoflush_rebuild_converges():
                 crashes += 1
                 log.rebuild_indexes()
     assert crashes == 1
-    assert log.structural_digest() == reference.structural_digest()
+    assert structural_digest(log) == structural_digest(reference)
 
 
 def test_crash_recovered_merge_roundtrips_through_region(tmp_path):
@@ -406,7 +407,7 @@ def test_crash_recovered_merge_roundtrips_through_region(tmp_path):
     loaded, report = open_and_verify(path)
     assert report.clean
     loaded.rebuild_indexes()
-    assert loaded.structural_digest() == reference.structural_digest()
+    assert structural_digest(loaded) == structural_digest(reference)
 
 
 # ----------------------------------------------------------------------

@@ -11,7 +11,9 @@ round-trip through ``rebuild_node`` + ``rebase_node``, whose copy of the
 mirror must share no object with it.
 """
 
+import gc
 import random
+import tracemalloc
 
 import pytest
 
@@ -22,6 +24,7 @@ from repro.faultinject import InjectionPlan, InjectionSpec
 from repro.faults.registry import scenario_by_id
 from repro.harness.supervisor import pool_digest
 from tests.oracles import ReexecCluster
+from tests.oracles.checkpoint import structural_digest
 
 #: one fault id per guest system — the scenario is never triggered,
 #: only its adapter class is borrowed for a fault-free workload
@@ -78,7 +81,7 @@ def _digests(cluster: Cluster):
     cluster.drain()
     return [
         (pool_digest(node.pool, node.allocator),
-         node.ckpt.log.structural_digest())
+         structural_digest(node.ckpt.log))
         for node in cluster.nodes
     ]
 
@@ -285,7 +288,7 @@ class TestRebaseCopiesMirror:
 
         def state(node):
             return (pool_digest(node.pool, node.allocator),
-                    node.ckpt.log.structural_digest())
+                    structural_digest(node.ckpt.log))
 
         copied = state(target)
         assert copied == state(source)
@@ -326,6 +329,35 @@ class TestBoundedStream:
         assert len(control._delta_log) == control._log_pos
         assert _digests(cluster) == _digests(control)
         assert cluster.oracles == control.oracles
+
+    def test_cluster_retains_at_most_3000_bytes_per_op(self):
+        """The oplog keeps array slots per op, not a record object with
+        a spans dict, a clock tuple and a set (about 4,260 B per op
+        retained with those, about 2,800 B without)."""
+        n_ops = 3000
+        tracemalloc.start()
+        try:
+            cluster = Cluster(n_nodes=3, n_clients=2, seed=3, replication=2)
+            clients = [ClusterClient(cluster, i) for i in range(2)]
+            for key in range(300):
+                clients[key % 2].insert(key, 1000 + key)
+            cluster.drain()
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            rng = random.Random(7)
+            for i in range(n_ops):
+                key = rng.randrange(300)
+                if rng.random() < 0.5:
+                    clients[i % 2].insert(key, 5000 + i)
+                else:
+                    clients[i % 2].delete(key)
+            cluster.drain()
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(cluster.oplog) == 300 + n_ops
+        assert retained / n_ops <= 3000
 
     def test_down_node_is_flagged_then_rebased_from_a_fresh_base(
         self, cloned_logs

@@ -1,5 +1,7 @@
 """Tests for the distributed recovery extension (paper Section 7)."""
 
+import time
+
 import pytest
 
 from repro.distributed.cluster import (
@@ -11,7 +13,9 @@ from repro.distributed.cluster import (
     vc_merge,
 )
 from repro.distributed.recovery import DistributedReactor
+from repro.harness.supervisor import pool_digest
 from repro.systems.common import ABSENT
+from tests.oracles import orphans_of
 
 class TestVectorClocks:
     def test_ordering(self):
@@ -32,6 +36,12 @@ class TestVectorClocks:
             vc_less((1, 2), (1, 2, 3))
         with pytest.raises(ValueError, match="dimension mismatch"):
             vc_merge((1,), (1, 2))
+
+
+def _timed(fn, *args):
+    t0 = time.perf_counter()
+    fn(*args)
+    return time.perf_counter() - t0
 
 
 def _key_avoiding(cluster, primary, avoid_nodes, start=0):
@@ -175,6 +185,35 @@ class TestCluster:
         assert client.lookup(5) == -2
         assert client.lookup(12345) == ABSENT
 
+    def test_word_past_the_oplog_columns_is_refused_before_the_guest_runs(
+        self,
+    ):
+        # the primary executes before the op is logged, so a key or
+        # value the 64-bit columns cannot hold must be refused up front:
+        # raising at log time would leave the op applied but unlogged
+        cluster = Cluster(n_nodes=3, replication=2)
+        client = ClusterClient(cluster, 0)
+        for key in range(12):
+            client.insert(key, key)
+        cluster.drain()
+        n_ops = len(cluster.oplog)
+        digests = [pool_digest(n.pool, n.allocator) for n in cluster.nodes]
+        for bad in (1 << 63, -(1 << 63) - 1, 2.5):
+            with pytest.raises(ValueError, match="64-bit"):
+                client.insert(3, bad)
+            with pytest.raises(ValueError, match="64-bit"):
+                client.insert(bad, 3)
+            with pytest.raises(ValueError, match="64-bit"):
+                client.delete(bad)
+        cluster.drain()
+        assert len(cluster.oplog) == n_ops
+        assert [
+            pool_digest(n.pool, n.allocator) for n in cluster.nodes
+        ] == digests
+        # the extremes the columns hold are stored and read back
+        rec = client.insert((1 << 63) - 1, -(1 << 63))
+        assert (rec.key, rec.value) == ((1 << 63) - 1, -(1 << 63))
+
     def test_derived_insert(self):
         cluster = Cluster(n_nodes=2)
         client = ClusterClient(cluster, 0)
@@ -254,13 +293,65 @@ class TestDistributedRecovery:
         assert orphans == []
 
     def test_dimension_mismatch_surfaces_through_mitigate(self):
-        # a tampered (wrong-topology) clock in the oplog must fail the
-        # cascade loudly, not silently truncate the comparison
+        # a tampered (wrong-topology) clock must fail loudly at the one
+        # door a clock enters the oplog by, never be truncated or padded
+        # into the fixed-stride clock column the cascade compares
         cluster, poison_op, deps, indep, seqs = _poisoned_cluster()
-        deps[0].vc = deps[0].vc + (0,)
-        reactor = DistributedReactor(cluster)
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            reactor.cascade_from(0, seqs)
+        n_ops = len(cluster.oplog)
+        dep = deps[0]
+        for tampered in (dep.vc + (0,), dep.vc[:-1]):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                cluster.oplog.append(
+                    dep.client, dep.node, "insert", dep.key, 1, tampered,
+                    {dep.node: dep.spans[dep.node]},
+                )
+        assert len(cluster.oplog) == n_ops
+        assert len(cluster.oplog._vc) == n_ops * cluster.oplog.dims
+        # the refused clock left nothing behind: the cascade still runs
+        _, cascaded, _ = DistributedReactor(cluster).cascade_from(0, seqs)
+        assert {op.op_id for op in deps} <= {op.op_id for op in cascaded}
+
+
+def _chain_cluster(n_nodes, n_clients):
+    """A root op, a four-hop chain of derived inserts after it spread
+    over every client, and an op issued before the root."""
+    cluster = Cluster(
+        n_nodes=n_nodes, n_clients=n_clients,
+        replication=min(2, n_nodes),
+    )
+    clients = [ClusterClient(cluster, i) for i in range(n_clients)]
+    a = clients[0]
+    for key in range(20):
+        a.insert(key, 500 + key)
+    # an op issued before the root is causally independent of it
+    indep = clients[-1].insert(5000, 9)
+    root = a.insert(1000, 1)
+    chain = []
+    key = 1000
+    for i in range(4):
+        c = clients[(i + 1) % n_clients]
+        rec = c.derived_insert(key, key + 1)
+        assert rec is not None
+        chain.append(rec)
+        key += 1
+    return cluster, root, chain, indep
+
+
+def _orphan_rounds_match_oracle(cluster, root):
+    """Run the cascade's orphan rounds from ``root`` (discard flags
+    only, no reverts), checking each round against the quadratic
+    oracle; returns the rounds."""
+    reactor = DistributedReactor(cluster)
+    root.discarded = True
+    frontier, rounds = [root], []
+    while frontier:
+        orphans = reactor._orphans_of(frontier)
+        assert orphans == orphans_of(cluster, frontier)
+        for op in orphans:
+            op.discarded = True
+        rounds.append(orphans)
+        frontier = orphans
+    return rounds
 
 
 class TestMixedTopologies:
@@ -270,27 +361,38 @@ class TestMixedTopologies:
     @pytest.mark.parametrize(
         "n_nodes,n_clients", [(2, 1), (2, 3), (5, 1), (5, 3)]
     )
-    def test_synthetic_cascade_reaches_fixpoint(self, n_nodes, n_clients):
-        cluster = Cluster(
-            n_nodes=n_nodes, n_clients=n_clients,
-            replication=min(2, n_nodes),
-        )
-        clients = [ClusterClient(cluster, i) for i in range(n_clients)]
-        a = clients[0]
-        for key in range(20):
-            a.insert(key, 500 + key)
-        # an op issued before the root is causally independent of it
-        indep = clients[-1].insert(5000, 9)
-        root = a.insert(1000, 1)
-        chain = []
-        key = 1000
-        for i in range(4):
-            c = clients[(i + 1) % n_clients]
-            rec = c.derived_insert(key, key + 1)
-            assert rec is not None
-            chain.append(rec)
-            key += 1
+    def test_orphan_pass_matches_quadratic_oracle(self, n_nodes, n_clients):
+        cluster, root, chain, indep = _chain_cluster(n_nodes, n_clients)
+        rounds = _orphan_rounds_match_oracle(cluster, root)
+        orphaned = {op.op_id for orphans in rounds for op in orphans}
+        assert {op.op_id for op in chain} <= orphaned
+        assert indep.op_id not in orphaned
 
+    def test_orphan_pass_is_linear_past_a_thousand_orphans(self):
+        cluster = Cluster(n_nodes=3, n_clients=2, replication=2)
+        a, b = ClusterClient(cluster, 0), ClusterClient(cluster, 1)
+        for key in range(300):
+            b.insert(key, 500 + key)  # before the root: they survive
+        root = a.insert(1000, 1)
+        for key in range(1001, 2201):
+            a.insert(key, key)  # client a's later writes: orphans
+        rounds = _orphan_rounds_match_oracle(cluster, root)
+        assert [len(orphans) for orphans in rounds] == [1200, 0]
+        # the second round's 1,200-op frontier against 300 survivors:
+        # the oracle makes 360k clock comparisons, the pass a few hundred
+        frontier = rounds[0]
+        reactor = DistributedReactor(cluster)
+        t0 = time.perf_counter()
+        assert orphans_of(cluster, frontier) == []
+        quadratic = time.perf_counter() - t0
+        linear = min(_timed(reactor._orphans_of, frontier) for _ in range(3))
+        assert linear * 10 < quadratic, (linear, quadratic)
+
+    @pytest.mark.parametrize(
+        "n_nodes,n_clients", [(2, 1), (2, 3), (5, 1), (5, 3)]
+    )
+    def test_synthetic_cascade_reaches_fixpoint(self, n_nodes, n_clients):
+        cluster, root, chain, indep = _chain_cluster(n_nodes, n_clients)
         reactor = DistributedReactor(cluster)
         first, last = root.spans[root.node]
         seqs = set(range(first, last + 1))

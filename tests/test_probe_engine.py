@@ -69,21 +69,22 @@ def test_engines_equivalent_on_synthetic_state(seed, monkeypatch):
 
 
 @pytest.mark.parametrize("fid", FIDS)
-def test_engines_equivalent_on_real_faults(fid, monkeypatch):
+def test_engines_equivalent_on_real_faults(
+    fid, monkeypatch, arthas_bi_mitigation
+):
     """Both engines end every real experiment in the same final state.
 
     ``pool_digest`` fingerprints the durable image + allocator metadata,
     so digest equality is byte-level state equality.  The consistency
     probe is skipped: the digest is taken before it and the probe roughly
-    doubles the runtime.
+    doubles the runtime.  The incremental side is the session's shared
+    production run.
     """
-    runs = []
-    for engine in ENGINES:
-        with probe_engine(monkeypatch, engine):
-            runs.append(run_experiment(
-                fid, "arthas-bi", seed=0, consistency_probe=False,
-            ).mitigation)
-    a, b = runs
+    a = arthas_bi_mitigation(fid)
+    with probe_engine(monkeypatch, "snapshot"):
+        b = run_experiment(
+            fid, "arthas-bi", seed=0, consistency_probe=False,
+        ).mitigation
     assert a is not None and b is not None
     assert a.recovered and b.recovered
     assert a.pool_digest == b.pool_digest

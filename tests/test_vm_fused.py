@@ -310,17 +310,18 @@ def test_fused_beats_table_dispatch():
 # equivalence on the real fault experiments
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("fid", FIDS)
-def test_engines_equivalent_on_real_faults(fid, monkeypatch):
+def test_engines_equivalent_on_real_faults(
+    fid, monkeypatch, arthas_bi_mitigation
+):
     """Both VMs end every real experiment in the same final state.
 
     ``pool_digest`` fingerprints the durable image + allocator metadata,
     so digest equality is byte-level state equality.  The consistency
     probe is skipped: the digest is taken before it and the probe
-    roughly doubles the runtime.
+    roughly doubles the runtime.  The fused-VM side is the session's
+    shared production run.
     """
-    a = run_experiment(
-        fid, "arthas-bi", seed=0, consistency_probe=False
-    ).mitigation
+    a = arthas_bi_mitigation(fid)
     with monkeypatch.context() as m:
         m.setattr("repro.systems.common.Machine", TableMachine)
         b = run_experiment(
