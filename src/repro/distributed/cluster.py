@@ -60,7 +60,9 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from operator import le
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple, Type
+from typing import (
+    Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple, Type,
+)
 
 from repro import faultinject
 from repro.distributed.ring import HashRing
@@ -79,7 +81,7 @@ _OP_CODES = {name: code for code, name in enumerate(OP_KINDS)}
 #: what the key and value columns (``array('q')``) can hold
 WORD_MIN, WORD_MAX = -(1 << 63), (1 << 63) - 1
 
-#: rows per backwards window of :meth:`OpLog.last_surviving`
+#: rows per backwards window of :meth:`OpLog.surviving_rows_of`
 _SCAN_WINDOW = 4096
 
 
@@ -123,7 +125,7 @@ def vc_less(a: VectorClock, b: VectorClock) -> bool:
 
 def vc_merge(a: VectorClock, b: VectorClock) -> VectorClock:
     _check_dims(a, b)
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def minimal_clocks(clocks: Iterable[VectorClock]) -> List[VectorClock]:
@@ -389,14 +391,14 @@ class OpLog:
                     break
         return out
 
-    def last_surviving(self, key: int, node: int) -> Optional[int]:
-        """Row of the newest op on ``key`` that is not discarded and has
-        a span on ``node`` (None when there is none).
+    def surviving_rows_of(self, key: int) -> Iterator[int]:
+        """Rows of the ops on ``key`` that are not discarded, newest
+        first.
 
         The key column is searched backwards one window at a time; the
         search inside a window runs in ``array.index``.
         """
-        keys, firsts, gone = self._key, self._first[node], self._discarded
+        keys, gone = self._key, self._discarded
         hi = len(keys)
         while hi > 0:
             lo = max(0, hi - _SCAN_WINDOW)
@@ -409,11 +411,10 @@ class OpLog:
                 except ValueError:
                     break
                 row = hi - 1 - i
-                if firsts[row] and not gone[row]:
-                    return row
+                if not gone[row]:
+                    yield row
                 i += 1
             hi = lo
-        return None
 
 
 @dataclass
@@ -561,15 +562,12 @@ class Cluster:
         cvc = self._client_vc[client]
         cvc[client] += 1
         primary = node_ids[0]
-        merged = vc_merge(tuple(cvc), tuple(self._node_vc[primary]))
-        stamped = list(merged)
+        stamped = list(vc_merge(cvc, self._node_vc[primary]))
         stamped[self.n_clients + primary] += 1
-        self._client_vc[client] = list(stamped)
+        self._client_vc[client] = stamped
         self._node_vc[primary] = list(stamped)
         for nid in node_ids[1:]:
-            self._node_vc[nid] = list(
-                vc_merge(tuple(self._node_vc[nid]), tuple(stamped))
-            )
+            self._node_vc[nid] = list(vc_merge(self._node_vc[nid], stamped))
         return tuple(stamped)
 
     # ------------------------------------------------------------------

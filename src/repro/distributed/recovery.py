@@ -28,7 +28,7 @@ on discarded state.
 
 from __future__ import annotations
 
-from typing import List, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 from repro.distributed.cluster import Cluster, OpRecord, minimal_clocks
 
@@ -97,24 +97,35 @@ class DistributedReactor:
         """Revert an op on every live node in its span map.
 
         Down nodes are skipped: re-sync re-bases them from a live mirror,
-        which already carries the revert.
+        which already carries the revert.  The key's newest surviving
+        row is looked up once: it is the last surviving write of every
+        node holding its span, so only a node without that span (one
+        awaiting a rebase) searches on for its own.
         """
-        log, row = self.cluster.oplog, op._row
+        log, row, key = self.cluster.oplog, op._row, op.key
         nodes = log.span_nodes(row)
+        newest = next(log.surviving_rows_of(key), None)
         for node_id in nodes:
             if log.is_reverted(row, node_id):
                 continue
             if self.cluster.is_down(node_id):
                 continue
-            self._revert_op_on(op, node_id)
+            surviving = newest
+            if newest is not None and log.span(newest, node_id) is None:
+                rows = log.surviving_rows_of(key)
+                surviving = next(
+                    (r for r in rows if log.span(r, node_id)), None
+                )
+            self._revert_op_on(op, node_id, surviving)
             log.mark_reverted(row, node_id)
         # conservative oracle maintenance: a discarded key is no longer
         # a trustworthy reference point on any node that applied it
-        key = op.key
         for node_id in nodes:
             self.cluster.oracles[node_id].pop(key, None)
 
-    def _revert_op_on(self, op: OpRecord, node_id: int) -> None:
+    def _revert_op_on(
+        self, op: OpRecord, node_id: int, surviving: Optional[int]
+    ) -> None:
         """Revert one operation on one node by logical anti-entropy.
 
         Physical checkpoint-seq surgery is reserved for the failing
@@ -123,18 +134,18 @@ class DistributedReactor:
         structural writes (a CCEH directory doubling, a level-hash
         resize) that *later surviving* inserts depend on, and reverting
         them leaves the pool unrecoverable.  The peer instead restores
-        the key to its last surviving write — the same causally
-        consistent cut, reached through the system's own front door.
-        Idempotent (a pure function of the log), so a crashed-and-
-        retried cascade converges.
+        the key to ``surviving``, the row of its last surviving write
+        with a span on the node (``None``: there is none) — the same
+        causally consistent cut, reached through the system's own front
+        door.  Idempotent (a pure function of the log), so a
+        crashed-and-retried cascade converges.
         """
-        log = self.cluster.oplog
-        if log.span(op._row, node_id) is None:
-            return
         node = self.cluster.nodes[node_id]
-        row = log.last_surviving(op.key, node_id)
-        surviving = None if row is None else OpRecord(log, row)
-        if surviving is None or surviving.kind == "delete":
+        if surviving is None:
+            node.delete(op.key)
+            return
+        last = OpRecord(self.cluster.oplog, surviving)
+        if last.kind == "delete":
             node.delete(op.key)
         else:
-            node.insert(op.key, surviving.value)
+            node.insert(op.key, last.value)

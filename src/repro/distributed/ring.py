@@ -10,7 +10,9 @@ blake2b, so two processes building the same (nodes, vnodes, seed)
 ring route identically — the property every replay-based check in the
 cluster sweep rests on.
 
-Two status flags shape routing without moving ring points:
+Each membership change tabulates every ring point's status-blind
+preference tuple, so routing a key is one hash and one bisect.  Two
+status flags shape routing without moving points or rebuilding it:
 
 * ``down``     — the node is unreachable (crashed or in mitigation).
   It is skipped entirely; the next live preference-list node serves
@@ -45,6 +47,15 @@ class HashRing:
         #: sorted (point, node_id) pairs — the ring
         self._points: List[Tuple[int, int]] = []
         self._nodes: Set[int] = set()
+        #: the points alone, for bisect, and the preference tuple of
+        #: each point (one extra entry: a key past the last point wraps
+        #: to the first), rebuilt on every membership change
+        self._hashes: List[int] = []
+        self._table: List[Tuple[int, ...]] = [()]
+        #: keyed once; ``key_point`` copies it per key
+        self._key_hasher = hashlib.blake2b(
+            digest_size=8, key=seed.to_bytes(8, "little", signed=True)
+        )
         self.down: Set[int] = set()
         self.demoted: Set[int] = set()
         for nid in node_ids:
@@ -60,12 +71,30 @@ class HashRing:
         for v in range(self.vnodes):
             point = _hash64(b"node:%d:%d" % (node_id, v), self.seed)
             insort(self._points, (point, node_id))
+        self._build_table()
 
     def remove_node(self, node_id: int) -> None:
         self._nodes.discard(node_id)
         self.down.discard(node_id)
         self.demoted.discard(node_id)
         self._points = [(p, n) for (p, n) in self._points if n != node_id]
+        self._build_table()
+
+    def _build_table(self) -> None:
+        points = self._points
+        n, want = len(points), len(self._nodes)
+        table: List[Tuple[int, ...]] = []
+        for i in range(n):
+            walk: List[int] = []
+            for j in range(n):
+                nid = points[(i + j) % n][1]
+                if nid not in walk:
+                    walk.append(nid)
+                    if len(walk) == want:
+                        break
+            table.append(tuple(walk))
+        self._hashes = [point for point, _ in points]
+        self._table = table + table[:1] if table else [()]
 
     @property
     def nodes(self) -> Set[int]:
@@ -93,7 +122,24 @@ class HashRing:
     # routing
     # ------------------------------------------------------------------
     def key_point(self, key: int) -> int:
-        return _hash64(b"key:%d" % key, self.seed)
+        h = self._key_hasher.copy()
+        h.update(b"key:%d" % key)
+        return int.from_bytes(h.digest(), "big")
+
+    def _placement(self, key: int) -> Tuple[int, ...]:
+        return self._table[bisect_left(self._hashes, self.key_point(key))]
+
+    def _primary(self, placement: Tuple[int, ...]) -> Optional[int]:
+        down, demoted = self.down, self.demoted
+        fallback = None
+        for nid in placement:
+            if nid in down:
+                continue
+            if nid not in demoted:
+                return nid
+            if fallback is None:
+                fallback = nid
+        return fallback
 
     def preference_list(self, key: int) -> List[int]:
         """Every node, in ring-walk order from the key's point.
@@ -101,32 +147,13 @@ class HashRing:
         Status-blind: this is the *placement* order.  ``primary_for``
         and ``replica_set`` overlay the down/demoted flags on it.
         """
-        if not self._points:
-            return []
-        i = bisect_left(self._points, (self.key_point(key), -1))
-        seen: Set[int] = set()
-        out: List[int] = []
-        n = len(self._points)
-        for j in range(n):
-            _, nid = self._points[(i + j) % n]
-            if nid not in seen:
-                seen.add(nid)
-                out.append(nid)
-                if len(out) == len(self._nodes):
-                    break
-        return out
+        return list(self._placement(key))
 
     def primary_for(self, key: int) -> Optional[int]:
         """First live, non-demoted preference node (demoted nodes only
         front reads when every live candidate is demoted).  ``None``
         when the whole replica chain is down."""
-        live = [n for n in self.preference_list(key) if n not in self.down]
-        if not live:
-            return None
-        for nid in live:
-            if nid not in self.demoted:
-                return nid
-        return live[0]
+        return self._primary(self._placement(key))
 
     def replica_set(self, key: int, r: int) -> List[int]:
         """The primary plus the next live preference nodes, ≤ r total.
@@ -134,14 +161,16 @@ class HashRing:
         Demoted nodes are replica-eligible — a healed node resumes
         replica duty for its old arc the moment it is marked up.
         """
-        primary = self.primary_for(key)
+        placement = self._placement(key)
+        primary = self._primary(placement)
         if primary is None:
             return []
         out = [primary]
-        for nid in self.preference_list(key):
+        down = self.down
+        for nid in placement:
             if len(out) >= r:
                 break
-            if nid in self.down or nid == primary:
+            if nid in down or nid == primary:
                 continue
             out.append(nid)
         return out

@@ -76,10 +76,10 @@ class PMTrace:
     def _make_durable(self, pairs: List[Pair]) -> None:
         by_guid = self._addrs_by_guid
         for guid, addr in pairs:
-            addrs = by_guid.get(guid)
-            if addrs is None:
-                addrs = by_guid[guid] = set()
-            addrs.add(addr)
+            try:
+                by_guid[guid].add(addr)
+            except KeyError:
+                by_guid[guid] = {addr}
         for tail in self._captures.values():
             tail.extend(pairs)
         self._durable += len(pairs)

@@ -24,11 +24,15 @@ per-step table dispatch, which stays in :mod:`repro.lang.interp` as the
 trap fallback and as the path for preemption, injections and the
 dependence recorder; ``tests/oracles`` pins the equivalence):
 
-* Instructions that can trap (``load``/``store`` via
-  :meth:`Machine._load`/:meth:`Machine._store`, and every
+* Instructions that can trap (``load``/``store``, and every
   handler-dispatched op) always execute with ``frame.index`` pointing at
   themselves, so fault attribution (iid, location, stack) is identical.
   They are therefore never fusion *consumers*.
+* Loads and stores of an address in ``[PM_BASE, pool.end)`` run
+  inline, trap-free, on the pool dicts the segment binds on entry (the
+  pool never rebinds them); any other address goes through
+  :meth:`Machine._load`/:meth:`Machine._store`, the only places they
+  trap.
 * Raw-coded statements can only raise ``KeyError`` (unset register) or
   ``ZeroDivisionError`` (``//``/``%``).  The runner then re-executes the
   faulting instruction through the table path, which performs the exact
@@ -161,6 +165,7 @@ def _compile_segment(func, block, start: int, end: int, counts) -> Segment:
     runtime_index = start
     ended = False
     traced = False
+    pm_access = False
 
     def use(name: str) -> Tuple[str, Optional[int]]:
         nonlocal pending
@@ -242,18 +247,23 @@ def _compile_segment(func, block, start: int, end: int, counts) -> Segment:
             emit("    R[%r] = %s" % (ins.dst, expr))
             if op == "gep" and ins.guid is not None:
                 trace_reg(ins, ins.dst)
-        elif op == "load":
+        elif op in ("load", "store"):
             set_index(i)
             if ins.guid is not None:
                 trace_reg(ins, ins.args[0])
             ns["I%d" % i] = ins
-            emit("    R[%r] = M._load(R[%r], I%d)" % (ins.dst, ins.args[0], i))
-        elif op == "store":
-            set_index(i)
-            if ins.guid is not None:
-                trace_reg(ins, ins.args[0])
-            ns["I%d" % i] = ins
-            emit("    M._store(R[%r], R[%r], I%d)" % (ins.args[0], ins.args[1], i))
+            pm_access = True
+            emit("    _p = R[%r]" % (ins.args[0],))
+            emit("    if PM_BASE <= _p < PE:")
+            if op == "load":
+                emit("        R[%r] = C[_p] if _p in C else D.get(_p, 0)"
+                     % (ins.dst,))
+                emit("    else:")
+                emit("        R[%r] = M._load(_p, I%d)" % (ins.dst, i))
+            else:
+                emit("        C[_p] = R[%r]" % (ins.args[1],))
+                emit("    else:")
+                emit("        M._store(_p, R[%r], I%d)" % (ins.args[1], i))
         elif op == "br":
             emit("    F.block = %r" % (ins.args[0],))
             emit("    F.index = 0")
@@ -289,6 +299,9 @@ def _compile_segment(func, block, start: int, end: int, counts) -> Segment:
         lines.append("    R = F.regs")
     if traced:
         lines.append("    W = M.tracer")
+    if pm_access:
+        lines.append("    P = M.pool")
+        lines.append("    C, D, PE = P._cache, P._durable, P.end")
     lines.extend(body)
     src = "\n".join(lines) + "\n"
     code = compile(

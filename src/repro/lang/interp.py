@@ -624,11 +624,16 @@ class Machine:
 
     def _load(self, addr: int, instr: Instr) -> int:
         if addr >= PM_BASE:
-            if not self.pool.contains(addr):
+            # the pool's read, inlined: one range check per word
+            pool = self.pool
+            if addr >= pool.end:
                 raise SegfaultTrap(
                     f"PM load outside pool at {addr:#x}", location=instr.location()
                 )
-            return self.pool.read(addr)
+            cache = pool._cache
+            if addr in cache:
+                return cache[addr]
+            return pool._durable.get(addr, 0)
         if addr in self._vol_valid:
             return self.vmem.get(addr, 0)
         raise SegfaultTrap(
@@ -639,11 +644,12 @@ class Machine:
 
     def _store(self, addr: int, value: int, instr: Instr) -> None:
         if addr >= PM_BASE:
-            if not self.pool.contains(addr):
+            pool = self.pool
+            if addr >= pool.end:
                 raise SegfaultTrap(
                     f"PM store outside pool at {addr:#x}", location=instr.location()
                 )
-            self.pool.write(addr, value)
+            pool._cache[addr] = value
             return
         if addr in self._vol_valid:
             self.vmem[addr] = value

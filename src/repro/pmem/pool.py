@@ -55,6 +55,8 @@ class PMPool:
             raise PoolError(f"pool size must be positive, got {size_words}")
         self.name = name
         self.size_words = size_words
+        #: one past the last word address, fixed for the pool's life
+        self.end = PM_BASE + size_words
         #: durable words: addr -> value (sparse; absent means 0)
         self._durable: Dict[int, int] = {}
         #: CPU write buffer: addr -> value, not yet durable
@@ -86,17 +88,16 @@ class PMPool:
     # ------------------------------------------------------------------
     def contains(self, addr: int) -> bool:
         """Return True if ``addr`` is a valid word address in this pool."""
-        return PM_BASE <= addr < PM_BASE + self.size_words
+        return PM_BASE <= addr < self.end
 
     def _check(self, addr: int, nwords: int = 1) -> None:
         if nwords < 0:
             raise PoolError(f"negative range length {nwords}")
-        if not self.contains(addr) or not (
-            nwords == 0 or self.contains(addr + nwords - 1)
-        ):
+        # a zero-length range still names one word: ``addr`` itself
+        if not PM_BASE <= addr <= self.end - (nwords or 1):
             raise PoolError(
                 f"address range [{addr:#x}, +{nwords}) outside pool "
-                f"{self.name} [{PM_BASE:#x}, {PM_BASE + self.size_words:#x})"
+                f"{self.name} [{PM_BASE:#x}, {self.end:#x})"
             )
 
     @staticmethod
@@ -109,20 +110,26 @@ class PMPool:
     # ------------------------------------------------------------------
     def read(self, addr: int) -> int:
         """Read one word, observing un-persisted stores (cache first)."""
-        self._check(addr)
+        if not PM_BASE <= addr < self.end:
+            self._check(addr)
         if addr in self._cache:
             return self._cache[addr]
         return self._durable.get(addr, 0)
 
     def write(self, addr: int, value: int) -> None:
         """Store one word into the write buffer (not yet durable)."""
-        self._check(addr)
+        if not PM_BASE <= addr < self.end:
+            self._check(addr)
         self._cache[addr] = value
 
     def read_range(self, addr: int, nwords: int) -> List[int]:
         """Read ``nwords`` consecutive words."""
         self._check(addr, nwords)
-        return [self.read(addr + i) for i in range(nwords)]
+        cache, durable = self._cache, self._durable
+        return [
+            cache[a] if a in cache else durable.get(a, 0)
+            for a in range(addr, addr + nwords)
+        ]
 
     def write_range(self, addr: int, values: Iterable[int]) -> None:
         """Store consecutive words starting at ``addr``."""
@@ -317,7 +324,11 @@ class PMPool:
         return dict(self._durable)
 
     def load_durable(self, items: Dict[int, int]) -> None:
-        """Replace the durable image wholesale (snapshot restore)."""
+        """Replace the durable image wholesale (snapshot restore).
+
+        The durable dict is refilled in place, never rebound: a running
+        fused VM segment holds it in a local (see :mod:`repro.lang.fuse`).
+        """
         for addr in items:
             self._check(addr)
         if self._epoch_preimages:
@@ -326,7 +337,8 @@ class PMPool:
             for addr in set(self._durable) | set(items):
                 if self._durable.get(addr, 0) != items.get(addr, 0):
                     self._note_dirty(addr)
-        self._durable = dict(items)
+        self._durable.clear()
+        self._durable.update(items)
         self._cache.clear()
         self._staged_lines.clear()
         self._pending_ranges.clear()

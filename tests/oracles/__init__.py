@@ -13,6 +13,11 @@ with ``monkeypatch`` on the name production code looks up:
   replica-set node instead of shipping its word delta;
 * :func:`orphans_of` — the cascade's orphan pass comparing every
   surviving op against every discarded one;
+* :class:`PerNodeRevertReactor` — a cascade that searches the oplog
+  for each node's last surviving write on a key separately;
+* :mod:`~tests.oracles.ring` — ring placement by walking the ring on
+  every lookup (``preference_list``, ``primary_for``, ``replica_set``),
+  each taking the ring as first argument;
 * :mod:`~tests.oracles.checkpoint` — the seed's linear-scan
   checkpoint-log queries (``entries_overlapping``, ``expected_word``,
   ``newest_free_covering`` ...), each taking the log as first argument;
@@ -22,18 +27,24 @@ with ``monkeypatch`` on the name production code looks up:
   round (PDG caches cleared) and join traced addresses by full scan.
 """
 
-from tests.oracles import checkpoint
+from tests.oracles import checkpoint, ring
 from tests.oracles.checkpoint import LinearScanReverter, reference_compute_plan
-from tests.oracles.cluster import ReexecCluster, orphans_of
+from tests.oracles.cluster import (
+    PerNodeRevertReactor,
+    ReexecCluster,
+    orphans_of,
+)
 from tests.oracles.probe import SnapshotProbeEngine
 from tests.oracles.vm import TableMachine
 
 __all__ = [
     "LinearScanReverter",
+    "PerNodeRevertReactor",
     "ReexecCluster",
     "SnapshotProbeEngine",
     "TableMachine",
     "checkpoint",
     "orphans_of",
     "reference_compute_plan",
+    "ring",
 ]

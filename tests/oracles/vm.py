@@ -2,8 +2,10 @@
 
 from typing import List, Tuple
 
-from repro.errors import HangTrap, Trap
+from repro.errors import HangTrap, SegfaultTrap, Trap
 from repro.lang.interp import Machine, Thread
+from repro.lang.ir import Instr
+from repro.pmem.pool import PM_BASE
 
 
 class TableMachine(Machine):
@@ -13,8 +15,42 @@ class TableMachine(Machine):
     The scheduler below is a standalone copy of the production loop's
     per-step path (budget, step hook, preemption, thread switching), so
     a change to :meth:`Machine._run` is checked against it rather than
-    against itself.
+    against itself.  Its PM loads and stores are the checked access the
+    production machine inlined: ``pool.contains``, then the pool's own
+    ``read``/``write``.
     """
+
+    def _load(self, addr: int, instr: Instr) -> int:
+        if addr >= PM_BASE:
+            if not self.pool.contains(addr):
+                raise SegfaultTrap(
+                    f"PM load outside pool at {addr:#x}", location=instr.location()
+                )
+            return self.pool.read(addr)
+        if addr in self._vol_valid:
+            return self.vmem.get(addr, 0)
+        raise SegfaultTrap(
+            f"invalid load at {addr:#x}"
+            + (" (null dereference)" if addr == 0 else ""),
+            location=instr.location(),
+        )
+
+    def _store(self, addr: int, value: int, instr: Instr) -> None:
+        if addr >= PM_BASE:
+            if not self.pool.contains(addr):
+                raise SegfaultTrap(
+                    f"PM store outside pool at {addr:#x}", location=instr.location()
+                )
+            self.pool.write(addr, value)
+            return
+        if addr in self._vol_valid:
+            self.vmem[addr] = value
+            return
+        raise SegfaultTrap(
+            f"invalid store at {addr:#x}"
+            + (" (null dereference)" if addr == 0 else ""),
+            location=instr.location(),
+        )
 
     def _run(
         self,

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.distributed.ring import HashRing
+from tests.oracles import ring as walk
 
 
 class TestPlacement:
@@ -125,3 +126,67 @@ class TestStatus:
         for key in range(100):
             rs = ring.replica_set(key, 3)
             assert len(rs) == 2 and 2 not in rs
+
+
+def _ring_states(n_nodes, seed):
+    """(label, ring) per routing state: fresh, one node down, one node
+    demoted, all but one down, all demoted, and a node removed then
+    added back."""
+    def ring():
+        return HashRing(range(n_nodes), seed=seed)
+
+    down = ring()
+    down.mark_down(1)
+    demoted = ring()
+    demoted.demote(0)
+    one_left = ring()
+    for nid in range(1, n_nodes):
+        one_left.mark_down(nid)
+    all_demoted = ring()
+    for nid in range(n_nodes):
+        all_demoted.demote(nid)
+    rejoined = ring()
+    rejoined.remove_node(2)
+    rejoined.add_node(2)
+    return [
+        ("fresh", ring()), ("one-down", down), ("one-demoted", demoted),
+        ("all-but-one-down", one_left), ("all-demoted", all_demoted),
+        ("remove-then-add", rejoined),
+    ]
+
+
+class TestPlacementTable:
+    """The per-point placement table routes every key exactly as a walk
+    of the ring from the key's point does."""
+
+    @pytest.mark.parametrize("seed", [0, 11])
+    @pytest.mark.parametrize("n_nodes", [3, 5])
+    def test_table_matches_ring_walk(self, n_nodes, seed):
+        for label, ring in _ring_states(n_nodes, seed):
+            for key in range(5000):
+                assert ring.preference_list(key) == walk.preference_list(
+                    ring, key
+                ), (label, key)
+                assert ring.primary_for(key) == walk.primary_for(
+                    ring, key
+                ), (label, key)
+                for r in (2, n_nodes):
+                    assert ring.replica_set(key, r) == walk.replica_set(
+                        ring, key, r
+                    ), (label, key, r)
+
+    def test_empty_ring_matches_ring_walk(self):
+        ring = HashRing([])
+        assert ring.preference_list(1) == walk.preference_list(ring, 1) == []
+        assert ring.primary_for(1) is walk.primary_for(ring, 1) is None
+        assert ring.replica_set(1, 2) == walk.replica_set(ring, 1, 2) == []
+
+    def test_flags_change_routing_without_a_rebuild(self):
+        ring = HashRing(range(3))
+        table = ring._table
+        key = next(k for k in range(1000) if ring.primary_for(k) == 0)
+        ring.mark_down(0)
+        assert ring.primary_for(key) == walk.primary_for(ring, key) != 0
+        ring.mark_up(0)
+        assert ring.primary_for(key) == 0
+        assert ring._table is table

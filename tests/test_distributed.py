@@ -15,7 +15,7 @@ from repro.distributed.cluster import (
 from repro.distributed.recovery import DistributedReactor
 from repro.harness.supervisor import pool_digest
 from repro.systems.common import ABSENT
-from tests.oracles import orphans_of
+from tests.oracles import PerNodeRevertReactor, orphans_of
 
 class TestVectorClocks:
     def test_ordering(self):
@@ -433,3 +433,115 @@ class TestMixedTopologies:
         cascaded_ids = {op.op_id for op in cascaded}
         assert {rec.op_id for rec in hops} <= cascaded_ids
         assert rounds <= len(hops) + 1  # terminated, no infinite loop
+
+
+def _log_guest_writes(cluster):
+    """Record every insert/delete run on a node's adapter, in order."""
+    writes = []
+    for nid, node in enumerate(cluster.nodes):
+        def insert(key, value, nid=nid, inner=node.insert):
+            writes.append((nid, "insert", key, value))
+            return inner(key, value)
+
+        def delete(key, nid=nid, inner=node.delete):
+            writes.append((nid, "delete", key))
+            return inner(key)
+
+        node.insert, node.delete = insert, delete
+    return writes
+
+
+def _cascade_outcome(build, reactor_cls):
+    """Guest writes, discarded and cascaded op ids, and per-node
+    digests of one cascade from ``build()``'s root op."""
+    cluster, root = build()
+    writes = _log_guest_writes(cluster)
+    first, last = root.spans[root.node]
+    discarded, cascaded, _ = reactor_cls(cluster).cascade_from(
+        root.node, set(range(first, last + 1))
+    )
+    return (
+        writes, [op.op_id for op in discarded],
+        [op.op_id for op in cascaded],
+        [pool_digest(n.pool, n.allocator) for n in cluster.nodes],
+    )
+
+
+def _rewritten_chain_cluster(n_nodes, n_clients):
+    """A root op and a chain of derived inserts after it, on keys that
+    each hold an older surviving write (key 1002's is a delete)."""
+    cluster = Cluster(
+        n_nodes=n_nodes, n_clients=n_clients,
+        replication=min(2, n_nodes),
+    )
+    clients = [ClusterClient(cluster, i) for i in range(n_clients)]
+    for key in range(1000, 1005):
+        clients[-1].insert(key, 7000 + key)
+    clients[-1].delete(1002)
+    root = clients[0].insert(1000, 1)
+    for i, key in enumerate(range(1000, 1004)):
+        assert clients[(i + 1) % n_clients].derived_insert(key, key + 1)
+    return cluster, root
+
+
+def _missed_write_cluster():
+    """A root op whose key has a newer surviving write that three nodes
+    missed: the root's two replicas and a rebuilt-then-rebased node were
+    down while it was applied, and came back up still awaiting a rebase
+    (the stream was truncated past them)."""
+    cluster = Cluster(n_nodes=5, n_clients=2, replication=2)
+    a, b = ClusterClient(cluster, 0), ClusterClient(cluster, 1)
+    for key in range(40):
+        a.insert(key, 500 + key)
+    cluster.ring.mark_down(4)
+    cluster.rebuild_node(4)
+    cluster.rebase_node(4)
+    cluster.ring.mark_up(4)
+    a.insert(1000, 1)
+    root = a.insert(1000, 2)
+    cluster.drain()
+    pref = cluster.ring.preference_list(1000)
+    missed = (pref[0], pref[1], pref[-1])
+    assert 4 in missed
+    for nid in missed:
+        cluster.ring.mark_down(nid)
+    # routed past the root's replicas, whose clocks hold the root: b's
+    # write is concurrent with the root and survives it
+    b.insert(1000, 3)
+    for key in range(2000, 2020):
+        b.insert(key, key)
+    cluster.drain()
+    for nid in missed:
+        cluster.ring.mark_up(nid)
+    return cluster, root
+
+
+class TestRevertLookups:
+    """The cascade looks up a key's newest surviving row once for all
+    nodes; it must restore exactly what per-node lookups restore."""
+
+    @pytest.mark.parametrize(
+        "n_nodes,n_clients", [(2, 1), (2, 3), (5, 1), (5, 3)]
+    )
+    def test_reverts_match_per_node_lookups(self, n_nodes, n_clients):
+        def build():
+            return _rewritten_chain_cluster(n_nodes, n_clients)
+
+        shared = _cascade_outcome(build, DistributedReactor)
+        assert shared == _cascade_outcome(build, PerNodeRevertReactor)
+        writes, discarded, cascaded, _ = shared
+        assert len(discarded) == 1 and len(cascaded) >= 4
+        assert any(w[1:] == ("delete", 1002) for w in writes)
+        assert any(w[1] == "insert" and w[3] >= 7000 for w in writes)
+
+    def test_node_missing_the_newest_row_searches_its_own(self):
+        shared = _cascade_outcome(_missed_write_cluster, DistributedReactor)
+        assert shared == _cascade_outcome(
+            _missed_write_cluster, PerNodeRevertReactor
+        )
+        writes = shared[0]
+        # nodes holding the newer write restore it; the nodes that
+        # missed it restore the write before the root
+        restored = {w[0]: w[3] for w in writes if w[2] == 1000}
+        assert sorted(set(restored.values())) == [1, 3]
+        assert restored[4] == 1

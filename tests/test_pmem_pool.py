@@ -48,6 +48,20 @@ class TestBasics:
         with pytest.raises(PoolError):
             pool.flush(PM_BASE, -1)
 
+    def test_read_range_ending_on_the_last_word(self, pool):
+        last = PM_BASE + pool.size_words - 1
+        assert pool.end == last + 1
+        pool.write(last, 5)  # cached
+        pool.write(last - 1, 4)
+        pool.persist(last - 1, 1)  # durable
+        assert pool.read_range(last - 2, 3) == [0, 4, 5]
+
+    def test_read_range_crossing_the_end_raises(self, pool):
+        with pytest.raises(PoolError):
+            pool.read_range(pool.end - 2, 3)
+        with pytest.raises(PoolError):
+            pool.read_range(PM_BASE - 1, 2)
+
     def test_zero_size_pool_rejected(self):
         with pytest.raises(PoolError):
             PMPool(0)
@@ -158,6 +172,17 @@ class TestDurableAccess:
         pool.load_durable({PM_BASE + 1: 77})
         assert pool.read(PM_BASE) == 0
         assert pool.read(PM_BASE + 1) == 77
+
+    def test_load_durable_refills_the_same_dict(self, pool):
+        # a fused VM segment holds the durable dict in a local for its
+        # whole run, so a restore must not rebind it
+        durable = pool._durable
+        pool.durable_write(PM_BASE, 3)
+        image = {PM_BASE + 2: 8}
+        pool.load_durable(image)
+        assert pool._durable is durable
+        assert pool.durable_items() == {PM_BASE + 2: 8}
+        assert pool._durable is not image
 
     def test_discard_cached(self, pool):
         pool.write(PM_BASE, 5)

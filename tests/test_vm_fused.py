@@ -20,6 +20,7 @@ from repro.errors import ArithmeticTrap, HangTrap, InjectedCrash, SegfaultTrap
 from repro.harness.experiment import run_experiment
 from repro.lang.compiler import compile_module
 from repro.lang.interp import Machine
+from repro.pmem.pool import PM_BASE
 from tests.oracles import TableMachine
 
 #: machine class per VM path under comparison
@@ -132,6 +133,97 @@ def f(a):
     return s
 """
     _trap_both(src, "f", ArithmeticTrap, 0)
+
+
+# ----------------------------------------------------------------------
+# PM word access at the pool's edges: fused segments take the in-pool
+# path inline, the oracle checks through pool.contains/read/write
+# ----------------------------------------------------------------------
+_EDGE_SRC = """
+def load_at(a):
+    p = a + 0
+    v = p[0]
+    return v + 1
+
+def store_at(a, x):
+    p = a + 0
+    p[0] = x
+    return x + 1
+
+def store_persist_load(a, x):
+    p = a + 0
+    p[0] = x
+    persist(p, 1)
+    v = p[0]
+    return v + 1
+"""
+
+
+def _edge_outcome(cls, module, fname, *args):
+    """Result or trap, steps and pool state of one call on a fresh
+    machine whose last pool word holds a durable 41."""
+    machine = cls(module)
+    last = machine.pool.end - 1
+    machine.pool.write(last, 41)
+    machine.pool.persist(last, 1)
+    try:
+        result = ("ok", machine.call(fname, *args))
+    except SegfaultTrap:
+        fault = machine.last_fault
+        result = ("trap", fault.kind, fault.iid, fault.location, fault.message)
+    return (
+        result, machine.steps_executed, machine.pool.durable_items(),
+        dict(machine.pool._cache),
+    )
+
+
+def _segment_holding(module, fname, op):
+    """The compiled segment of ``fname`` that contains its ``op``."""
+    func = module.functions[fname]
+    iid = next(i.iid for i in func.instructions() if i.op == op)
+    segs = [
+        seg for block in func.blocks.values()
+        for seg in (block._fused_segs or {}).values() if iid in seg.iids
+    ]
+    assert segs, f"{fname}'s {op} ran outside a fused segment"
+    return segs[0]
+
+
+@pytest.mark.parametrize("where", ["last", "past-end", "below-base", "null"])
+@pytest.mark.parametrize("fname", ["load_at", "store_at"])
+def test_pm_access_at_pool_edges_parity(fname, where):
+    module = compile_module("t", _EDGE_SRC)
+    end = Machine(module).pool.end
+    addr = {
+        "last": end - 1, "past-end": end, "below-base": PM_BASE - 1,
+        "null": 0,
+    }[where]
+    args = (addr,) if fname == "load_at" else (addr, 7)
+    observed = {
+        engine: _edge_outcome(cls, module, fname, *args)
+        for engine, cls in VMS.items()
+    }
+    assert observed["table"] == observed["fused"], observed
+    _segment_holding(module, fname, "load" if fname == "load_at" else "store")
+    kind = observed["fused"][0][0]
+    assert kind == ("ok" if where == "last" else "trap")
+    if fname == "load_at" and where == "last":
+        assert observed["fused"][0] == ("ok", 42)
+
+
+def test_store_persist_load_in_one_segment_parity():
+    module = compile_module("t", _EDGE_SRC)
+    addr = PM_BASE + 37
+    observed = {
+        engine: _edge_outcome(cls, module, "store_persist_load", addr, 9)
+        for engine, cls in VMS.items()
+    }
+    assert observed["table"] == observed["fused"], observed
+    store = _segment_holding(module, "store_persist_load", "store")
+    assert store is _segment_holding(module, "store_persist_load", "load")
+    result, _steps, durable, cache = observed["fused"]
+    assert result == ("ok", 10)
+    assert durable[addr] == 9 and addr not in cache
 
 
 # ----------------------------------------------------------------------
