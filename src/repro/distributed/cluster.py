@@ -843,15 +843,6 @@ class Cluster:
     # ------------------------------------------------------------------
     # damage assessment
     # ------------------------------------------------------------------
-    def ops_on_node(self, node_id: int) -> List[OpRecord]:
-        """Ops that produced checkpoint records on ``node_id`` (as
-        primary or replica), in op_id order: the rows whose span-first
-        on that node is set.  The node is drained first so queued
-        deltas are credited before assessment reads the spans."""
-        self.drain(node_id)
-        log = self.oplog
-        return [OpRecord(log, row) for row in log.rows_on(node_id)]
-
     def ops_overlapping_seqs(self, node_id: int, seqs) -> List[OpRecord]:
         """Operations whose span *on that node* intersects ``seqs``.
 

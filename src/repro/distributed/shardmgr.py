@@ -18,10 +18,9 @@ throughout:
    under crash retries, riding the delta probe engine for bisect
    solutions; the node owns no snapshotter, so the rung below the
    ladder is 2b's rebuild).  Routing skips the node, so healthy
-   shards never block; hand :meth:`ShardManager.mitigate` a
-   :class:`repro.reactor.server.WorkerGate` and the ladder chunks
-   itself through the turnstile so a *serving thread* can interleave
-   reads between mitigation chunks.
+   shards never block; when the caller serves, the ladder runs on a
+   worker thread through :func:`repro.reactor.server.run_gated` and the
+   caller serves at every park, between mitigation chunks.
 2b. **rebuild** — when every ladder rung fails (some faults are beyond
    local repair — the single-node study recovers them only from
    snapshots), the supervisor abandons the pool and *re-replicates*:
@@ -52,9 +51,10 @@ attempts, crash retries, resync lag and leak counts; the
 
 from __future__ import annotations
 
+import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, List, Optional
 
 from repro import faultinject
 from repro.detector.signature import FailureSignature
@@ -70,8 +70,7 @@ from repro.harness.experiment import (
 )
 from repro.harness.simclock import ReexecDelay, SimClock
 from repro.harness.supervisor import StepResult, with_crash_retries
-from repro.reactor.server import cooperative_yield
-from repro.systems.common import ABSENT
+from repro.reactor.server import cooperative_yield, run_gated
 
 
 @dataclass
@@ -166,6 +165,10 @@ class HealReport:
     crash_retries: int = 0
     demoted: bool = False
     phases: List[str] = field(default_factory=list)
+    #: wall seconds per phase: detect (with confirm and verdict),
+    #: promote, mitigate (with the caller's serving at parks), rebuild,
+    #: cascade, resync (with handoff); empty when nothing manifested
+    phase_seconds: Dict[str, float] = field(default_factory=dict)
 
 
 class ShardManager:
@@ -300,20 +303,17 @@ class ShardManager:
     def cascade(self, node_id: int, run: MitigationRun):
         """Damage assessment + promotion-aware causal cascade.
 
-        Uses the ladder's reverted seqs; a coarse (snapshot) restore
-        falls back to diffing the node's pool against the oplog's last
-        surviving write per key.  Idempotent: re-entry after a crash
-        returns the journaled result (ops already reverted stay
-        reverted — reverts are pure functions of the log).
+        Maps the ladder's reverted seqs to client ops.  Idempotent:
+        re-entry after a crash returns the journaled result (ops already
+        reverted stay reverted — reverts are pure functions of the log).
         """
         journal = self.journal(node_id)
         if journal.done("cascade"):
             info = journal.completed["cascade"]
             return info["discarded"], info["cascaded"], info["rounds"]
-        seqs: Set[int] = set(run.reverted_seqs)
-        if run.coarse_restore:
-            seqs |= self._coarse_reverted_seqs(node_id)
-        discarded, cascaded, rounds = self.reactor.cascade_from(node_id, seqs)
+        discarded, cascaded, rounds = self.reactor.cascade_from(
+            node_id, set(run.reverted_seqs)
+        )
         # peers whose pools lost reverted state re-run local recovery
         touched = {
             nid
@@ -330,27 +330,6 @@ class ShardManager:
             "cascade", discarded=discarded, cascaded=cascaded, rounds=rounds
         )
         return discarded, cascaded, rounds
-
-    def _coarse_reverted_seqs(self, node_id: int) -> Set[int]:
-        """Snapshot-restore damage: seqs of ops whose last surviving
-        write no longer matches the node's pool."""
-        node = self.cluster.nodes[node_id]
-        latest: Dict[int, OpRecord] = {}
-        for op in self.cluster.ops_on_node(node_id):
-            if not op.discarded:
-                latest[op.key] = op
-        seqs: Set[int] = set()
-        for key, op in latest.items():
-            actual = node.lookup(key)
-            stale = (
-                actual != ABSENT if op.kind == "delete" else actual != op.value
-            )
-            if not stale:
-                continue
-            span = op.spans.get(node_id)
-            if span is not None and span[0] <= span[1]:
-                seqs.update(range(span[0], span[1] + 1))
-        return seqs
 
     # ------------------------------------------------------------------
     # phase 4: resync + handoff
@@ -442,14 +421,21 @@ class ShardManager:
         (a fault on an already-healed node runs every phase again),
         :func:`confirm_hard` restarts the node and watches the failure
         recur, the verdict is recorded, and the protocol runs whatever
-        confirmation says.  ``serve(phase)`` (if given) runs after
-        ``"promote"`` and after ``"mitigate"``, so the caller serves
-        its window where it needs it.  ``inject_plan`` is armed from
+        confirmation says.
+
+        ``serve(phase)`` (if given) runs while the sick node is down:
+        after ``"promote"``, at every park of the mitigation (phase
+        ``"park"``: the ladder then runs through :func:`run_gated`), and
+        after ``"mitigate"``, ``"rebuild"`` and ``"cascade"`` — never
+        before promotion, where a wedged primary would still ship its
+        diverged state.  ``report.phase_seconds`` times each phase, not
+        the serving between phases.  ``inject_plan`` is armed from
         promotion on, so the ``cluster.*`` second-fault sites can fire.
         One :class:`SimClock` paces promote, mitigate and resync, and
         ``crash_retries`` sums all three.
         """
         report = HealReport(node_id=node_id)
+        began = time.perf_counter()
         detector = make_detector(ctx)
         outcome = detect(ctx, detector, trapped)
         if outcome.ok:
@@ -460,6 +446,23 @@ class ShardManager:
         report.confirmed_hard = confirm_hard(ctx, detector, outcome)
         self.note_verdict(node_id)
         clock = SimClock()
+
+        def lap(phase: str, down: bool = True) -> None:
+            """Record ``phase``'s wall seconds; while the sick node is
+            down, the caller serves before the next phase starts."""
+            nonlocal began
+            report.phase_seconds[phase] = time.perf_counter() - began
+            if down and serve is not None:
+                serve(phase)
+            began = time.perf_counter()
+
+        def mitigate(gate=None):
+            return self.mitigate(
+                node_id, ctx, ctx.scenario, outcome, detector,
+                inject_plan=inject_plan, gate=gate, mclock=clock,
+            )
+
+        lap("detect", down=False)
         cm = (
             faultinject.activate(inject_plan)
             if inject_plan is not None else nullcontext()
@@ -467,30 +470,31 @@ class ShardManager:
         with cm:
             report.crash_retries += self.promote(node_id, clock=clock)
             report.promoted = True
-            if serve is not None:
-                serve("promote")
-            run = self.mitigate(
-                node_id, ctx, ctx.scenario, outcome, detector,
-                inject_plan=inject_plan, mclock=clock,
+            lap("promote")
+            run = (
+                mitigate() if serve is None
+                else run_gated(mitigate, lambda: serve("park"))
             )
-            if serve is not None:
-                serve("mitigate")
+            lap("mitigate")
             report.run = run
             report.crash_retries += run.ladder.get("crash_retries", 0)
             report.recovered = run.recovered
             report.recovered_by = run.ladder.get("recovered_by", "") or ""
+            # the rung below the ladder: a failed ladder always rebuilds
             if self.rebuild(node_id):
                 report.recovered = True
                 report.recovered_by = "rebuild"
-            if report.recovered:
-                discarded, cascaded, rounds = self.cascade(node_id, run)
-                report.discarded_ops = discarded
-                report.cascaded_ops = cascaded
-                report.cascade_rounds = rounds
-                sub = self.resync(node_id, clock=clock)
-                report.resync_replayed = sub.resync_replayed
-                report.crash_retries += sub.crash_retries
-                report.demoted = sub.demoted
+            lap("rebuild")
+            discarded, cascaded, rounds = self.cascade(node_id, run)
+            report.discarded_ops = discarded
+            report.cascaded_ops = cascaded
+            report.cascade_rounds = rounds
+            lap("cascade")
+            sub = self.resync(node_id, clock=clock)
+            report.resync_replayed = sub.resync_replayed
+            report.crash_retries += sub.crash_retries
+            report.demoted = sub.demoted
+            lap("resync", down=False)
         report.phases = self.journal(node_id).phases_done()
         return report
 

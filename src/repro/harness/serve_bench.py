@@ -57,7 +57,9 @@ def bench_live_traffic(
     split for requests that *arrived during an open mitigation window*.
     The two paths must leave byte-identical pool digests and both must
     recover; the bench aborts on a mismatch because the latency numbers
-    would then compare different recoveries.
+    would then compare different recoveries.  It also aborts when either
+    side answered no request that arrived in the window: a ratio over
+    an empty window would judge nothing.
     """
     from repro.reactor.server import LiveRecoveryServer
 
@@ -85,6 +87,13 @@ def bench_live_traffic(
             "live-traffic bench: scoped and stop-the-world serving left "
             "different pool digests — the quarantine path corrupted state"
         )
+    for label, rep in sides.items():
+        count = rep["during_mitigation"]["count"]
+        if count == 0:
+            raise RuntimeError(
+                f"live-traffic bench: {label} serving sampled {count} "
+                "requests during the mitigation window"
+            )
 
     def ratio(which: str) -> float:
         denom = float(scoped["during_mitigation"][which])

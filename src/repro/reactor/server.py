@@ -209,8 +209,8 @@ class WorkerGate:
     (each re-execution, plus the macro-phase boundaries); the serving
     thread blocks in :meth:`wait_parked`, does its serving turn, and
     :meth:`resume`\\ s it.  Exactly one side is ever active, so no shared
-    state needs finer locking.  The live-traffic server and every caller
-    of ``ShardManager.mitigate(gate=...)`` serve this way.
+    state needs finer locking.  :func:`run_gated` runs that turnstile
+    for the live-traffic server and for ``ShardManager.heal(serve=...)``.
 
     :meth:`close` retires the gate — late checkpoints become no-ops, so
     the worker can finish after the serving side stops listening.
@@ -245,6 +245,47 @@ class WorkerGate:
         self.closed = True
         self._parked.clear()
         self._grant.set()
+
+
+def run_gated(
+    work: Callable[[WorkerGate], object], on_park: Callable[[], None]
+):
+    """Run ``work(gate)`` on a ``mitigate`` worker thread behind a fresh
+    :class:`WorkerGate`; call ``on_park()`` on this thread at every park.
+
+    The worker parks once more after ``work`` returns or raises, so the
+    last ``on_park()`` sees it finished.  On any exit the gate is closed
+    and the worker joined, so an error on either side never leaves the
+    worker parked.  Re-raises the worker's error, else returns what
+    ``work`` returned.
+    """
+    gate = WorkerGate()
+    box: Dict[str, object] = {}
+
+    def body() -> None:
+        try:
+            box["result"] = work(gate)
+        except BaseException as exc:  # noqa: BLE001 — re-raised below
+            box["error"] = exc
+        finally:
+            box["done"] = True
+            gate.checkpoint()  # hand the last turn back to the caller
+
+    worker = threading.Thread(target=body, name="mitigate")
+    worker.start()
+    try:
+        while True:
+            gate.wait_parked()
+            on_park()
+            if box.get("done"):
+                break
+            gate.resume()
+    finally:
+        gate.close()
+        worker.join()
+    if "error" in box:
+        raise box["error"]
+    return box["result"]
 
 
 def _percentile(sorted_lat: List[float], q: float) -> float:
@@ -622,15 +663,14 @@ class LiveRecoveryServer:
     ) -> Tuple[int, float]:
         """Run one cooperative mitigation; returns (next index, shift).
 
-        The mitigation runs on a worker thread that parks at every
-        :class:`WorkerGate` checkpoint, and once more when it finishes;
-        this thread serves.  At each park it holds the arrivals now due.
-        In ``quarantine`` mode, once the quarantine is derived, it answers
-        everything held, in index order, before resuming the worker, so a
-        held request never waits for a newer arrival.  ``stop-the-world``
-        answers them after the window; ``quiesced`` takes none during it.
-        On any exit the gate is closed and the worker joined, so an error
-        on the serving side never leaves the worker parked.
+        The mitigation runs through :func:`run_gated`, which parks it
+        at every :class:`WorkerGate` checkpoint and once more when it
+        finishes, and joins it on any exit; this thread serves.  At each
+        park it holds the arrivals now due.  In ``quarantine`` mode, once
+        the quarantine is derived, it answers everything held, in index
+        order, before resuming the worker, so a held request never waits
+        for a newer arrival.  ``stop-the-world`` answers them after the
+        window; ``quiesced`` takes none during it.
         """
         self._mitigations += 1
         self._detected_ever = True
@@ -643,42 +683,23 @@ class LiveRecoveryServer:
         self._deferred = []
         self._quarantine_ready = False
         start_wall = time.perf_counter()
-        gate = WorkerGate()
-        box: Dict[str, object] = {}
-
-        def work() -> None:
-            try:
-                box["run"] = self._mitigate_blocking(gate, outcome)
-            except BaseException as exc:  # noqa: BLE001 — re-raised below
-                box["error"] = exc
-            finally:
-                box["done"] = True
-                gate.checkpoint()  # hand the last turn back to the server
-
-        worker = threading.Thread(target=work, name="mitigate")
-        worker.start()
         held: List[Tuple[int, Op, float]] = []
-        try:
-            while True:
-                gate.wait_parked()
-                if self.mode != "quiesced":
-                    now = time.perf_counter()
-                    while idx < n and t0 + shift + idx * period <= now:
-                        held.append((idx, ops[idx], t0 + shift + idx * period))
-                        idx += 1
-                if self.mode == "quarantine" and self._quarantine_ready:
-                    for j, qop, qarr in held:
-                        self._serve_during(j, qop, qarr)
-                    held = []
-                if box.get("done"):
-                    break
-                gate.resume()
-        finally:
-            gate.close()
-            worker.join()
-        if "error" in box:
-            raise box["error"]
-        run = box["run"]
+
+        def on_park() -> None:
+            nonlocal idx, held
+            if self.mode != "quiesced":
+                now = time.perf_counter()
+                while idx < n and t0 + shift + idx * period <= now:
+                    held.append((idx, ops[idx], t0 + shift + idx * period))
+                    idx += 1
+            if self.mode == "quarantine" and self._quarantine_ready:
+                for j, qop, qarr in held:
+                    self._serve_during(j, qop, qarr)
+                held = []
+
+        run = run_gated(
+            lambda gate: self._mitigate_blocking(gate, outcome), on_park
+        )
         end_wall = time.perf_counter()
         self._windows.append((start_wall, end_wall))
         if self.mode == "quiesced":

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Iterator, List
+
 import pytest
 
 from repro.checkpoint.log import CheckpointLog
@@ -10,6 +12,8 @@ from repro.lang.interp import Machine
 from repro.pmem.allocator import PMAllocator
 from repro.pmem.pool import PMPool
 from repro.pmem.tx import TransactionManager
+from repro.reactor import server as server_module
+from repro.reactor.server import WorkerGate
 
 #: a small linked-list key-value program used by many compiler/analysis
 #: tests — large enough to exercise loops, calls, structs and PM flows
@@ -123,6 +127,24 @@ def cloned_logs(monkeypatch):
 
     monkeypatch.setattr(CheckpointLog, "clone", spy)
     return cloned
+
+
+@pytest.fixture
+def gates(monkeypatch) -> Iterator[List[WorkerGate]]:
+    """Every gate :func:`repro.reactor.server.run_gated` builds, closed
+    at teardown so a worker leaked parked fails its test instead of
+    hanging the session."""
+    made: List[WorkerGate] = []
+
+    class RecordingGate(WorkerGate):
+        def __init__(self) -> None:
+            super().__init__()
+            made.append(self)
+
+    monkeypatch.setattr(server_module, "WorkerGate", RecordingGate)
+    yield made
+    for gate in made:
+        gate.close()
 
 
 @pytest.fixture(scope="session")

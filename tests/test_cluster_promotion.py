@@ -186,6 +186,68 @@ def test_heal_stops_when_nothing_manifests():
     assert not cluster.is_down(target)
     assert mgr.journal(target).phases_done() == []
     assert mgr.health[target].verdicts == 0
+    assert report.phase_seconds == {}
+
+
+class TestServingHeal:
+    def test_heal_serves_at_every_park_while_the_node_is_down(self, gates):
+        """With ``serve``, the heal runs the ladder through the gated
+        turnstile: the caller serves at every park, and after each phase
+        that leaves the sick node down, and never before promotion."""
+        cluster, ctx = _wedged_cluster()
+        b = ClusterClient(cluster, 1)
+        phases, down, reads = [], [], []
+
+        def serve(phase):
+            phases.append(phase)
+            if phase == "park":
+                down.append(cluster.is_down(0))
+                reads.extend(b.lookup(key) for key in range(3))
+
+        report = ShardManager(cluster).heal(0, ctx, serve=serve)
+        assert report.recovered and report.demoted
+        parks = phases.count("park")
+        assert parks >= 3
+        assert phases == (
+            ["promote"] + ["park"] * parks + ["mitigate", "rebuild", "cascade"]
+        )
+        assert all(down) and len(down) == parks
+        # healthy-shard reads answered at every park
+        assert reads == [500, 501, 502] * parks
+        assert len(gates) == 1
+        assert set(report.phase_seconds) == {
+            "detect", "promote", "mitigate", "rebuild", "cascade", "resync"
+        }
+        assert all(s >= 0 for s in report.phase_seconds.values())
+
+    def test_serve_error_at_a_park_propagates_and_leaves_no_worker(
+        self, gates
+    ):
+        cluster, ctx = _wedged_cluster()
+        parks = []
+
+        def serve(phase):
+            if phase == "park":
+                parks.append(phase)
+                if len(parks) == 2:
+                    raise RuntimeError("serving failed")
+
+        box = {}
+
+        def heal():
+            try:
+                ShardManager(cluster).heal(0, ctx, serve=serve)
+            except Exception as exc:  # noqa: BLE001 — handed to the test
+                box["error"] = exc
+
+        thread = threading.Thread(target=heal, daemon=True)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive(), "the heal hung"
+        error = box.get("error")
+        assert isinstance(error, RuntimeError) and "serving failed" in str(error)
+        assert len(parks) == 2 and len(gates) == 1
+        assert not [t for t in threading.enumerate() if t.name == "mitigate"]
 
 
 def _promoted_cluster_without_fault(seed=3):

@@ -156,17 +156,6 @@ class TestCluster:
         hit = cluster.ops_overlapping_seqs(0, every_seq)
         assert rec in hit and empty not in hit
 
-    def test_ops_on_node_uses_per_node_index(self):
-        cluster = Cluster(n_nodes=3, replication=2)
-        client = ClusterClient(cluster, 0)
-        recs = [client.insert(k, k) for k in range(12)]
-        for nid in range(3):
-            indexed = cluster.ops_on_node(nid)
-            scanned = [op for op in cluster.oplog if nid in op.spans]
-            assert indexed == scanned
-        # every live node mirrors every op once drained
-        assert sum(len(cluster.ops_on_node(n)) for n in range(3)) == 3 * len(recs)
-
     def test_delete_records_value_none(self):
         cluster = Cluster(n_nodes=1)
         client = ClusterClient(cluster, 0)

@@ -13,18 +13,17 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Iterator, List, Optional
+from typing import List, Optional
 
 import pytest
 
 from repro.faultinject import InjectionPlan, InjectionSpec
 from repro.harness import experiment
-from repro.reactor import server as server_module
 from repro.reactor.server import (
     KeyTouchIndex,
     LiveRecoveryServer,
     RangeLockTable,
-    WorkerGate,
+    run_gated,
 )
 from repro.workloads.ycsb import zipf_keys
 
@@ -218,23 +217,6 @@ def test_report_surfaces_reactor_accounting_and_budget():
 # ----------------------------------------------------------------------
 # failure paths: an error on either side leaves no thread behind
 # ----------------------------------------------------------------------
-@pytest.fixture
-def gates(monkeypatch) -> Iterator[List[WorkerGate]]:
-    """Every gate the server builds, closed at teardown so a worker the
-    server leaks parked fails its test instead of hanging the session."""
-    made: List[WorkerGate] = []
-
-    class RecordingGate(WorkerGate):
-        def __init__(self) -> None:
-            super().__init__()
-            made.append(self)
-
-    monkeypatch.setattr(server_module, "WorkerGate", RecordingGate)
-    yield made
-    for gate in made:
-        gate.close()
-
-
 def _run_raising(server: LiveRecoveryServer) -> Optional[Exception]:
     """Run ``server`` on a daemon thread; return what it raised."""
     box = {}
@@ -281,4 +263,90 @@ def test_serving_error_mid_window_leaves_no_worker(monkeypatch, gates):
     error = _run_raising(server)
     assert isinstance(error, RuntimeError) and "serving failed" in str(error)
     assert len(gates) == 1
+    assert not _mitigate_threads()
+
+
+# ----------------------------------------------------------------------
+# run_gated: the one turnstile, with no server and no VM
+# ----------------------------------------------------------------------
+def _gated(work, on_park):
+    """``run_gated(work, on_park)`` on a daemon thread, so a turnstile
+    that never hands back fails the test instead of hanging it; returns
+    (result, error)."""
+    box = {}
+
+    def call() -> None:
+        try:
+            box["result"] = run_gated(work, on_park)
+        except Exception as exc:  # noqa: BLE001 — handed to the test
+            box["error"] = exc
+
+    thread = threading.Thread(target=call, daemon=True)
+    thread.start()
+    thread.join(timeout=30)
+    assert not thread.is_alive(), "run_gated hung"
+    return box.get("result"), box.get("error")
+
+
+def test_run_gated_parks_once_more_after_work_returns(gates):
+    events = []
+    parked_on = set()
+
+    def work(gate) -> str:
+        assert threading.current_thread().name == "mitigate"
+        for i in range(3):
+            events.append(f"chunk {i}")
+            gate.checkpoint()
+        events.append("returned")
+        return "run"
+
+    def on_park() -> None:
+        parked_on.add(threading.current_thread().name)
+        events.append("park")
+
+    assert _gated(work, on_park) == ("run", None)
+    # k checkpoints, k + 1 parks: the last one sees the worker finished
+    assert events == [
+        "chunk 0", "park", "chunk 1", "park", "chunk 2", "park",
+        "returned", "park",
+    ]
+    # every park ran on the one calling thread
+    assert len(parked_on) == 1 and "mitigate" not in parked_on
+    assert len(gates) == 1 and gates[0].closed
+    assert not _mitigate_threads()
+
+
+def test_run_gated_reraises_work_error_after_the_last_park(gates):
+    events = []
+
+    def work(gate) -> None:
+        gate.checkpoint()
+        events.append("raised")
+        raise ValueError("mitigation failed")
+
+    _, error = _gated(work, lambda: events.append("park"))
+    assert isinstance(error, ValueError) and "mitigation failed" in str(error)
+    assert events == ["park", "raised", "park"]
+    assert not _mitigate_threads()
+
+
+def test_run_gated_raises_on_park_error_and_joins_the_worker(gates):
+    parks = []
+    finished = threading.Event()
+
+    def work(gate) -> None:
+        for _ in range(5):
+            gate.checkpoint()  # a no-op once the gate is closed
+        finished.set()
+
+    def on_park() -> None:
+        parks.append(len(parks) + 1)
+        if len(parks) == 2:
+            raise RuntimeError("serving failed")
+
+    _, error = _gated(work, on_park)
+    assert isinstance(error, RuntimeError) and "serving failed" in str(error)
+    assert parks == [1, 2]
+    # the worker ran out past the closed gate and was joined
+    assert finished.is_set()
     assert not _mitigate_threads()
