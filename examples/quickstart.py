@@ -95,7 +95,7 @@ def main():
     manager = CheckpointManager(machine.pool, machine.allocator, machine.txman)
     manager.attach()
     trace = PMTrace()
-    machine.tracer = trace.record
+    machine.trace = trace
 
     root = machine.call("kv_init")
     for k in range(10):

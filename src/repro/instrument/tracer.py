@@ -66,9 +66,10 @@ class PMTrace:
         source trace's :meth:`pairs`) as the flushed trace — the
         trace-level analogue of :meth:`PMPool.load_durable`.
         ``emitted`` is the source's ``len``, which this trace's count
-        carries on from.
+        carries on from.  The buffer is cleared in place: a running
+        VM segment appends to it directly.
         """
-        self._buffer = []
+        self._buffer.clear()
         self._addrs_by_guid = {}
         self._make_durable(pairs)
         self._durable = emitted

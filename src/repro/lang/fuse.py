@@ -1,4 +1,4 @@
-"""Superinstruction/trace compilation for the PMLang VM.
+"""Segment compilation for the PMLang VM.
 
 The table-dispatch interpreter in :mod:`repro.lang.interp` pays a fixed
 per-step toll — block/instruction fetch, handler dispatch, trace gating,
@@ -7,70 +7,76 @@ overhead model (Figure 12) runs through the VM.  This module removes the
 toll for straight-line code:
 
 * **Segments** — every maximal run of *fusable* instructions inside a
-  basic block (arithmetic, moves, address math, memory ops, persistence
-  ops, asserts, and the ``br``/``cbr`` terminators) is compiled once
-  into a single Python closure.  Executing the segment is one call: the
-  closure binds ``frame.regs`` to a local and runs the instructions as
-  consecutive statements, with no per-step dispatch.
-* **Superinstructions** — inside a segment, a compiler temporary
-  (``%tN``) that is defined once and consumed exactly once by the next
-  instruction is inlined into its consumer, fusing the hottest opcode
-  pairs and triples (``const``+``binop``, ``binop``+``binop``,
-  ``binop``+``cbr``, ``gep`` chains) into one expression.  The temp is
-  never materialised in the register file.
+  basic block (arithmetic, moves, address math, memory ops, persistence,
+  transaction and allocation ops, asserts, and the ``br``/``cbr``
+  terminators) is compiled once into a single Python closure.  Executing
+  the segment is one call, with no per-step dispatch.
+* **Segment-local registers** — a register the segment reads or defines
+  lives in a Python local, and every read uses the local.  A definition
+  is also written to ``frame.regs`` when the register is named (not a
+  ``%t`` temp), or when it is a ``%t`` with a use outside the segment;
+  a ``%t`` whose every use sits later in the segment is never
+  materialised.
 
 Exactness contract (fused execution must be indistinguishable from
 per-step table dispatch, which stays in :mod:`repro.lang.interp` as the
 trap fallback and as the path for preemption, injections and the
 dependence recorder; ``tests/oracles`` pins the equivalence):
 
-* Instructions that can trap (``load``/``store``, and every
-  handler-dispatched op) always execute with ``frame.index`` pointing at
-  themselves, so fault attribution (iid, location, stack) is identical.
-  They are therefore never fusion *consumers*.
-* Loads and stores of an address in ``[PM_BASE, pool.end)`` run
-  inline, trap-free, on the pool dicts the segment binds on entry (the
-  pool never rebinds them); any other address goes through
-  :meth:`Machine._load`/:meth:`Machine._store`, the only places they
-  trap.
-* Raw-coded statements can only raise ``KeyError`` (unset register) or
-  ``ZeroDivisionError`` (``//``/``%``).  The runner then re-executes the
-  faulting instruction through the table path, which performs the exact
-  error conversion (``ReproError`` / ``ArithmeticTrap``) table dispatch
-  would; completed prefix steps are committed first, so
-  ``steps_executed`` matches to the step.
-* Instructions carrying a trace GUID keep their trace hooks, compiled
-  inline and gated on an attached tracer; GUID-carrying instructions
-  never participate in inlining.  (Re)finalising or (re)instrumenting a
-  module drops all cached segments, so codegen never sees stale GUIDs.
-* Elided instructions still count toward ``steps_executed`` and the
-  step budget; a segment only runs when its full step count fits the
+* Every register whose first access in the segment is a read is read
+  from ``frame.regs`` on entry, before any statement runs.  Those reads
+  are the only source of ``KeyError``, and one leaves nothing done: the
+  runner's table fallback runs the segment's instructions from its
+  start and raises where table dispatch would.
+* ``frame.index`` is stored only where something can raise or read it,
+  and there it names the instruction at hand: before a ``//`` or ``%``,
+  before a handler call, on the out-of-range branch of a load or store
+  just before :meth:`Machine._load`/:meth:`Machine._store` (the only
+  places those trap), and before a trace flush.  The runner computes
+  the committed prefix from it on every exception path, so fault
+  attribution (iid, location, stack) and ``steps_executed`` match table
+  dispatch to the step.
+* A ``ZeroDivisionError`` makes the runner re-execute the ``//`` or
+  ``%`` through the table, which performs the exact ``ArithmeticTrap``
+  conversion; the segment writes both operands to ``frame.regs`` first.
+* Handler-dispatched statements (persist/flush/fence, roots, asserts,
+  emits, transactions and allocation) read ``frame.regs`` themselves,
+  so every unmaterialised temp they use is written there first.  A
+  register a handler defines is read back from ``frame.regs``, which
+  cannot raise.  Each stays one step; calls, returns, yields and panics
+  stay out of segments.
+* Loads and stores of an address in ``[PM_BASE, pool.end)`` run inline,
+  trap-free, on the pool dicts the segment binds on entry (the pool
+  never rebinds them).
+* A traced statement appends its ``(guid, address)`` record straight to
+  the attached :class:`~repro.instrument.tracer.PMTrace`'s buffer and
+  flushes at the trace's threshold, exactly as ``PMTrace.record`` does,
+  so records, their order and every flush point are those of table
+  dispatch.  Segments are cached on the module, which every machine
+  running it shares, so a segment binds ``Machine.trace``'s buffer and
+  threshold when it starts; the trace never rebinds its buffer.
+  (Re)finalising or (re)instrumenting a module drops all cached
+  segments, so codegen never sees stale GUIDs.
+* Every instruction counts toward ``steps_executed`` and the step
+  budget; a segment only runs when its full step count fits the
   remaining budget, otherwise the runner falls back to single-stepping
   so ``HangTrap`` fires on exactly the same step as table dispatch.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.pmem.pool import PM_BASE
 
 #: ops a fused segment may contain; everything else (calls, returns,
-#: allocation, transactions, yields, panics) single-steps via the table
+#: yields, panics) single-steps via the table
 FUSABLE_OPS = frozenset({
     "const", "mov", "binop", "unop", "gep", "load", "store",
     "persist", "flush", "fence", "getroot", "setroot",
+    "txbegin", "txadd", "txcommit", "txabort", "alloc", "free", "realloc",
     "assert", "emit", "nop", "br", "cbr",
 })
-
-#: pure producers whose single-use %t results may be inlined (``//`` and
-#: ``%`` are excluded at the use site: they can raise)
-_ELIDABLE_PRODUCERS = frozenset({"const", "mov", "unop", "binop", "gep"})
-
-#: raw-coded, trap-free consumers able to absorb an inlined operand
-#: expression; load/store are deliberately absent so every trapping
-#: statement owns its own ``frame.index`` (exact fault attribution)
-_EXPR_CONSUMERS = frozenset({"mov", "binop", "unop", "gep", "cbr"})
 
 #: opname -> raw Python expression template (matches _BINOP_FUNCS:
 #: comparisons produce 0/1, shift counts mask to 63)
@@ -93,6 +99,8 @@ _RAW_BINOPS = {
     ">=": "(1 if {a} >= {b} else 0)",
 }
 
+_RAW_UNOPS = {"neg": "(-{a})", "not": "(0 if {a} else 1)", "bnot": "(~{a})"}
+
 
 class Segment:
     """One compiled straight-line run of fusable instructions."""
@@ -101,8 +109,8 @@ class Segment:
 
     def __init__(self, start: int, n_steps: int, run, iids: Tuple[int, ...]):
         self.start = start
-        #: original instruction count, elided temps included — the unit
-        #: the step budget and ``steps_executed`` are charged in
+        #: instruction count — the unit the step budget and
+        #: ``steps_executed`` are charged in
         self.n_steps = n_steps
         #: ``run(machine, thread, frame)`` executes the whole segment
         self.run = run
@@ -156,140 +164,179 @@ def _compile_segment(func, block, start: int, end: int, counts) -> Segment:
     defs, uses = counts
     instrs = block.instrs
     ns: Dict[str, object] = {"PM_BASE": PM_BASE}
-    body: list = []
+    body: List[str] = []
     emit = body.append
-    #: (dst, expr, chain-start index) of an elided producer awaiting its
-    #: consumer — at most one, always consumed by the very next instr
-    pending: Optional[Tuple[str, str, Optional[int]]] = None
-    #: what F.index holds when the next statement runs (start on entry)
-    runtime_index = start
+    #: register -> the Python expression holding its value from here on:
+    #: a local, or a literal for a constant
+    held: Dict[str, str] = {}
+    local_names: Dict[str, str] = {}
+    #: held registers whose value frame.regs lacks (private temps)
+    private: Set[str] = set()
+    #: uses of each register by the instructions after the current one
+    ahead: Dict[str, int] = {}
+    for ins in instrs[start:end]:
+        for r in ins.uses():
+            ahead[r] = ahead.get(r, 0) + 1
+    #: what F.index holds when the next statement runs (``None``: unknown)
+    index_now: Optional[int] = start
     ended = False
     traced = False
     pm_access = False
 
-    def use(name: str) -> Tuple[str, Optional[int]]:
-        nonlocal pending
-        if pending is not None and pending[0] == name:
-            _dst, expr, first = pending
-            pending = None
-            return expr, first
-        return "R[%r]" % (name,), None
+    def local(reg: str) -> str:
+        name = local_names.get(reg)
+        if name is None:
+            name = "r_" + reg if reg.isidentifier() else "t%d" % len(local_names)
+            local_names[reg] = name
+        return name
 
-    def set_index(idx: int) -> None:
-        nonlocal runtime_index
-        if runtime_index != idx:
-            emit("    F.index = %d" % idx)
-            runtime_index = idx
+    def set_index(i: int) -> None:
+        nonlocal index_now
+        if index_now != i:
+            emit("    F.index = %d" % i)
+            index_now = i
 
-    def value_expr(ins) -> Tuple[str, Optional[int]]:
-        op = ins.op
-        if op == "const":
-            return repr(ins.args[0]), None
-        if op == "mov":
-            return use(ins.args[0])
-        if op == "unop":
-            opname, a = ins.args
-            e, first = use(a)
-            if opname == "neg":
-                return "(-%s)" % e, first
-            if opname == "not":
-                return "(0 if %s else 1)" % e, first
-            return "(~%s)" % e, first
-        if op == "binop":
-            opname, a, b = ins.args
-            ea, fa = use(a)
-            eb, fb = use(b)
-            expr = _RAW_BINOPS[opname].format(a=ea, b=eb)
-            return expr, fa if fa is not None else fb
-        # gep
-        base, offset, index, scale = ins.args
-        eb, first = use(base)
-        if index is None:
-            return "(%s + %d)" % (eb, offset), first
-        ei, fi = use(index)
-        if first is None:
-            first = fi
-        return "(%s + %d + %s * %d)" % (eb, offset, ei, scale), first
+    def set_index_in_branch(i: int, indent: str) -> None:
+        # a store on one branch only: afterwards F.index is known only if
+        # it already held i
+        nonlocal index_now
+        if index_now != i:
+            emit(indent + "F.index = %d" % i)
+            index_now = None
 
-    def trace_reg(ins, name: str) -> None:
-        # mirrors Machine._trace_before/_trace_after: regs.get, PM gate
+    def materialise(reg: str) -> None:
+        if reg in private:
+            emit("    R[%r] = %s" % (reg, held[reg]))
+            private.discard(reg)
+
+    def is_private(reg: str) -> bool:
+        return (
+            reg.startswith("%t")
+            and defs.get(reg, 0) == 1
+            and uses.get(reg, 0) == ahead.get(reg, 0)
+        )
+
+    def define(reg: str, expr: str, bound: bool = False) -> None:
+        """Bind ``reg`` to ``expr``, writing it to frame.regs unless no
+        code outside the segment can read it.  ``bound``: ``expr``
+        already holds the value (a literal, or the local a load set)."""
+        if not bound:
+            emit("    %s = %s" % (local(reg), expr))
+            expr = local(reg)
+        held[reg] = expr
+        if is_private(reg):
+            private.add(reg)
+        else:
+            emit("    R[%r] = %s" % (reg, expr))
+            private.discard(reg)
+
+    def trace(i: int, guid: str, addr: str) -> None:
+        # PMTrace.record, inlined: append, then flush at the threshold
         nonlocal traced
         traced = True
-        emit("    if W is not None:")
-        emit("        _a = R.get(%r)" % (name,))
-        emit("        if _a is not None and _a >= PM_BASE:")
-        emit("            W(%r, _a)" % (ins.guid,))
+        emit("    if TR is not None and %s >= PM_BASE:" % addr)
+        emit("        TB.append((%r, %s))" % (guid, addr))
+        emit("        if len(TB) >= TT:")
+        set_index_in_branch(i, "            ")
+        emit("            TR.flush()")
+
+    # every register whose first access here is a read is read at entry,
+    # before anything runs: a KeyError there leaves nothing done, and the
+    # table runs the segment from its start, raising where it would
+    defined: Set[str] = set()
+    for ins in instrs[start:end]:
+        for r in ins.uses():
+            if r not in defined and r not in held:
+                held[r] = local(r)
+                emit("    %s = R[%r]" % (held[r], r))
+        if ins.dst is not None:
+            defined.add(ins.dst)
 
     for i in range(start, end):
         ins = instrs[i]
         op = ins.op
-        if (
-            i + 1 < end
-            and op in _ELIDABLE_PRODUCERS
-            and not (op == "binop" and ins.args[0] in ("//", "%"))
-            and ins.dst is not None
-            and ins.dst.startswith("%t")
-            and defs.get(ins.dst, 0) == 1
-            and uses.get(ins.dst, 0) == 1
-            and ins.guid is None
-            and instrs[i + 1].guid is None
-            and instrs[i + 1].op in _EXPR_CONSUMERS
-            and instrs[i + 1].uses().count(ins.dst) == 1
-        ):
-            expr, first = value_expr(ins)
-            pending = (ins.dst, expr, first if first is not None else i)
-            continue
+        for r in ins.uses():
+            ahead[r] -= 1
         if op == "const":
-            emit("    R[%r] = %s" % (ins.dst, repr(ins.args[0])))
-        elif op in ("mov", "unop", "binop", "gep"):
-            expr, first = value_expr(ins)
-            set_index(first if first is not None else i)
-            emit("    R[%r] = %s" % (ins.dst, expr))
-            if op == "gep" and ins.guid is not None:
-                trace_reg(ins, ins.dst)
-        elif op in ("load", "store"):
-            set_index(i)
+            value = ins.args[0]
+            define(ins.dst, "(%r)" % value if value < 0 else repr(value),
+                   bound=True)
+        elif op == "mov":
+            define(ins.dst, held[ins.args[0]])
+        elif op == "unop":
+            opname, a = ins.args
+            define(ins.dst, _RAW_UNOPS[opname].format(a=held[a]))
+        elif op == "binop":
+            opname, a, b = ins.args
+            ea, eb = held[a], held[b]
+            if opname in ("//", "%"):
+                # ZeroDivisionError: the table re-executes i from frame.regs
+                materialise(a)
+                materialise(b)
+                set_index(i)
+            define(ins.dst, _RAW_BINOPS[opname].format(a=ea, b=eb))
+        elif op == "gep":
+            base, offset, index, scale = ins.args
+            if index is None:
+                expr = "(%s + %d)" % (held[base], offset)
+            else:
+                expr = "(%s + %d + %s * %d)" % (
+                    held[base], offset, held[index], scale)
+            define(ins.dst, expr)
             if ins.guid is not None:
-                trace_reg(ins, ins.args[0])
+                trace(i, ins.guid, held[ins.dst])
+        elif op in ("load", "store"):
+            operands = [held[r] for r in ins.args]
+            p = operands[0]
+            if ins.guid is not None:
+                trace(i, ins.guid, p)
             ns["I%d" % i] = ins
             pm_access = True
-            emit("    _p = R[%r]" % (ins.args[0],))
-            emit("    if PM_BASE <= _p < PE:")
+            emit("    if PM_BASE <= %s < PE:" % p)
             if op == "load":
-                emit("        R[%r] = C[_p] if _p in C else D.get(_p, 0)"
-                     % (ins.dst,))
+                name = local(ins.dst)
+                emit("        %s = C[%s] if %s in C else D.get(%s, 0)"
+                     % (name, p, p, p))
                 emit("    else:")
-                emit("        R[%r] = M._load(_p, I%d)" % (ins.dst, i))
+                set_index_in_branch(i, "        ")
+                emit("        %s = M._load(%s, I%d)" % (name, p, i))
+                define(ins.dst, name, bound=True)
             else:
-                emit("        C[_p] = R[%r]" % (ins.args[1],))
+                emit("        C[%s] = %s" % (p, operands[1]))
                 emit("    else:")
-                emit("        M._store(_p, R[%r], I%d)" % (ins.args[1], i))
+                set_index_in_branch(i, "        ")
+                emit("        M._store(%s, %s, I%d)" % (p, operands[1], i))
         elif op == "br":
             emit("    F.block = %r" % (ins.args[0],))
             emit("    F.index = 0")
             emit("    return")
             ended = True
         elif op == "cbr":
-            ec, first = use(ins.args[0])
-            set_index(first if first is not None else i)
             emit(
                 "    F.block = %r if %s else %r"
-                % (ins.args[1], ec, ins.args[2])
+                % (ins.args[1], held[ins.args[0]], ins.args[2])
             )
             emit("    F.index = 0")
             emit("    return")
             ended = True
         elif op == "nop":
             pass
-        else:  # handler-dispatched: persist/flush/fence/roots/assert/emit
+        else:  # handler-dispatched: it reads its operands from frame.regs
+            for r in ins.uses():
+                materialise(r)
             set_index(i)
             if ins.guid is not None and op in _TRACE_PTR_OPS:
-                trace_reg(ins, ins.args[0])
+                trace(i, ins.guid, held[ins.args[0]])
             ns["H%d" % i] = _DISPATCH[op]
             ns["I%d" % i] = ins
             emit("    H%d(M, T, F, I%d)" % (i, i))
-            if ins.guid is not None and op in _TRACE_DST_OPS and ins.dst is not None:
-                trace_reg(ins, ins.dst)
+            if ins.dst is not None:
+                # the handler set dst in frame.regs: the read cannot raise
+                name = held[ins.dst] = local(ins.dst)
+                private.discard(ins.dst)
+                emit("    %s = R[%r]" % (name, ins.dst))
+                if ins.guid is not None and op in _TRACE_DST_OPS:
+                    trace(i, ins.guid, name)
     if not ended:
         # park F.index on the first un-fused instruction for the runner
         emit("    F.index = %d" % end)
@@ -298,7 +345,9 @@ def _compile_segment(func, block, start: int, end: int, counts) -> Segment:
     if any(("R[" in ln or "R.get" in ln) for ln in body):
         lines.append("    R = F.regs")
     if traced:
-        lines.append("    W = M.tracer")
+        lines.append("    TR = M.trace")
+        lines.append("    if TR is not None:")
+        lines.append("        TB, TT = TR._buffer, TR.flush_threshold")
     if pm_access:
         lines.append("    P = M.pool")
         lines.append("    C, D, PE = P._cache, P._durable, P.end")

@@ -21,8 +21,8 @@ the Arthas toolchain needs from a runtime:
   with a seeded preemptive scheduler, which is how the race-condition
   faults are triggered deterministically.
 * **Tracing hooks** — instructions carrying a GUID report their runtime PM
-  address to an attached tracer (the paper's ``<GUID, pmem_address>``
-  trace).
+  address to the attached :class:`~repro.instrument.tracer.PMTrace`
+  (the paper's ``<GUID, pmem_address>`` trace).
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from repro.errors import (
     SegfaultTrap,
     Trap,
 )
+from repro.instrument.tracer import PMTrace
 from repro.lang.fuse import compile_block_segments
 from repro.lang.ir import Function, Instr, Module
 from repro.pmem.allocator import PMAllocator
@@ -62,7 +63,6 @@ _TRACE_PTR_OPS = frozenset({"load", "store", "persist", "flush", "txadd", "free"
 _TRACE_DST_OPS = frozenset({"alloc", "realloc", "getroot", "gep"})
 
 InjectionFn = Callable[["Machine", "Thread", Instr], None]
-TraceFn = Callable[[str, int], None]
 
 #: handler return codes; ``None`` (the implicit return) means "advance"
 _CTRL = 1   # the handler updated block/index itself (call/ret/br/cbr)
@@ -175,7 +175,9 @@ class Machine:
         self._vol_allocs: Dict[int, int] = {}
         # host integration
         self.injections: Dict[int, List[InjectionFn]] = {}
-        self.tracer: Optional[TraceFn] = None
+        #: the trace GUID-carrying instructions record into; compiled
+        #: segments append to its buffer directly
+        self.trace: Optional[PMTrace] = None
         #: cooperative yield point: when set, called every
         #: ``step_hook_every`` executed steps, counted on the
         #: machine-lifetime ``steps_executed`` counter so runs of many
@@ -246,14 +248,6 @@ class Machine:
         """Run ``fn`` before every execution of instruction ``iid``."""
         self.injections.setdefault(iid, []).append(fn)
 
-    def clear_injections(self) -> None:
-        self.injections.clear()
-
-    def emitted_value(self, key: str, default: int = 0) -> int:
-        """Last value the guest emitted under ``key``."""
-        values = self.emitted.get(key)
-        return values[-1] if values else default
-
     # ------------------------------------------------------------------
     # execution core
     # ------------------------------------------------------------------
@@ -295,9 +289,10 @@ class Machine:
         would overrun the step budget, or any instruction a segment
         abandoned after a raw-coded ``KeyError``/``ZeroDivisionError`` —
         single-steps through :meth:`_step`, which owns the exact trap
-        conversions.  Step accounting is the same on both paths: elided
-        superinstruction temps still count, and a segment only runs when
-        its full count fits the remaining budget.
+        conversions.  Step accounting is the same on both paths: every
+        instruction of a segment counts one step, a segment only runs
+        when its full count fits the remaining budget, and on any
+        exception only the prefix before ``frame.index`` is committed.
         """
         live = [t for t in threads if not t.done]
         if not live:
@@ -328,10 +323,10 @@ class Machine:
                         raise
                     except (KeyError, ZeroDivisionError):
                         # a raw-coded statement faulted: commit the
-                        # completed prefix, then let the table re-execute
-                        # the faulting instruction (frame.index points at
-                        # it) for the exact ReproError/ArithmeticTrap
-                        # conversion
+                        # completed prefix, then let the table run on
+                        # from frame.index (the division, or the
+                        # segment's start for an unset register) for the
+                        # exact ReproError/ArithmeticTrap conversion
                         prefix = frame.index - seg.start
                         if prefix > 0:
                             steps += prefix
@@ -421,7 +416,7 @@ class Machine:
         if self.dep_recorder is not None:
             self.dep_recorder.on_instr(self, thread, instr)
 
-        traced = instr.guid is not None and self.tracer is not None
+        traced = instr.guid is not None and self.trace is not None
         if traced:
             self._trace_before(instr, frame)
 
@@ -706,13 +701,13 @@ class Machine:
         if instr.op in _TRACE_PTR_OPS:
             addr = frame.regs.get(instr.args[0])
             if addr is not None and addr >= PM_BASE:
-                self.tracer(instr.guid, addr)
+                self.trace.record(instr.guid, addr)
 
     def _trace_after(self, instr: Instr, frame: Frame) -> None:
         if instr.op in _TRACE_DST_OPS and instr.dst is not None:
             addr = frame.regs.get(instr.dst)
             if addr is not None and addr >= PM_BASE:
-                self.tracer(instr.guid, addr)
+                self.trace.record(instr.guid, addr)
 
 
 #: opcode -> handler function, built once at import time; the VM caches

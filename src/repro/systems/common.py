@@ -121,7 +121,7 @@ class SystemAdapter:
             step_budget=self.STEP_BUDGET,
         )
         if self.trace is not None:
-            machine.tracer = self.trace.record
+            machine.trace = self.trace
         if self.step_hook is not None:
             machine.step_hook = self.step_hook
             machine.step_hook_every = self.step_hook_every

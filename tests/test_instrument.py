@@ -57,7 +57,7 @@ def test_trace_records_pm_addresses(kv_module):
     instrument_module(kv_module, res.pm)
     trace = PMTrace(flush_threshold=4)
     machine = Machine(kv_module)
-    machine.tracer = trace.record
+    machine.trace = trace
     root = machine.call("kv_init")
     machine.call("kv_put", root, 1, 10)
     machine.call("kv_get", root, 1)

@@ -12,6 +12,7 @@ from repro.errors import (
     ReproError,
     SegfaultTrap,
 )
+from repro.instrument.tracer import PMTrace
 from repro.lang.compiler import compile_module
 from repro.lang.interp import VOL_BASE, Machine
 from tests.conftest import compile_and_run
@@ -164,8 +165,6 @@ class TestMemoryModel:
         machine = Machine(module)
         machine.call("f", 5)
         assert machine.emitted["value"] == [5, 6]
-        assert machine.emitted_value("value") == 6
-        assert machine.emitted_value("missing", -1) == -1
 
 
 class TestInjections:
@@ -181,7 +180,7 @@ class TestInjections:
         machine.add_injection(nop_iid, boom)
         with pytest.raises(InjectedCrash):
             machine.call("f")
-        machine.clear_injections()
+        machine.injections.clear()
         assert machine.call("f") == 1
 
     def test_injection_can_mutate_state(self):
@@ -247,9 +246,10 @@ class TestTracing:
         for instr in module.instructions():
             instr.guid = f"g{instr.iid}"
         machine = Machine(module)
-        records = []
-        machine.tracer = lambda guid, addr: records.append((guid, addr))
+        trace = PMTrace()
+        machine.trace = trace
         machine.call("f")
-        assert records, "tracer saw no PM addresses"
-        addrs = {a for _g, a in records}
-        assert all(machine.pool.contains(a) for a in addrs)
+        trace.flush()
+        assert len(trace), "trace saw no PM addresses"
+        addrs = {a for _g, a in trace.pairs()}
+        assert addrs and all(machine.pool.contains(a) for a in addrs)

@@ -109,7 +109,7 @@ def test_arthas_recovers_random_chain_corruption(n_items, victim_idx, bogus):
     manager = CheckpointManager(machine.pool, machine.allocator, machine.txman)
     manager.attach()
     trace = PMTrace()
-    machine.tracer = trace.record
+    machine.trace = trace
 
     root = machine.call("kv_init")
     for k in range(n_items):

@@ -60,7 +60,7 @@ def _setup():
     manager = CheckpointManager(machine.pool, machine.allocator, machine.txman)
     manager.attach()
     trace = PMTrace()
-    machine.tracer = trace.record
+    machine.trace = trace
     return module, analysis, guid_map, machine, manager, trace
 
 
@@ -133,7 +133,7 @@ def test_reactor_server_precomputes_analysis():
     manager = CheckpointManager(machine.pool, machine.allocator, machine.txman)
     manager.attach()
     trace = PMTrace()
-    machine.tracer = trace.record
+    machine.trace = trace
     analysis = server.analysis
     guid_map, _ = instrument_module(module, analysis.pm)
     root = machine.call("init")

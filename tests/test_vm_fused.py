@@ -1,23 +1,34 @@
-"""The fused superinstruction VM vs the table-dispatch oracle.
+"""The fused VM vs the table-dispatch oracle.
 
 :class:`Machine` compiles straight-line runs of fusable opcodes into
-Python closures and elides single-use temporaries into their consumers;
+Python closures that keep registers in Python locals and append trace
+records to the attached trace's buffer inline;
 ``tests.oracles.TableMachine`` single-steps every instruction through
-the per-step dict-dispatch table.  The two must be indistinguishable
-from outside: identical results, identical ``steps_executed``, identical
-fault attribution (trap type, iid, step of occurrence), identical
-``HangTrap`` budget accounting — across compute kernels, trap programs,
-seeded thread races, injections and all twelve real fault experiments.
-A timing pin keeps the reason the fused path exists: it must stay well
-ahead of table dispatch.
+the per-step dict-dispatch table and ``PMTrace.record``.  The two must
+be indistinguishable from outside: identical results, identical
+``steps_executed``, identical fault attribution (trap type, iid, step of
+occurrence), identical ``HangTrap`` budget accounting, identical trace
+records and flush points — across compute kernels, trap programs,
+transaction and allocation statements, seeded thread races, injections
+and all twelve real fault experiments.  A timing pin keeps the reason
+the fused path exists: it must stay well ahead of table dispatch.
 """
 
 import time
 
 import pytest
 
-from repro.errors import ArithmeticTrap, HangTrap, InjectedCrash, SegfaultTrap
+from repro.errors import (
+    ArithmeticTrap,
+    HangTrap,
+    InjectedCrash,
+    OutOfPMTrap,
+    ReproError,
+    SegfaultTrap,
+    TransactionError,
+)
 from repro.harness.experiment import run_experiment
+from repro.instrument.tracer import PMTrace
 from repro.lang.compiler import compile_module
 from repro.lang.interp import Machine
 from repro.pmem.pool import PM_BASE
@@ -52,7 +63,10 @@ def _run_both(src, fname, *args, step_budget=None):
 
 def _trap_both(src, fname, trap_cls, *args):
     """Both engines trap identically: kind, iid and step of occurrence."""
-    module = compile_module("t", src)
+    return _trap_both_on(compile_module("t", src), fname, trap_cls, *args)
+
+
+def _trap_both_on(module, fname, trap_cls, *args):
     observed = {}
     for engine, cls in VMS.items():
         machine = cls(module)
@@ -133,6 +147,66 @@ def f(a):
     return s
 """
     _trap_both(src, "f", ArithmeticTrap, 0)
+
+
+def test_division_by_zero_on_segment_locals_parity():
+    # both operands of the division are segment locals (the constant and
+    # a - a): they must reach frame.regs before the table re-executes it
+    src = """
+def f(a):
+    s = 0
+    for i in range(5):
+        s = s + 10 // (a - a)
+    return s
+"""
+    _trap_both(src, "f", ArithmeticTrap, 3)
+
+
+_UNSET_SRC = """
+def late(c):
+    if c:
+        x = 1
+    y = c + 2
+    z = y * 3 + x
+    return z
+
+def late_store(c, a):
+    if c:
+        x = 1
+    p = a + 0
+    p[2] = x
+    return 0
+"""
+
+
+@pytest.mark.parametrize("fname, args", [
+    ("late", (0,)), ("late_store", (0, PM_BASE + 8)),
+])
+def test_read_of_unset_register_parity(fname, args):
+    # a segment reads its entry registers before any statement, so an
+    # unset one falls back to the table from the segment's start: same
+    # error, same steps, and the trace records of the instructions ahead
+    # of the faulting one made once (late_store's gep and store)
+    module = compile_module("t", _UNSET_SRC)
+    for instr in module.instructions():
+        instr.guid = f"g{instr.iid}"
+    observed = {}
+    for engine, cls in VMS.items():
+        machine = cls(module)
+        machine.trace = PMTrace()
+        with pytest.raises(ReproError) as info:
+            machine.call(fname, *args)
+        observed[engine] = (
+            type(info.value), str(info.value), machine.steps_executed,
+            list(machine.trace._buffer),
+        )
+    assert observed["table"] == observed["fused"]
+    assert "read of unset register 'x'" in observed["fused"][1]
+    if fname == "late_store":
+        assert observed["fused"][3][-1] == (
+            next(i.guid for i in module.instructions() if i.op == "store"),
+            PM_BASE + 10,
+        )
 
 
 # ----------------------------------------------------------------------
@@ -239,6 +313,340 @@ def test_hang_budget_parity(budget):
             machine.call("spin", 10_000, step_budget=budget)
         steps[engine] = machine.steps_executed
     assert steps["table"] == steps["fused"]
+
+
+# ----------------------------------------------------------------------
+# handler statements inside segments: transactions and allocation run as
+# one step each, mid-segment, with the table's fault attribution
+# ----------------------------------------------------------------------
+_HANDLER_SRC = """
+def txadd_past_end(a):
+    p = a + 0
+    tx_begin()
+    q = p + 0
+    tx_add(q, 2)
+    p[0] = 1
+    tx_commit()
+    return 0
+
+def alloc_until_full():
+    n = 0
+    while 1:
+        p = pm_alloc(4096)
+        p[0] = n
+        n = n + 1
+    return n
+
+def bad_free():
+    p = pm_alloc(4)
+    p[0] = 3
+    pm_free(p + 1)
+    return p[0]
+
+def txadd_outside_tx():
+    p = pm_alloc(4)
+    q = p + 1
+    tx_add(q, 1)
+    p[0] = 1
+    return 0
+
+def commit_outside_tx():
+    p = pm_alloc(2)
+    p[0] = 5
+    tx_commit()
+    return 1
+
+def setup():
+    return pm_alloc(4)
+
+def tx_forever(p):
+    i = 0
+    while 1:
+        tx_begin()
+        tx_add(p, 2)
+        p[0] = i
+        p[1] = i * 2
+        tx_commit()
+        i = i + 1
+    return i
+
+def mixed(n):
+    p = pm_alloc(2)
+    s = 0
+    for i in range(n):
+        tx_begin()
+        tx_add(p, 2)
+        p[0] = p[0] + i
+        if i % 3 == 0:
+            tx_abort()
+        else:
+            tx_commit()
+        q = pm_realloc(p, 2 + i % 4)
+        p = q
+        v = valloc(2)
+        v[1] = i
+        s = s + v[1] + p[0]
+        vfree(v)
+    pm_free(p)
+    return s
+"""
+
+
+@pytest.mark.parametrize("fname, op, trap_cls, kind", [
+    ("txadd_past_end", "txadd", SegfaultTrap, "segfault"),
+    ("alloc_until_full", "alloc", OutOfPMTrap, "oom-pm"),
+    ("bad_free", "free", SegfaultTrap, "segfault"),
+    ("txadd_outside_tx", "txadd", SegfaultTrap, "segfault"),
+])
+def test_handler_statement_trap_parity(fname, op, trap_cls, kind):
+    module = compile_module("t", _HANDLER_SRC)
+    args = (Machine(module).pool.end,) if fname == "txadd_past_end" else ()
+    observed_kind, iid, _steps = _trap_both_on(module, fname, trap_cls, *args)
+    assert observed_kind == kind
+    assert module.instr(iid).op == op
+    seg = _segment_holding(module, fname, op)
+    # the faulting statement sits mid-segment, not at either end
+    assert seg.iids[0] != iid != seg.iids[-1]
+
+
+def test_non_trap_error_from_a_handler_statement_parity():
+    # tx_commit outside a transaction raises the host's TransactionError,
+    # not a trap: same error, same steps, no fault recorded
+    module = compile_module("t", _HANDLER_SRC)
+    observed = {}
+    for engine, cls in VMS.items():
+        machine = cls(module)
+        with pytest.raises(TransactionError) as info:
+            machine.call("commit_outside_tx")
+        observed[engine] = (
+            str(info.value), machine.steps_executed, machine.last_fault,
+        )
+    assert observed["table"] == observed["fused"]
+    assert observed["fused"][2] is None
+    _segment_holding(module, "commit_outside_tx", "txcommit")
+
+
+@pytest.mark.parametrize("budget", [7, 23, 50, 101])
+def test_hang_budget_parity_with_a_transaction_per_iteration(budget):
+    module = compile_module("t", _HANDLER_SRC)
+    observed = {}
+    for engine, cls in VMS.items():
+        machine = cls(module)
+        p = machine.call("setup")
+        before = machine.steps_executed
+        with pytest.raises(HangTrap):
+            machine.call("tx_forever", p, step_budget=budget)
+        observed[engine] = (
+            machine.steps_executed - before, machine.last_fault,
+            machine.pool.durable_items(), dict(machine.pool._cache),
+        )
+    assert observed["table"] == observed["fused"]
+    assert observed["fused"][0] == budget + 1
+    _segment_holding(module, "tx_forever", "txbegin")
+
+
+def test_alloc_realloc_free_and_abort_parity():
+    module = compile_module("t", _HANDLER_SRC)
+    observed = {}
+    for engine, cls in VMS.items():
+        machine = cls(module)
+        result = machine.call("mixed", 40)
+        observed[engine] = (
+            result, machine.steps_executed, machine.pool.durable_items(),
+            dict(machine.pool._cache), machine.vmem,
+        )
+    assert observed["table"] == observed["fused"]
+    for op in ("txabort", "realloc", "alloc", "free"):
+        _segment_holding(module, "mixed", op)
+
+
+# ----------------------------------------------------------------------
+# traces: segments append to the attached PMTrace's buffer inline; the
+# table path calls PMTrace.record.  Records, their order, every flush
+# point and the durable index must agree.
+# ----------------------------------------------------------------------
+_TRACE_SRC = _EDGE_SRC + _HANDLER_SRC + """
+def build(n):
+    head = 0
+    for i in range(n):
+        node = pm_alloc(3)
+        tx_begin()
+        tx_add(node, 3)
+        node[0] = i
+        node[1] = head
+        node[2] = i * 7
+        tx_commit()
+        persist(node, 3)
+        head = node
+    return head
+
+def walk(head):
+    s = 0
+    while head != 0:
+        s = s + head[0] + head[2]
+        head = head[1]
+    return s
+
+def main(n):
+    head = build(n)
+    return walk(head) + mixed(n)
+"""
+
+
+class _FlushLog(PMTrace):
+    """A trace that logs its length at every flush: the flush points.
+    With ``fail_at``, that flush raises instead."""
+
+    def __init__(self, flush_threshold, fail_at=None):
+        super().__init__(flush_threshold=flush_threshold)
+        self.flush_points = []
+        self.fail_at = fail_at
+
+    def flush(self):
+        self.flush_points.append(len(self))
+        if len(self.flush_points) == self.fail_at:
+            raise RuntimeError("flush failed")
+        super().flush()
+
+
+def _traced_module():
+    """Every instruction carries a GUID, so every PM address is traced."""
+    module = compile_module("t", _TRACE_SRC)
+    for instr in module.instructions():
+        instr.guid = f"g{instr.iid}"
+    return module
+
+
+def _traced_outcome(machine, trace, fname, *args):
+    capture = trace.mark()
+    try:
+        result = ("ok", machine.call(fname, *args))
+    except SegfaultTrap:
+        result = ("trap", machine.last_fault)
+    buffered = list(trace._buffer)
+    emitted = len(trace)
+    trace.flush()
+    records = list(trace.since(capture))
+    index = {
+        guid: list(trace.addresses_for_guid(guid))
+        for guid in dict.fromkeys(g for g, _a in trace.pairs())
+    }
+    return (
+        result, machine.steps_executed, records, buffered, emitted,
+        trace.pairs(), index, trace.flush_points,
+    )
+
+
+@pytest.mark.parametrize("threshold", [1, 5, 256])
+def test_trace_parity_with_flushes_inside_segments(threshold):
+    module = _traced_module()
+    observed = {}
+    for engine, cls in VMS.items():
+        machine = cls(module)
+        trace = _FlushLog(threshold)
+        machine.trace = trace
+        observed[engine] = _traced_outcome(machine, trace, "main", 12)
+    assert observed["table"] == observed["fused"]
+    _result, _steps, records, buffered, emitted, pairs, _index, flushes = (
+        observed["fused"]
+    )
+    assert len(records) > 200 and emitted == len(records)
+    assert len(buffered) < threshold
+    if threshold < 256:
+        assert len(flushes) > len(records) // threshold
+    _segment_holding(module, "build", "txadd")
+
+
+@pytest.mark.parametrize("fail_at", [2, 7, 30])
+def test_flush_error_inside_a_segment_commits_the_same_steps(fail_at):
+    # a flush that raises leaves the faulting instruction uncounted, on
+    # both paths: F.index names it at every flush inside a segment
+    module = _traced_module()
+    observed = {}
+    for engine, cls in VMS.items():
+        machine = cls(module)
+        trace = _FlushLog(3, fail_at=fail_at)
+        machine.trace = trace
+        with pytest.raises(RuntimeError):
+            machine.call("main", 6)
+        observed[engine] = (
+            machine.steps_executed, trace.flush_points, list(trace._buffer),
+        )
+    assert observed["table"] == observed["fused"]
+
+
+def test_traced_load_past_the_pool_end_records_before_it_traps():
+    module = _traced_module()
+    observed = {}
+    for engine, cls in VMS.items():
+        machine = cls(module)
+        trace = _FlushLog(256)
+        machine.trace = trace
+        observed[engine] = _traced_outcome(
+            machine, trace, "load_at", machine.pool.end
+        )
+    assert observed["table"] == observed["fused"]
+    result, _steps, records = observed["fused"][:3]
+    assert result[0] == "trap" and result[1].kind == "segfault"
+    load = module.instr(result[1].iid)
+    assert load.op == "load"
+    end = Machine(module).pool.end
+    assert records[-1] == (load.guid, end)
+
+
+def test_trace_attached_after_segments_compiled_gets_every_record():
+    # segments are cached on the module and shared by every machine, so
+    # each run binds the trace it finds on its machine
+    module = _traced_module()
+    untraced = Machine(module)
+    untraced.call("main", 4)
+    assert any(
+        block._fused_segs for func in module.functions.values()
+        for block in func.blocks.values()
+    )
+    observed = {}
+    for engine, cls in VMS.items():
+        machine = cls(module)
+        trace = _FlushLog(5)
+        machine.trace = trace
+        observed[engine] = _traced_outcome(machine, trace, "main", 4)
+    assert observed["table"] == observed["fused"]
+    assert observed["fused"][2]
+
+
+def test_trace_load_clears_the_buffer_in_place():
+    trace = PMTrace(flush_threshold=8)
+    buffer = trace._buffer
+    trace.record("g1", PM_BASE)
+    trace.load([("g2", PM_BASE + 1)], emitted=5)
+    assert trace._buffer is buffer and buffer == []
+    assert len(trace) == 5 and trace.pairs() == [("g2", PM_BASE + 1)]
+
+
+# ----------------------------------------------------------------------
+# register write-back: a %t temp whose every use sits in its segment
+# stays a Python local and never reaches frame.regs
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("traced", [False, True])
+def test_private_temps_are_never_materialised(traced):
+    module = _traced_module() if traced else compile_module("t", _EDGE_SRC)
+    machine = Machine(module)
+    assert machine.call("load_at", PM_BASE + 3) == 1
+    func = module.functions["load_at"]
+    seg = _segment_holding(module, "load_at", "load")
+    load = next(i for i in func.instructions() if i.op == "load")
+    gep = next(i for i in func.instructions() if i.op == "gep")
+    outside = {
+        r for i in func.instructions() if i.iid not in seg.iids
+        for r in i.uses()
+    }
+    named = {
+        c for c in seg.run.__code__.co_consts
+        if isinstance(c, str) and c.startswith("%t")
+    }
+    # v = p[0]: the gep's address and the load's value are private
+    assert load.dst not in named and gep.dst not in named
+    assert named <= outside, named - outside
 
 
 # ----------------------------------------------------------------------
