@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, List, Optional, Set
 
 from repro import faultinject
@@ -388,6 +389,23 @@ def _make_reexec(ctx, scenario, detector) -> Callable[[], RunOutcome]:
     return reexec
 
 
+def forward_seqs(adapter, cand: Candidate) -> Set[int]:
+    """Seqs of the logged updates at the addresses the PM dependents of
+    ``cand``'s slice node touched, one PDG hop out: what purge and
+    bisect revert along with ``cand``."""
+    if cand.slice_iid < 0:
+        return set()
+    analysis, log = adapter.analysis, adapter.ckpt.log
+    seqs: Set[int] = set()
+    for dep_iid, _kind in analysis.pdg.dependents_of(cand.slice_iid):
+        if not analysis.pm.is_pm_instr(dep_iid):
+            continue
+        for guid in adapter.guid_map.carriers(dep_iid):
+            for addr in adapter.trace.addresses_for_guid(guid):
+                seqs.update(log.update_seqs_for_address(addr))
+    return seqs
+
+
 def _make_rounds_runner(
     ctx, reexec, mclock: SimClock, delay, batch_size: int,
     server: Optional[ReactorServer] = None,
@@ -407,20 +425,6 @@ def _make_rounds_runner(
     log = adapter.ckpt.log
     if server is None:
         server = ReactorServer(adapter.module, analysis=adapter.analysis)
-
-    def forward_seqs(cand: Candidate) -> Set[int]:
-        if cand.slice_iid < 0:
-            return set()
-        seqs: Set[int] = set()
-        for dep_iid, _kind in adapter.analysis.pdg.dependents_of(cand.slice_iid):
-            if not adapter.analysis.pm.is_pm_instr(dep_iid):
-                continue
-            guid = adapter.guid_map.guid_of(dep_iid)
-            if guid is None:
-                continue
-            for addr in adapter.trace.addresses_for_guid(guid):
-                seqs.update(log.update_seqs_for_address(addr))
-        return seqs
 
     def rounds(
         run: MitigationRun,
@@ -449,7 +453,7 @@ def _make_rounds_runner(
                 clock=mclock,
                 reexec_delay=delay,
                 timeout_seconds=MITIGATION_TIMEOUT,
-                forward_seqs_fn=forward_seqs,
+                forward_seqs_fn=partial(forward_seqs, adapter),
                 max_attempts=max(1, max_attempts - run.attempts),
                 known_faults=seen_faults,
                 enable_divergence_repair=first_round and _round == 0,

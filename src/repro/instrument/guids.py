@@ -5,13 +5,17 @@ A GUID names one PM instruction stably across runs:
 ``<GUID, source_location, instruction>`` mapping; as long as the target
 program code does not change, the mapping stays consistent with the
 binary — the property the paper relies on to reuse metadata in production.
+
+A covered gep (see :mod:`repro.instrument.passes`) keeps its entry but
+emits no record; the file also lists its *carriers*, the GUIDs whose
+records hold its addresses.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.lang.ir import Instr
 
@@ -39,6 +43,8 @@ class GuidMap:
         self.module_name = module_name
         self._by_guid: Dict[str, GuidEntry] = {}
         self._by_iid: Dict[int, str] = {}
+        #: covered gep GUID -> the GUIDs whose records carry its addresses
+        self._carriers: Dict[str, Tuple[str, ...]] = {}
 
     def add(self, instr: Instr) -> str:
         """Assign a GUID to an instruction and record its metadata."""
@@ -52,6 +58,20 @@ class GuidMap:
         )
         self._by_iid[instr.iid] = guid
         return guid
+
+    def cover(self, iid: int, carriers: Sequence[str]) -> None:
+        """Record that instruction ``iid`` emits no trace record of its
+        own: ``carriers`` record every address it computes."""
+        self._carriers[self._by_iid[iid]] = tuple(carriers)
+
+    def carriers(self, iid: int) -> Tuple[str, ...]:
+        """GUIDs whose trace records carry instruction ``iid``'s
+        addresses: its own when it is traced, its carriers' when it is
+        a covered gep, none when it is not instrumented."""
+        guid = self._by_iid.get(iid)
+        if guid is None:
+            return ()
+        return self._carriers.get(guid, (guid,))
 
     def guid_of(self, iid: int) -> Optional[str]:
         """GUID assigned to an instruction id (None if not instrumented)."""
@@ -90,6 +110,7 @@ class GuidMap:
                     }
                     for e in self._by_guid.values()
                 ],
+                "carriers": {g: list(c) for g, c in self._carriers.items()},
             },
             indent=2,
         )
@@ -113,6 +134,8 @@ class GuidMap:
             )
             gm._by_guid[entry.guid] = entry
             gm._by_iid[entry.iid] = entry.guid
+        for guid, carriers in data.get("carriers", {}).items():
+            gm._carriers[guid] = tuple(carriers)
         return gm
 
     @classmethod

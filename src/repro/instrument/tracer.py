@@ -1,9 +1,12 @@
 """Runtime PM-address trace (paper Section 4.1, ❹).
 
-Records ``<GUID, pmem_address>`` pairs as the instrumented program runs.
-Like the paper's implementation, records are buffered in memory and
-flushed to the durable trace asynchronously; whatever is still buffered
-when the process crashes is lost (``crash()``).
+Records ``<GUID, pmem_address>`` pairs as the instrumented program runs,
+one per executed instruction that has a tracing call: a covered gep
+(:mod:`repro.instrument.passes`) emits none, and the records of its
+carriers hold its addresses.  Like the paper's implementation, records
+are buffered in memory and flushed to the durable trace asynchronously;
+whatever is still buffered when the process crashes is lost
+(``crash()``).
 
 The durable trace is what the Reactor reads: a GUID → address index,
 so its size follows the distinct pairs the program

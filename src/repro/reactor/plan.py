@@ -4,8 +4,8 @@
 
 * backward-slice the fault instruction over the PDG, retaining nodes with
   persistent operands,
-* for each retained node, look up its GUID's runtime PM addresses in the
-  trace,
+* for each retained node, look up its runtime PM addresses in the trace
+  (a covered gep's are its carriers' records, :meth:`GuidMap.carriers`),
 * for each address, collect the sequence numbers of checkpoint-log
   versions covering it,
 * apply a policy function to order and de-duplicate the result.
@@ -148,13 +148,12 @@ def compute_plan(
         if yield_fn is not None:
             yield_fn()
         guid = guid_map.guid_of(iid)
-        if guid is None:
-            continue
-        for addr in trace.addresses_for_guid(guid):
-            for seq in log.update_seqs_for_address(addr):
-                candidates.append(
-                    Candidate(seq=seq, addr=addr, guid=guid, slice_iid=iid)
-                )
+        for carrier in guid_map.carriers(iid):
+            for addr in trace.addresses_for_guid(carrier):
+                for seq in log.update_seqs_for_address(addr):
+                    candidates.append(
+                        Candidate(seq=seq, addr=addr, guid=guid, slice_iid=iid)
+                    )
 
     ctx = PlanContext(analysis=analysis, fault_iid=fault_iid)
     chosen_policy = policy if policy is not None else default_policy

@@ -24,7 +24,9 @@ with ``monkeypatch`` on the name production code looks up:
 * :class:`LinearScanReverter` — a ``Reverter`` whose range
   reconstruction, rollback and dangling-pointer guard run those scans;
 * :func:`reference_compute_plan` — the seed plan join: re-slice every
-  round (PDG caches cleared) and join traced addresses by full scan.
+  round (PDG caches cleared) and join traced addresses by full scan;
+* :func:`seed_instrument_module` — the seed instrumentation pass, a
+  tracing call at every PM instruction (no covered geps).
 """
 
 from tests.oracles import checkpoint, ring
@@ -34,6 +36,7 @@ from tests.oracles.cluster import (
     ReexecCluster,
     orphans_of,
 )
+from tests.oracles.instrument import seed_instrument_module
 from tests.oracles.probe import SnapshotProbeEngine
 from tests.oracles.vm import TableMachine
 
@@ -47,4 +50,5 @@ __all__ = [
     "orphans_of",
     "reference_compute_plan",
     "ring",
+    "seed_instrument_module",
 ]

@@ -255,22 +255,24 @@ def plan_fixture() -> Tuple[AnalysisResult, GuidMap, int]:
 
 def synthetic_trace(
     analysis: AnalysisResult,
-    guid_map: GuidMap,
     fault_iid: int,
     log: CheckpointLog,
     rng: random.Random,
     addrs_per_guid: int,
 ) -> PMTrace:
-    """Map every traced slice GUID onto random addresses of the big log."""
-    pm_iids = sorted(
+    """Map every traced slice GUID onto random addresses of the big log.
+
+    Only instructions with a tracing call get records, as in the VM: a
+    covered gep has none, and the join reads its carriers' instead."""
+    traced = sorted(
         iid
         for iid in backward_slice(analysis.pdg, fault_iid)
-        if analysis.pm.is_pm_instr(iid) and guid_map.guid_of(iid) is not None
+        if analysis.module.instr(iid).guid is not None
     )
     bases = [entry.address for entry in log.entries.values()]
     trace = PMTrace()
-    for iid in pm_iids:
-        guid = guid_map.guid_of(iid)
+    for iid in traced:
+        guid = analysis.module.instr(iid).guid
         for _ in range(addrs_per_guid):
             base = bases[rng.randrange(len(bases))]
             trace.record(guid, base + rng.randrange(OBJ_WORDS))

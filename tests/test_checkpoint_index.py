@@ -203,7 +203,7 @@ def _plan_inputs(n_updates, seed):
     state = build_synthetic_state(n_updates, seed=seed)
     analysis, guid_map, fault_iid = plan_fixture()
     trace = synthetic_trace(
-        analysis, guid_map, fault_iid, state.log, random.Random(seed + 1),
+        analysis, fault_iid, state.log, random.Random(seed + 1),
         addrs_per_guid=8,
     )
     return analysis, guid_map, trace, state.log, fault_iid

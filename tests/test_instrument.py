@@ -7,6 +7,7 @@ from repro.errors import Trap
 from repro.instrument.guids import GuidMap, guid_for
 from repro.instrument.passes import instrument_module, uninstrument_module
 from repro.instrument.tracer import PMTrace
+from repro.lang.compiler import compile_module
 from repro.lang.interp import Machine
 from repro.systems.memcached import MemcachedAdapter
 
@@ -14,10 +15,52 @@ from repro.systems.memcached import MemcachedAdapter
 def test_instrument_marks_exactly_pm_instrs(kv_module):
     res = analyze_module(kv_module)
     guid_map, seconds = instrument_module(kv_module, res.pm)
-    marked = {i.iid for i in kv_module.instructions() if i.guid is not None}
-    assert marked == res.pm.pm_instr_iids
-    assert len(guid_map) == len(marked)
+    # the map holds every PM instruction; all but the covered geps are
+    # traced, and each covered gep resolves to traced carriers
+    mapped = {i.iid for i in kv_module.instructions()
+              if guid_map.guid_of(i.iid) is not None}
+    assert mapped == res.pm.pm_instr_iids
+    assert len(guid_map) == len(mapped)
+    covered = {
+        iid for iid in mapped
+        if guid_map.carriers(iid) != (guid_map.guid_of(iid),)
+    }
+    assert covered
+    assert all(kv_module.instr(iid).op == "gep" for iid in covered)
+    traced = {i.iid for i in kv_module.instructions() if i.guid is not None}
+    assert traced == mapped - covered
+    for iid in covered:
+        for carrier in guid_map.carriers(iid):
+            assert guid_map.iid_of(carrier) in traced
     assert seconds >= 0
+
+
+def test_gep_read_by_a_carrier_and_escaping_keeps_its_record():
+    # PMLang reads an address temp twice only in `p.f += v` (load and
+    # store, both carriers), so the IR is edited: the temp that the load
+    # of p[1] reads also becomes peek's argument
+    module = compile_module("esc", """
+def peek(ptr):
+    return ptr[0]
+
+def main():
+    p = pm_alloc(2)
+    v = p[1]
+    return peek(p) + v
+""")
+    main = list(module.functions["main"].instructions())
+    gep = next(i for i in main if i.op == "gep")
+    call = next(i for i in main if i.op == "call")
+    call.args = (call.args[0], [gep.dst])
+    guid_map, _ = instrument_module(module, analyze_module(module).pm)
+    assert gep.guid is not None
+    assert guid_map.carriers(gep.iid) == (gep.guid,)
+    # peek's own gep is read by its load alone: covered
+    peek_gep = next(
+        i for i in module.functions["peek"].instructions() if i.op == "gep"
+    )
+    assert peek_gep.guid is None
+    assert Machine(module).call("main") == 0
 
 
 def test_guid_roundtrip(kv_module):
@@ -41,6 +84,14 @@ def test_metadata_file_roundtrip(kv_module, tmp_path):
     assert len(loaded) == len(guid_map)
     some = next(i for i in kv_module.instructions() if i.guid)
     assert loaded.iid_of(some.guid) == some.iid
+    # the carriers round-trip: every instruction resolves to the same
+    # GUIDs, covered geps included
+    for instr in kv_module.instructions():
+        assert loaded.carriers(instr.iid) == guid_map.carriers(instr.iid)
+    assert any(
+        guid_map.carriers(i.iid) not in ((), (i.guid,))
+        for i in kv_module.instructions()
+    )
 
 
 def test_uninstrument_strips_guids(kv_module):

@@ -18,6 +18,7 @@ import time
 
 import pytest
 
+from repro.analysis import analyze_module
 from repro.errors import (
     ArithmeticTrap,
     HangTrap,
@@ -28,6 +29,7 @@ from repro.errors import (
     TransactionError,
 )
 from repro.harness.experiment import run_experiment
+from repro.instrument.passes import instrument_module
 from repro.instrument.tracer import PMTrace
 from repro.lang.compiler import compile_module
 from repro.lang.interp import Machine
@@ -621,6 +623,52 @@ def test_trace_load_clears_the_buffer_in_place():
     trace.load([("g2", PM_BASE + 1)], emitted=5)
     assert trace._buffer is buffer and buffer == []
     assert len(trace) == 5 and trace.pairs() == [("g2", PM_BASE + 1)]
+
+
+_ESCAPE_SRC = """
+def bump(ptr):
+    ptr[0] = ptr[0] + 1
+    return 0
+
+def run(n):
+    root = pm_alloc(sizeof("ctr"))
+    s = 0
+    for i in range(n):
+        bump(addr(root.c_hits))
+        s = s + root.c_hits
+    return s
+"""
+
+
+def test_escaping_gep_keeps_its_record_and_a_covered_one_has_none():
+    # both geps of run compute addr(root.c_hits): the one passed to bump
+    # is traced and resolves to itself; the one only loaded through is
+    # covered, and the load's record carries its address
+    module = compile_module("t", _ESCAPE_SRC, structs={"ctr": ["c_hits"]})
+    guid_map, _ = instrument_module(module, analyze_module(module).pm)
+    run = list(module.functions["run"].instructions())
+    escaping, covered = [i for i in run if i.op == "gep"]
+    load = next(i for i in run if i.op == "load")
+    assert escaping.guid is not None and covered.guid is None
+    assert guid_map.carriers(escaping.iid) == (escaping.guid,)
+    assert guid_map.carriers(covered.iid) == (load.guid,)
+    observed = {}
+    for engine, cls in VMS.items():
+        machine = cls(module)
+        trace = _FlushLog(5)
+        machine.trace = trace
+        observed[engine] = _traced_outcome(machine, trace, "run", 6)
+    assert observed["table"] == observed["fused"]
+    result, _steps, records, _buf, _emitted, _pairs, index = (
+        observed["fused"][:7]
+    )
+    assert result == ("ok", 21)
+    assert [a for g, a in records if g == escaping.guid] == (
+        [a for g, a in records if g == load.guid]
+    )
+    assert len(index[escaping.guid]) == 1
+    assert index[load.guid] == index[escaping.guid]
+    assert guid_map.guid_of(covered.iid) not in index
 
 
 # ----------------------------------------------------------------------
