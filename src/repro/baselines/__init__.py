@@ -7,6 +7,8 @@
   analyzer: fine-grained entries reverted one at a time in strict
   reverse-time order.  A facet of Arthas, not a real alternative: it only
   recovers bugs whose bad update is the most recent one.
+
+Both are cut sources run by the Arthas reverter's one cut loop.
 """
 
 from repro.baselines.arckpt import ArCkpt

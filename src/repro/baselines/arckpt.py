@@ -6,30 +6,35 @@ The paper positions this as a facet of Arthas: it recovers only the bugs
 whose bad persistent update is (nearly) the most recent one and times out
 otherwise, because walking back through thousands of unrelated updates
 one re-execution at a time exhausts the mitigation budget.
+
+Each entry is a cut in :meth:`~repro.reactor.revert.Reverter.run_cuts`:
+budgeted before it is applied, at a flat cost, without the dangling-pointer
+guard, and re-executed even when it reverted nothing.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from functools import partial
+from typing import Callable, List
 
 from repro.checkpoint.log import CheckpointLog
 from repro.pmem.allocator import PMAllocator
 from repro.pmem.pool import PMPool
-from repro.reactor.revert import MitigationResult, ReexecFn, Reverter, _NullClock
+from repro.reactor.revert import (
+    REVERT_COST,
+    Cut,
+    MitigationResult,
+    ReexecFn,
+    Reverter,
+)
 
 
 class ArCkpt:
     """Time-ordered, one-entry-at-a-time reversion."""
 
-    def __init__(
-        self,
-        log: CheckpointLog,
-        pool: PMPool,
-        allocator: PMAllocator,
-    ):
-        self.log = log
-        self.pool = pool
-        self.allocator = allocator
+    def __init__(self, log: CheckpointLog, pool: PMPool,
+                 allocator: PMAllocator):
+        self.log, self.pool, self.allocator = log, pool, allocator
 
     def mitigate(
         self,
@@ -40,35 +45,24 @@ class ArCkpt:
         timeout_seconds: float = 600.0,
     ) -> MitigationResult:
         """Revert update entries newest-first, re-executing after each."""
-        clock = clock if clock is not None else _NullClock()
         reverter = Reverter(
-            self.log,
-            self.pool,
-            self.allocator,
-            reexec=reexec,
-            clock=clock,
-            reexec_delay=reexec_delay,
-            max_attempts=max_attempts,
+            self.log, self.pool, self.allocator, reexec=reexec, clock=clock,
+            reexec_delay=reexec_delay, max_attempts=max_attempts,
             timeout_seconds=timeout_seconds,
         )
-        result = MitigationResult(recovered=False, mode="arckpt")
-        update_seqs = sorted(
+        return reverter.run_cuts("arckpt", partial(self._cuts, reverter))
+
+    def _cuts(self, reverter: Reverter, result: MitigationResult):
+        """One cut per logged update, newest first: its transaction."""
+        updates = sorted(
             (ev.seq for ev in self.log.events if ev.kind == "update"),
             reverse=True,
         )
-        for seq in update_seqs:
-            if result.attempts >= max_attempts or clock.now > timeout_seconds:
-                result.timed_out = True
-                break
-            for s in reverter.tx_closure(seq):
-                if reverter.revert_update_seq(s, 1):
-                    result.reverted_seqs.append(s)
-            clock.advance(reverter.revert_cost)
-            clock.advance(reexec_delay())
-            result.attempts += 1
-            outcome = reexec()
-            if outcome.ok:
-                result.recovered = True
-                break
-        result.duration_seconds = clock.now
-        return result
+        for seq in updates:
+            restore = partial(_revert_tx, reverter, seq)
+            if (yield Cut(restore, cost=REVERT_COST, budget_first=True)).ok:
+                return
+
+
+def _revert_tx(reverter: Reverter, seq: int) -> List[int]:
+    return reverter.revert_each(reverter.tx_closure(seq))

@@ -13,16 +13,26 @@ Two shape-defining properties from the paper emerge naturally:
   "probabilistic" success of f5/f8);
 * data loss is large, because restoring a point-in-time image throws away
   every update after it, related to the fault or not.
+
+Restores are cuts in :meth:`~repro.reactor.revert.Reverter.run_cuts` (run
+without a checkpoint log), each budgeted before it is applied, as ArCkpt's.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, List, Optional
 
 from repro.pmem.allocator import PMAllocator
 from repro.pmem.pool import PMPool
 from repro.pmem.snapshot import PoolSnapshot, restore_snapshot, take_snapshot
-from repro.reactor.revert import MitigationResult, ReexecFn, _NullClock
+from repro.reactor.revert import Cut, MitigationResult, ReexecFn, Reverter
+
+#: simulated seconds to restore one whole-pool image
+RESTORE_COST = 1.5
+
+#: restores pmCRIU tries before giving up
+MAX_ATTEMPTS = 20
 
 
 class PmCRIU:
@@ -64,35 +74,26 @@ class PmCRIU:
         )
         return True
 
-    def snapshot_count(self) -> int:
-        return len(self.snapshots)
-
     # ------------------------------------------------------------------
     def mitigate(
         self,
         reexec: ReexecFn,
         clock=None,
         reexec_delay: Callable[[], float] = lambda: 4.0,
-        restore_cost: float = 1.5,
-        max_attempts: int = 20,
         timeout_seconds: float = 600.0,
     ) -> MitigationResult:
         """Restore snapshots newest-first until re-execution succeeds."""
-        clock = clock if clock is not None else _NullClock()
-        result = MitigationResult(recovered=False, mode="pmcriu")
-        images = list(reversed(self.snapshots)) + [self._initial]
-        for snapshot in images:
-            if result.attempts >= max_attempts or clock.now > timeout_seconds:
-                result.timed_out = True
-                break
-            restore_snapshot(self.pool, snapshot, self.allocator)
-            clock.advance(restore_cost)
-            clock.advance(reexec_delay())
-            result.attempts += 1
-            result.notes = f"restored {snapshot.label}"
-            outcome = reexec()
+        loop = Reverter(
+            None, self.pool, self.allocator, reexec=reexec, clock=clock,
+            reexec_delay=reexec_delay, max_attempts=MAX_ATTEMPTS,
+            timeout_seconds=timeout_seconds,
+        )
+        return loop.run_cuts("pmcriu", self._cuts)
+
+    def _cuts(self, result: MitigationResult):
+        for image in list(reversed(self.snapshots)) + [self._initial]:
+            restore = partial(restore_snapshot, self.pool, image, self.allocator)
+            outcome = yield Cut(restore, cost=RESTORE_COST, budget_first=True)
+            result.notes = f"restored {image.label}"
             if outcome.ok:
-                result.recovered = True
-                break
-        result.duration_seconds = clock.now
-        return result
+                return

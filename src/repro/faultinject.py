@@ -56,9 +56,9 @@ site family                fired from
 ``ckpt.record_tx_commit``  transaction-commit hook
 ``ckpt.index_merge``       :meth:`CheckpointLog.flush_staging`, before the
                            staged records are merged into the indexes
-``revert.cut``             before each rollback cut / purge group
-``revert.commit``          after a cut is applied, before its intent is
-                           marked done
+``revert.cut``             :meth:`Reverter.run_cuts`, before applying a cut
+``revert.commit``          after an applied cut re-executes or the budget
+                           stops it, before its intent is marked done
 ``cluster.promote``        :meth:`ShardManager.promote`, after the sick
                            node is marked down on the ring, before the
                            promotion journal entry completes

@@ -49,7 +49,7 @@ from repro.lang.interp import FaultInfo
 from repro.pmem.poolcheck import check_pool
 from repro.reactor.leakfix import find_leaked_objects, mitigate_leak
 from repro.reactor.plan import Candidate, distance_policy
-from repro.reactor.revert import IntentJournal, Reverter
+from repro.reactor.revert import IntentJournal, MitigationResult, Reverter
 from repro.reactor.server import ReactorServer
 from repro.workloads.generators import MixedWorkload
 
@@ -145,6 +145,15 @@ class MitigationRun:
     #: revert set is then not seq-addressable and damage assessment
     #: must fall back to state diffing
     coarse_restore: bool = False
+
+    def absorb(self, mres: MitigationResult) -> None:
+        """Copy one reverter or baseline result into the run."""
+        self.attempts += mres.attempts
+        self.reverted_updates += mres.discarded_updates
+        self.reverted_seqs.extend(mres.reverted_seqs)
+        self.recovered = mres.recovered
+        self.timed_out = mres.timed_out
+        self.notes = mres.notes
 
     @property
     def discarded_pct(self) -> float:
@@ -466,19 +475,14 @@ def _make_rounds_runner(
                 mres = reverter.mitigate_bisect(plan)
             else:
                 mres = reverter.mitigate_purge(plan, batch_size=batch_size)
-            run.attempts += mres.attempts
-            run.reverted_updates += mres.discarded_updates
-            run.reverted_seqs.extend(mres.reverted_seqs)
+            run.absorb(mres)
             run.plan_candidates = max(run.plan_candidates, len(plan.candidates))
             run.slice_size = max(run.slice_size, plan.slice_size)
             run.pm_slice_size = max(run.pm_slice_size, plan.pm_slice_size)
             run.slicing_seconds += plan.slicing_seconds
             run.analysis_seconds = server.analysis_seconds
             run.reactor_requests = server.requests_served
-            run.timed_out = mres.timed_out
-            run.notes = mres.notes
             if mres.recovered:
-                run.recovered = True
                 return
             if mclock.now > MITIGATION_TIMEOUT or run.attempts >= max_attempts:
                 return
@@ -567,6 +571,24 @@ def mitigate_ladder(
 
     with_crash_retries(full_scan, adapter.pool, mclock)
 
+    def rung(mitigate: Callable[[], None]) -> Callable[[], StepResult]:
+        """A ladder rung that runs ``mitigate`` into ``run`` and reports
+        what it added."""
+        def step() -> StepResult:
+            before = run.attempts
+            run.recovered = False
+            mitigate()
+            return StepResult(
+                recovered=run.recovered, attempts=run.attempts - before,
+                timed_out=run.timed_out, notes=run.notes,
+            )
+        return step
+
+    # how the baseline rungs re-execute, on the ladder's clock
+    baseline = dict(
+        reexec=strict_reexec, clock=mclock, reexec_delay=delay,
+        timeout_seconds=MITIGATION_TIMEOUT,
+    )
     rungs: List = []
     if solution in _ARTHAS_MODES and scenario.kind != "leak" \
             and outcome.fault is not None:
@@ -576,26 +598,18 @@ def mitigate_ladder(
         )
         seen_faults = {outcome.fault.iid}
 
-        def arthas_step(mode: str, budget: int, with_intents: bool):
-            def step() -> StepResult:
+        def arthas(mode: str, budget: int,
+                   journal: Optional[IntentJournal] = None):
+            def mitigate() -> None:
                 scan_log()
-                before = run.attempts
-                run.recovered = False
-                rounds(
-                    run, seen_faults, outcome.fault.iid, mode,
-                    before + budget,
-                    intents=intents if with_intents else None,
-                )
-                return StepResult(
-                    recovered=run.recovered, attempts=run.attempts - before,
-                    timed_out=run.timed_out, notes=run.notes,
-                )
-            return step
+                rounds(run, seen_faults, outcome.fault.iid, mode,
+                       run.attempts + budget, intents=journal)
+            return rung(mitigate)
 
         primary = _ARTHAS_MODES[solution]
         if primary != "rollback":
-            rungs.append((primary, arthas_step(primary, 60, False)))
-        rungs.append(("rollback", arthas_step("rollback", 200, True)))
+            rungs.append((primary, arthas(primary, 60)))
+        rungs.append(("rollback", arthas("rollback", 200, intents)))
     elif solution in _ARTHAS_MODES and scenario.kind == "leak":
         def leak_step() -> StepResult:
             # Section 4.7: diff checkpoint-log liveness against the
@@ -614,37 +628,20 @@ def mitigate_ladder(
             return StepResult(recovered=out.ok, attempts=1, notes=run.notes)
         rungs.append(("leak-fix", leak_step))
     elif solution == "arckpt" and log is not None:
-        def arckpt_step() -> StepResult:
+        def arckpt() -> None:
             scan_log()
-            mres = ArCkpt(log, adapter.pool, adapter.allocator).mitigate(
-                strict_reexec, clock=mclock, reexec_delay=delay,
-                timeout_seconds=MITIGATION_TIMEOUT,
-            )
-            run.attempts += mres.attempts
-            run.reverted_updates += mres.discarded_updates
-            run.reverted_seqs.extend(mres.reverted_seqs)
-            run.notes = mres.notes
-            return StepResult(recovered=mres.recovered, attempts=mres.attempts,
-                              timed_out=mres.timed_out, notes=mres.notes)
-        rungs.append(("arckpt", arckpt_step))
+            run.absorb(ArCkpt(log, adapter.pool, adapter.allocator)
+                       .mitigate(**baseline))
+        rungs.append(("arckpt", rung(arckpt)))
 
     if snapshotter is not None:
-        def snapshot_step() -> StepResult:
-            mres = snapshotter.mitigate(
-                strict_reexec, clock=mclock, reexec_delay=delay,
-                timeout_seconds=MITIGATION_TIMEOUT,
-            )
-            run.attempts += mres.attempts
-            if mres.recovered:
-                run.coarse_restore = True
-            note = mres.notes or "restored from periodic snapshot"
-            run.notes = (run.notes + "; " if run.notes else "") + note
-            return StepResult(recovered=mres.recovered, attempts=mres.attempts,
-                              timed_out=mres.timed_out, notes=note)
-        rungs.append(("snapshot", snapshot_step))
+        rungs.append(("snapshot", rung(
+            lambda: run.absorb(snapshotter.mitigate(**baseline))
+        )))
 
     report = ladder_run(rungs, adapter.pool, mclock)
     run.recovered = report.recovered
+    run.coarse_restore = report.recovered_by == "snapshot"
     # the final outcome: a rung that ran out of budget before a later
     # rung recovered (purge falling back to rollback) is not a timeout
     run.timed_out = not report.recovered and any(

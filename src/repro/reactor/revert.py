@@ -1,8 +1,11 @@
-"""Reversion execution: purge and rollback strategies (Section 4.4-4.6).
+"""Reversion execution: one cut loop and its strategies (Section 4.4-4.6).
 
-Both strategies walk the plan's candidate list, revert PM state, and call
-a re-execution script after each reversion to check whether the failure
-still recurs:
+Each strategy is a *cut source*: a generator that yields :class:`Cut`
+objects and is sent each one's re-execution outcome.  One loop,
+:meth:`Reverter.run_cuts`, owns the budget, the clock, the ``revert.*``
+injection sites, the :class:`IntentJournal`, re-execution and the
+verdict.  After the empty-plan abort and divergence repair
+(:meth:`Reverter._arthas`), the Arthas sources are:
 
 * **purge** reverts *only* the selected checkpoint entries (expanded to
   their enclosing transactions), then runs a second pass purging
@@ -11,7 +14,12 @@ still recurs:
 * **rollback** reverts the selected entry *and every log event with a
   higher sequence number* — value updates restored to their last version
   before the cut, frees un-freed, allocations released.  Conservative:
-  strictly respects time order.
+  strictly respects time order.  Its cuts are journaled.
+* **bisect** binary-searches the smallest newest-first candidate prefix
+  that recovers.
+
+Purge and rollback stop on a new fault; bisect counts it as a failed
+probe.  The baselines (:mod:`repro.baselines`) are cut sources too.
 
 Reversions write durable words directly (they model the reactor patching
 the pool file offline), so they never re-enter the checkpoint hooks.
@@ -22,7 +30,8 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set
+from functools import partial
+from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro import faultinject
 from repro.checkpoint.log import CheckpointLog
@@ -34,6 +43,9 @@ from repro.reactor.plan import Candidate, ReversionPlan
 
 ReexecFn = Callable[[], RunOutcome]
 ForwardSeqsFn = Callable[[Candidate], Set[int]]
+
+#: simulated seconds to revert one checkpoint update
+REVERT_COST = 0.002
 
 
 class IntentJournal:
@@ -62,8 +74,6 @@ class IntentJournal:
         self.path = path
         #: cut -> "pending" | "done"
         self.status: Dict[int, str] = {}
-        #: cuts whose re-execution attempt resolved as not-recovered
-        self._recovered: Dict[int, bool] = {}
         if path is not None and os.path.exists(path):
             self._replay(path)
 
@@ -81,7 +91,6 @@ class IntentJournal:
                     self.status[rec["cut"]] = "pending"
                 elif rec.get("op") == "commit":
                     self.status[rec["cut"]] = "done"
-                    self._recovered[rec["cut"]] = bool(rec.get("recovered"))
 
     def _append(self, rec: dict) -> None:
         if self.path is None:
@@ -97,7 +106,6 @@ class IntentJournal:
 
     def commit(self, cut: int, recovered: bool = False) -> None:
         self.status[cut] = "done"
-        self._recovered[cut] = recovered
         self._append({"op": "commit", "cut": cut, "recovered": recovered})
 
     def is_done(self, cut: int) -> bool:
@@ -138,6 +146,31 @@ class MitigationResult:
     def discarded_updates(self) -> int:
         """Unique checkpoint updates reverted (the data-loss numerator)."""
         return len(set(self.reverted_seqs))
+
+
+@dataclass
+class Cut:
+    """One cut a source yields to :meth:`Reverter.run_cuts`.  ``apply``
+    restores checkpoint seqs (returning those reverted) or a snapshot;
+    without one the cut re-executes what its source changed."""
+
+    apply: Optional[Callable[[], Optional[List[int]]]] = None
+    #: seconds charged before re-executing; None: REVERT_COST per seq, min 1
+    cost: Optional[float] = None
+    #: :class:`IntentJournal` key (rollback's cut seq); None: unjournaled
+    key: Optional[int] = None
+    #: check the budget before applying and always re-execute (baselines);
+    #: else a cut the budget stops stays applied, unexecuted
+    budget_first: bool = False
+    #: a cut that reverted nothing is not re-executed (purge)
+    skip_empty: bool = False
+    #: apply, take this outcome, do not re-execute (bisect's landing)
+    known: Optional[RunOutcome] = None
+
+
+class BudgetSpent(Exception):
+    """Thrown into a cut source when the budget stops one of its cuts; a
+    source that catches it may yield more."""
 
 
 class _ProbeDelta:
@@ -191,10 +224,11 @@ class _DeltaProbeEngine:
 
     Keeps one :class:`_ProbeDelta` per applied reversion group; moving
     from probe point ``k`` to ``k'`` applies or undoes only the
-    ``|k - k'|`` group deltas in between.  Re-executions run inside their
-    own delta and are undone immediately, so every probe point's durable
-    image is byte-identical to restoring a full baseline snapshot and
-    re-applying the prefix (the oracle in ``tests/oracles``).
+    ``|k - k'|`` group deltas in between.  Every seek leaves a fresh
+    delta open for the probe's re-execution, which the next seek or
+    abort undoes first, so every probe point's durable image is
+    byte-identical to restoring a full baseline snapshot and re-applying
+    the prefix (the oracle in ``tests/oracles``).
 
     If a re-execution grew the checkpoint log (recording updates can
     evict ring versions the prefix reconstruction depends on), the
@@ -216,10 +250,7 @@ class _DeltaProbeEngine:
     def _apply_group(self, group: List[int]) -> None:
         self.r._maybe_yield()
         delta = _ProbeDelta(self.r.pool, self.r.allocator)
-        seqs: List[int] = []
-        for s in sorted(group, reverse=True):
-            if self.r.revert_update_seq(s, 1, guard_dangling=True):
-                seqs.append(s)
+        seqs = self.r.revert_each(group, guard_dangling=True)
         self.deltas.append(delta)
         self.applied.append(seqs)
         self.pos += 1
@@ -236,6 +267,8 @@ class _DeltaProbeEngine:
         self.baseline.undo(close=False)
 
     def seek(self, k: int) -> List[int]:
+        """Move to probe point ``k``; returns the seqs applied."""
+        self._end_reexec()
         if self.r.log.max_seq() != self._log_seq:
             self._rewind()
             self._log_seq = self.r.log.max_seq()
@@ -243,40 +276,38 @@ class _DeltaProbeEngine:
             self._undo_group()
         while self.pos < k:
             self._apply_group(self.groups[self.pos])
+        self._reexec_delta = _ProbeDelta(self.r.pool, self.r.allocator)
         return [s for seqs in self.applied for s in seqs]
 
-    def begin_reexec(self) -> None:
-        self._reexec_delta = _ProbeDelta(self.r.pool, self.r.allocator)
-
-    def end_reexec(self) -> None:
+    def _end_reexec(self) -> None:
         if self._reexec_delta is not None:
             self._reexec_delta.undo()
             self._reexec_delta = None
 
     def abort(self) -> None:
-        while self.deltas:
-            self._undo_group()
-        self.baseline.undo(close=True)
+        self._end_reexec()
+        self._rewind()
 
-    def finish(self) -> None:
-        for delta in reversed(self.deltas):
-            delta.close()
-        self.baseline.close()
+    def close(self) -> None:
+        """Stop tracking and keep the pool as it is: where the search
+        left it, or where a crash that abandoned it did."""
+        for delta in (self._reexec_delta, *reversed(self.deltas), self.baseline):
+            if delta is not None:
+                delta.close()
 
 
 class Reverter:
-    """Executes reversion plans against one pool + checkpoint log."""
+    """Executes reversion plans against one pool + checkpoint log; runs
+    every mitigation's cuts (pmCRIU's without a log)."""
 
     def __init__(
         self,
-        log: CheckpointLog,
+        log: Optional[CheckpointLog],
         pool: PMPool,
         allocator: PMAllocator,
         reexec: ReexecFn,
         clock=None,
         reexec_delay: Callable[[], float] = lambda: 4.0,
-        revert_cost: float = 0.002,
-        max_versions: int = 3,
         max_attempts: int = 200,
         timeout_seconds: float = 600.0,
         forward_seqs_fn: Optional[ForwardSeqsFn] = None,
@@ -291,8 +322,6 @@ class Reverter:
         self.reexec = reexec
         self.clock = clock if clock is not None else _NullClock()
         self.reexec_delay = reexec_delay
-        self.revert_cost = revert_cost
-        self.max_versions = max_versions
         self.max_attempts = max_attempts
         self.timeout_seconds = timeout_seconds
         self.forward_seqs_fn = forward_seqs_fn
@@ -304,27 +333,18 @@ class Reverter:
         #: applied — afterwards the durable state legitimately differs
         #: from the log's reconstruction
         self.enable_divergence_repair = enable_divergence_repair
-        #: write-ahead intent journal; when set, rollback cuts become
-        #: resumable after a crash (see :class:`IntentJournal`)
+        #: write-ahead intent journal; when set, keyed cuts (rollback's)
+        #: become resumable after a crash (see :class:`IntentJournal`)
         self.intents = intents
         #: cooperative yield point for live serving: the probe engine calls
         #: it per group apply/undo so long host-side seeks (delta
         #: reversion, prefix rebuilds) park the same way long guest
         #: calls do.  Must not touch the pool; ``None`` = run straight.
         self.yield_fn = yield_fn
-        #: clock reading when the current strategy started (see _begin)
-        self._t0 = self.clock.now
 
     def _maybe_yield(self) -> None:
         if self.yield_fn is not None:
             self.yield_fn()
-
-    def _is_new_fault(self, outcome: RunOutcome) -> bool:
-        return (
-            self.known_faults is not None
-            and outcome.fault is not None
-            and outcome.fault.iid not in self.known_faults
-        )
 
     # ------------------------------------------------------------------
     # low-level reversion primitives
@@ -478,6 +498,12 @@ class Reverter:
             self.pool.durable_write(a, value)
         return True
 
+    def revert_each(self, seqs, steps_back: int = 1,
+                    guard_dangling: bool = False) -> List[int]:
+        """Revert each seq, newest first; returns those reverted."""
+        return [s for s in sorted(seqs, reverse=True)
+                if self.revert_update_seq(s, steps_back, guard_dangling)]
+
     def tx_closure(self, seq: int) -> List[int]:
         """All update seqs in the same transaction (Section 4.6)."""
         tx_id = self.log.tx_of_seq(seq)
@@ -568,140 +594,89 @@ class Reverter:
         return repaired
 
     # ------------------------------------------------------------------
-    # strategies
+    # the cut loop and the Arthas strategies
     # ------------------------------------------------------------------
-    def _try_divergence_repair(self, result: MitigationResult,
-                               plan: ReversionPlan) -> Optional[RunOutcome]:
-        """Step 0 of both strategies; returns the outcome if it re-executed."""
-        if not self.enable_divergence_repair:
+    def run_cuts(self, mode: str, cuts: Callable[[MitigationResult], Iterator[Cut]]
+                 ) -> MitigationResult:
+        """Try each cut the source ``cuts(result)`` yields, sending it the
+        cut's outcome (None: not re-executed) or throwing
+        :class:`BudgetSpent` into it.  The loop records reverted seqs and
+        writes ``attempts``, ``timed_out``, ``recovered``, ``last_outcome``.
+        """
+        result = MitigationResult(recovered=False, mode=mode)
+        t0 = self.clock.now
+        source = cuts(result)
+        try:
+            cut = next(source)
+            while True:
+                try:
+                    outcome = self._attempt(result, cut)
+                except BudgetSpent as spent:
+                    result.timed_out, result.recovered = True, False
+                    cut = source.throw(spent)
+                    continue
+                if outcome is not None:
+                    result.last_outcome, result.recovered = outcome, outcome.ok
+                cut = source.send(outcome)
+        except (StopIteration, BudgetSpent):
+            pass
+        finally:
+            source.close()  # a crash abandons the source: let it clean up
+        result.duration_seconds = self.clock.now - t0
+        return result
+
+    def _attempt(self, result: MitigationResult, cut: Cut) -> Optional[RunOutcome]:
+        """One cut, in order: budget (``budget_first``), journal done
+        check, ``revert.cut``, journal begin, apply, attempt budget,
+        clock, timeout (other cuts), re-execution, ``revert.commit``,
+        journal commit."""
+        if cut.known is not None:
+            cut.apply()
+            return cut.known
+        if cut.budget_first and (result.attempts >= self.max_attempts
+                                 or self.clock.now > self.timeout_seconds):
+            raise BudgetSpent
+        journal = self.intents if cut.key is not None else None
+        if journal is not None and journal.is_done(cut.key):
+            # a crashed earlier run applied and tested this cut: re-apply
+            # it (a pure function of the log), skip its re-execution
+            result.reverted_seqs.extend(cut.apply())
             return None
-        repaired = self.repair_divergence(plan)
-        if not repaired:
-            return None
-        result.notes = f"repaired {len(repaired)} divergent word(s)"
-        return self._attempt(result, len(repaired))
+        reverted: List[int] = []
+        if cut.apply is not None:
+            faultinject.fire("revert.cut")  # crash between cuts
+            if journal is not None:
+                journal.begin(cut.key, mode=result.mode)
+            reverted = cut.apply() or []
+            result.reverted_seqs.extend(reverted)
+            if cut.skip_empty and not reverted:
+                return None
+        outcome = None
+        if result.attempts < self.max_attempts:
+            cost = REVERT_COST * max(1, len(reverted)) if cut.cost is None else cut.cost
+            self.clock.advance(cost)
+            self.clock.advance(self.reexec_delay())
+            if cut.budget_first or self.clock.now <= self.timeout_seconds:
+                result.attempts += 1
+                outcome = self.reexec()
+        if cut.apply is not None:
+            faultinject.fire("revert.commit")  # crash after a cut, before done
+        if outcome is None:
+            raise BudgetSpent
+        if journal is not None:
+            journal.commit(cut.key, recovered=outcome.ok)
+        return outcome
 
     def mitigate_purge(
         self, plan: ReversionPlan, batch_size: int = 1
     ) -> MitigationResult:
         """Dependency-based purge: revert only dependent entries."""
-        result = self._begin("purge")
-        if plan.empty:
-            result.aborted_empty_plan = True
-            return self._finish(result)
-        outcome = self._try_divergence_repair(result, plan)
-        if outcome is not None and outcome.ok:
-            result.recovered = True
-            return self._finish(result)
-        tried: Set[tuple] = set()
-        for steps_back in range(1, self.max_versions + 1):
-            batch: List[Candidate] = []
-            for cand in plan.candidates:
-                batch.append(cand)
-                if len(batch) < batch_size and cand is not plan.candidates[-1]:
-                    continue
-                group: List[int] = []
-                for c in batch:
-                    for s in self.tx_closure(c.seq):
-                        if (s, steps_back) not in tried:
-                            tried.add((s, steps_back))
-                            group.append(s)
-                batch_cands, batch = list(batch), []
-                if not group:
-                    continue
-                faultinject.fire("revert.cut")  # crash between purge groups
-                reverted_any = False
-                for s in sorted(group, reverse=True):
-                    if self.revert_update_seq(s, steps_back, guard_dangling=True):
-                        result.reverted_seqs.append(s)
-                        reverted_any = True
-                if not reverted_any:
-                    continue
-                faultinject.fire("revert.commit")
-                outcome = self._attempt(result, len(group))
-                if outcome is None:
-                    return self._finish(result)  # budget exhausted
-                if not outcome.ok and self._is_new_fault(outcome):
-                    result.notes = "stopped: new fault surfaced"
-                    return self._finish(result)
-                if outcome.ok:
-                    extra = self._purge_forward_pass(result, batch_cands, min(group))
-                    result.recovered = True
-                    if extra:
-                        # re-execute once more so recovery runs over the
-                        # forward-purged state (and confirms it still works)
-                        confirm = self._attempt(result, extra)
-                        result.recovered = confirm is not None and confirm.ok
-                    return self._finish(result)
-        return self._finish(result)
-
-    def _purge_forward_pass(
-        self, result: MitigationResult, cands: List[Candidate], cut: int
-    ) -> int:
-        """Second pass: purge updates that depend on the reverted ones.
-
-        Only *value updates* are purged forward; free/alloc events are
-        left alone (undoing frees is rollback-mode territory), which is
-        the source of the purge mode's rare semantic inconsistencies.
-        """
-        if self.forward_seqs_fn is None:
-            return 0
-        extra: Set[int] = set()
-        for cand in cands:
-            for dep_seq in self.forward_seqs_fn(cand):
-                if dep_seq > cut and dep_seq not in result.reverted_seqs:
-                    extra.add(dep_seq)
-        reverted = 0
-        for s in sorted(extra, reverse=True):
-            if self.revert_update_seq(s, 1):
-                result.reverted_seqs.append(s)
-                self.clock.advance(self.revert_cost)
-                reverted += 1
-        return reverted
+        return self.run_cuts("purge", partial(
+            self._arthas, plan, partial(self._purge, batch_size=batch_size)))
 
     def mitigate_rollback(self, plan: ReversionPlan) -> MitigationResult:
         """Conservative, time-respecting rollback."""
-        result = self._begin("rollback")
-        if plan.empty:
-            result.aborted_empty_plan = True
-            return self._finish(result)
-        outcome = self._try_divergence_repair(result, plan)
-        if outcome is not None and outcome.ok:
-            result.recovered = True
-            return self._finish(result)
-        cuts: List[int] = []
-        seen: Set[int] = set()
-        for cand in plan.candidates:
-            cut = min(self.tx_closure(cand.seq))
-            if cut not in seen:
-                seen.add(cut)
-                cuts.append(cut)
-        for cut in cuts:
-            if self.intents is not None and self.intents.is_done(cut):
-                # a crashed previous run already applied and tested this
-                # cut; re-apply idempotently, skip the re-execution
-                reverted = self.rollback_to_before(cut)
-                result.reverted_seqs.extend(reverted)
-                continue
-            faultinject.fire("revert.cut")  # crash between reversion steps
-            if self.intents is not None:
-                self.intents.begin(cut, mode="rollback")
-            reverted = self.rollback_to_before(cut)
-            result.reverted_seqs.extend(reverted)
-            outcome = self._attempt(result, max(1, len(reverted)))
-            faultinject.fire("revert.commit")  # crash after cut, before done
-            if outcome is None:
-                return self._finish(result)
-            recovered = outcome.ok
-            if self.intents is not None:
-                self.intents.commit(cut, recovered=recovered)
-            if not outcome.ok and self._is_new_fault(outcome):
-                result.notes = "stopped: new fault surfaced"
-                return self._finish(result)
-            if recovered:
-                result.recovered = True
-                return self._finish(result)
-        return self._finish(result)
+        return self.run_cuts("rollback", partial(self._arthas, plan, self._rollback))
 
     def mitigate_bisect(self, plan: ReversionPlan) -> MitigationResult:
         """Binary-search reversion (the paper's technical-report variant).
@@ -715,15 +690,8 @@ class Reverter:
         full reversion does not help — the caller can then try purge or
         rollback.
 
-        State moves between probe points through
-        :class:`_DeltaProbeEngine`, which keeps per-group undo deltas and
-        moves between probe prefixes in O(words dirtied), never replaying
-        the pool.
-
-        Probe outcomes are memoized per prefix length, so the final
-        ``probe(best)`` (in the seed a guaranteed redundant re-execution)
-        and any repeated midpoint only move state, leaving the pool in
-        the minimal recovered state.
+        :class:`_DeltaProbeEngine` moves between probe prefixes in
+        O(words dirtied).  No probe point is re-executed twice.
 
         After the search the same forward-dependence pass as purge
         reverts updates computed over the discarded prefix.  The pass is
@@ -731,105 +699,136 @@ class Reverter:
         of semantic inconsistency (e.g. shared accounting counters more
         than one hop from the kept candidates).
         """
-        result = self._begin("bisect")
+        return self.run_cuts("bisect", partial(self._arthas, plan, self._bisect))
+
+    def _arthas(self, plan: ReversionPlan, strategy, result: MitigationResult):
+        """The empty-plan abort and divergence repair (whose
+        re-execution fires no injection site), then ``strategy``."""
+        # absorb the workload's staged tail in one merge up front, so
+        # every query the strategy issues hits fully built indexes
+        self.log._flush_staging()
         if plan.empty:
             result.aborted_empty_plan = True
-            return self._finish(result)
-        outcome = self._try_divergence_repair(result, plan)
-        if outcome is not None and outcome.ok:
-            result.recovered = True
-            return self._finish(result)
+            return
+        repaired = self.repair_divergence(plan) if self.enable_divergence_repair else []
+        if repaired:
+            result.notes = f"repaired {len(repaired)} divergent word(s)"
+            try:
+                if (yield Cut(cost=REVERT_COST * len(repaired))).ok:
+                    return
+            except BudgetSpent:
+                pass
+        yield from strategy(plan, result)
 
-        groups: List[List[int]] = []
-        group_cands: List[Candidate] = []
-        seen: Set[int] = set()
-        for cand in plan.candidates:
-            group = [s for s in self.tx_closure(cand.seq) if s not in seen]
+    def _stops(self, outcome: RunOutcome, result: MitigationResult) -> bool:
+        """Purge and rollback end on recovery, or on a fault outside
+        ``known_faults`` (so the caller can re-slice from it)."""
+        if outcome.ok or self.known_faults is None or outcome.fault is None \
+                or outcome.fault.iid in self.known_faults:
+            return outcome.ok
+        result.notes = "stopped: new fault surfaced"
+        return True
+
+    def _groups(self, cands: List[Candidate], batch_size: int = 1):
+        """Each batch of candidates with its transactions' seqs that no
+        earlier batch holds, skipping batches left empty."""
+        tried: Set[int] = set()
+        for i in range(0, len(cands), batch_size):
+            batch = cands[i:i + batch_size]
+            group = list(dict.fromkeys(
+                s for c in batch for s in self.tx_closure(c.seq) if s not in tried
+            ))
+            tried.update(group)
             if group:
-                seen.update(group)
-                groups.append(group)
-                group_cands.append(cand)
+                yield batch, group
 
-        eng = _DeltaProbeEngine(self, groups)
-        memo: Dict[int, RunOutcome] = {}
-        applied_by_k: Dict[int, List[int]] = {}
+    def _purge(self, plan: ReversionPlan, result: MitigationResult,
+               batch_size: int = 1):
+        """Each group one ring version back, then two, ... (log depth)."""
+        for steps_back in range(1, self.log.max_versions + 1):
+            for batch, group in self._groups(plan.candidates, batch_size):
+                outcome = yield Cut(
+                    partial(self.revert_each, group, steps_back, True),
+                    cost=REVERT_COST * len(group), skip_empty=True,
+                )
+                if outcome is not None and self._stops(outcome, result):
+                    if outcome.ok:
+                        yield from self._forward_pass(batch, min(group), result)
+                    return
 
-        def probe(k: int) -> Optional[RunOutcome]:
-            if k in memo:
-                eng.seek(k)  # move state only; the outcome is known
-                result.last_outcome = memo[k]
-                return memo[k]
-            applied_by_k[k] = eng.seek(k)
-            eng.begin_reexec()
-            outcome = self._attempt(result, max(1, len(applied_by_k[k])))
-            eng.end_reexec()
-            if outcome is not None:
-                memo[k] = outcome
-            return outcome
+    def _rollback(self, plan: ReversionPlan, result: MitigationResult):
+        """One journaled cut per candidate transaction's oldest seq."""
+        for cut in dict.fromkeys(min(self.tx_closure(c.seq)) for c in plan.candidates):
+            outcome = yield Cut(partial(self.rollback_to_before, cut), key=cut)
+            if outcome is not None and self._stops(outcome, result):
+                return
 
-        full = probe(len(groups))
-        if full is None or not full.ok:
-            eng.abort()
-            result.notes = "full reversion did not recover; bisect aborted"
-            return self._finish(result)
-        lo, hi = 1, len(groups)  # smallest k in [1, n] that recovers
+    def _bisect(self, plan: ReversionPlan, result: MitigationResult):
+        batches, groups = zip(*self._groups(plan.candidates))
+        eng = _DeltaProbeEngine(self, list(groups))
+        applied: Dict[int, List[int]] = {}
+
+        def probe(k: int) -> Cut:
+            def seek() -> List[int]:
+                applied[k] = eng.seek(k)
+                return applied[k]
+            return Cut(seek)
+
         best = len(groups)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            outcome = probe(mid)
-            if outcome is None:
-                break  # budget exhausted; keep the best known prefix
-            if outcome.ok:
-                best, hi = mid, mid
-            else:
-                lo = mid + 1
-        # leave the pool in the minimal recovered state; ``best`` is
-        # always memoized, so this is a pure state move — no re-execution
-        probe(best)
-        eng.finish()
-        result.recovered = True
-        result.reverted_seqs = list(applied_by_k[best])
+        try:
+            try:
+                won = yield probe(best)
+            except BudgetSpent:
+                won = None
+            if won is None or not won.ok:
+                eng.abort()
+                result.reverted_seqs = []
+                result.notes = "full reversion did not recover; bisect aborted"
+                return
+            lo, hi = 1, best  # smallest k in [1, n] that recovers
+            try:
+                while lo < hi:
+                    mid = (lo + hi) // 2
+                    outcome = yield probe(mid)
+                    if outcome.ok:
+                        best, hi, won = mid, mid, outcome
+                    else:
+                        lo = mid + 1
+            except BudgetSpent:
+                pass  # keep the best known prefix
+            # leave the pool in the minimal recovered state
+            yield Cut(partial(eng.seek, best), known=won)
+        finally:
+            eng.close()
+        # the probes' seqs were recorded; only the kept prefix counts
+        result.reverted_seqs = list(applied[best])
         result.notes = f"bisect kept {best} of {len(groups)} reversion groups"
-        # same consistency pass purge runs: updates forward-dependent on
-        # the reverted prefix (e.g. accounting counters incremented over
-        # reverted state) are reverted too, else a partial prefix leaves
-        # shared words embedding discarded history
-        extra = self._purge_forward_pass(
-            result, group_cands[:best], min(applied_by_k[best], default=0)
+        # purge's consistency pass: a partial prefix would leave shared
+        # words (e.g. counters) embedding discarded history
+        yield from self._forward_pass(
+            [c for b in batches[:best] for c in b],
+            min(applied[best], default=0), result,
         )
-        if extra:
-            confirm = self._attempt(result, extra)
-            result.recovered = confirm is not None and confirm.ok
-        return self._finish(result)
 
-    # ------------------------------------------------------------------
-    def _begin(self, mode: str) -> MitigationResult:
-        """Start a strategy: records the start time so the result's
-        duration covers only *this* run even on a shared clock."""
-        # absorb the workload's staged tail in one merge up front, so
-        # every query this strategy issues hits fully built indexes
-        self.log._flush_staging()
-        self._t0 = self.clock.now
-        return MitigationResult(recovered=False, mode=mode)
+    def _forward_pass(self, cands: List[Candidate], cut: int,
+                      result: MitigationResult):
+        """Second pass of purge and bisect: revert the updates after
+        ``cut`` that depend on the kept candidates, charging each as it
+        goes, then re-execute once more over the forward-purged state.
 
-    def _attempt(self, result: MitigationResult, reverted_count: int) -> Optional[RunOutcome]:
-        """Charge time, re-execute; None when the budget is exhausted."""
-        if result.attempts >= self.max_attempts:
-            result.timed_out = True
-            return None
-        # the re-execution delay is charged to the clock, and _finish
-        # reports the clock delta — so it reaches duration_seconds too
-        # (the seed added a literal 0.0 here and under-reported Fig. 8)
-        self.clock.advance(self.revert_cost * reverted_count)
-        self.clock.advance(self.reexec_delay())
-        if self.clock.now > self.timeout_seconds:
-            result.timed_out = True
-            return None
-        result.attempts += 1
-        outcome = self.reexec()
-        result.last_outcome = outcome
-        return outcome
-
-    def _finish(self, result: MitigationResult) -> MitigationResult:
-        result.duration_seconds = self.clock.now - self._t0
-        return result
+        Only *value updates* are purged forward; free/alloc events are
+        left alone (undoing frees is rollback-mode territory), which is
+        the source of the purge mode's rare semantic inconsistencies.
+        """
+        if self.forward_seqs_fn is None:
+            return
+        extra = {
+            dep for cand in cands for dep in self.forward_seqs_fn(cand)
+            if dep > cut and dep not in result.reverted_seqs
+        }
+        reverted = self.revert_each(extra)
+        result.reverted_seqs.extend(reverted)
+        for _ in reverted:
+            self.clock.advance(REVERT_COST)
+        if reverted:
+            yield Cut(cost=REVERT_COST * len(reverted))

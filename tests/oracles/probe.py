@@ -20,7 +20,8 @@ class SnapshotProbeEngine:
         self.baseline = take_snapshot(reverter.pool, reverter.allocator)
 
     def seek(self, k: int) -> List[int]:
-        """Move the pool to the state with groups[:k] applied."""
+        """Move the pool to the state with groups[:k] applied; the full
+        restore also wipes the last probe's re-execution writes."""
         restore_snapshot(self.r.pool, self.baseline, self.r.allocator)
         applied: List[int] = []
         for group in self.groups[:k]:
@@ -30,14 +31,8 @@ class SnapshotProbeEngine:
                     applied.append(s)
         return applied
 
-    def begin_reexec(self) -> None:
-        pass  # the next seek's full restore wipes any re-execution dirt
-
-    def end_reexec(self) -> None:
-        pass
-
     def abort(self) -> None:
         restore_snapshot(self.r.pool, self.baseline, self.r.allocator)
 
-    def finish(self) -> None:
+    def close(self) -> None:
         pass

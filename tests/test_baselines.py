@@ -21,7 +21,7 @@ class TestPmCRIU:
         assert criu.maybe_snapshot(0.0)
         assert not criu.maybe_snapshot(30.0)
         assert criu.maybe_snapshot(61.0)
-        assert criu.snapshot_count() == 2
+        assert len(criu.snapshots) == 2
 
     def test_mitigate_restores_newest_good_snapshot(self):
         pool, allocator = _stack()
