@@ -32,17 +32,6 @@ class FunctionCFG:
         self._ipdom: Optional[Dict[str, Optional[str]]] = None
 
     # ------------------------------------------------------------------
-    def reachable_blocks(self) -> Set[str]:
-        """Blocks reachable from the entry block."""
-        seen: Set[str] = set()
-        stack = [self.func.entry]
-        while stack:
-            label = stack.pop()
-            if label in seen:
-                continue
-            seen.add(label)
-            stack.extend(self.succs[label])
-        return seen
 
     # ------------------------------------------------------------------
     def immediate_postdominators(self) -> Dict[str, Optional[str]]:

@@ -41,11 +41,6 @@ class PMClassification:
         """True when the instruction creates or accesses persistent memory."""
         return iid in self.pm_instr_iids
 
-    def is_pm_register(self, func: str, reg: str) -> bool:
-        """True when the register may hold a persistent address."""
-        return (func, reg) in self.pm_registers
-
-
 def classify_pm(module: Module, points_to: PointsToResult) -> PMClassification:
     """Classify every register and instruction of a module."""
     result = PMClassification()

@@ -50,23 +50,6 @@ def _walk_backward(pdg: PDG, iid: int, max_nodes: Optional[int]) -> Set[int]:
     return seen
 
 
-def forward_slice(
-    pdg: PDG, iid: int, max_nodes: Optional[int] = None
-) -> Set[int]:
-    """All instructions ``iid`` may affect (purge-mode second pass)."""
-    seen: Set[int] = {iid}
-    stack = [iid]
-    while stack:
-        node = stack.pop()
-        for dep, _kind in pdg.dependents_of(node):
-            if dep not in seen:
-                seen.add(dep)
-                stack.append(dep)
-                if max_nodes is not None and len(seen) >= max_nodes:
-                    return seen
-    return seen
-
-
 def pm_slice(
     pdg: PDG,
     pm: PMClassification,

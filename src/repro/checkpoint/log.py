@@ -268,15 +268,6 @@ class CheckpointEntry:
         """The newest retained version (None for an empty entry)."""
         return self.versions[-1] if self.versions else None
 
-    def latest_before(self, seq: int) -> Optional[Version]:
-        """Latest version strictly older than ``seq``."""
-        best: Optional[Version] = None
-        for v in self.versions:
-            if v.seq < seq and (best is None or v.seq > best.seq):
-                best = v
-        return best
-
-
 class CheckpointLog:
     """All entries plus the sequence-ordered event stream."""
 

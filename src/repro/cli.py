@@ -7,8 +7,9 @@ Subcommands:
 * ``run`` — one (fault, solution) experiment with full reporting.
 * ``matrix`` — the recoverability row for one solution over every
   registered fault (``--jobs N`` fans cells out over a process pool).
-* ``matrix-all`` — the full fault x solution sweep in parallel, with
-  per-family recoverability and a JSON report under ``results/``.
+* ``matrix-all`` — the full fault x solution sweep in parallel
+  (``--jobs N``), with per-family recoverability and a JSON report
+  under ``results/``.
 * ``analyze`` — static-analysis statistics for one target system.
 * ``serve-bench`` — live-traffic p50/p99 during a mitigation,
   quarantine-scoped vs stop-the-world; exits non-zero when the p99
@@ -26,10 +27,12 @@ Subcommands:
   ``ShardManager.heal`` (detect, confirm, promote ... resync), print
   the verdict and the per-shard health table.
 
-The three sweeps share one flag set (``--seed --quick --out``, plus
-fuzz's ``--emit-registry``): ``--quick`` runs the CI subset and
-drift-checks it against the committed report at ``--out`` without
-writing; a full run writes ``--out``.
+The four sweeps (``matrix-all``, ``inject-sweep``, ``fuzz-sweep`` and
+``cluster-sweep``) share one flag set, ``--seed --quick --out``, plus
+the matrix's ``--jobs`` and fuzz's ``--emit-registry``.  Each
+drift-checks against the committed report at ``--out`` when there is
+one: ``--quick`` runs the CI subset, fails on drift and writes nothing;
+a full run prints the drift lines and rewrites ``--out``.
 """
 
 from __future__ import annotations
@@ -116,12 +119,6 @@ def _cmd_run(args) -> int:
     return 0 if (result.mitigation and result.mitigation.recovered) else 1
 
 
-def _progress_line(done: int, total: int, outcome) -> None:
-    status = "done" if outcome.ok else f"ERROR ({outcome.error['kind']})"
-    print(f"  [{done}/{total}] {outcome.spec.label()}: {status}",
-          file=sys.stderr)
-
-
 def _matrix_row(fid: str, outcome) -> List[object]:
     if not outcome.ok:
         return [fid, "ERR", "-", "-", "-"]
@@ -139,7 +136,11 @@ def _cmd_matrix(args) -> int:
     from repro.harness.matrix import expand_matrix, run_matrix
 
     specs = expand_matrix(solutions=[args.solution], seeds=[args.seed])
-    report = run_matrix(specs, jobs=args.jobs, progress=_progress_line)
+    report = run_matrix(
+        specs, jobs=args.jobs,
+        progress=lambda done, total, cell: print(
+            f"  [{done}/{total}] {cell.progress_line}", file=sys.stderr),
+    )
     by_key = report.by_key()
     rows = [
         _matrix_row(spec.fid, by_key[spec.key]) for spec in specs
@@ -151,75 +152,6 @@ def _cmd_matrix(args) -> int:
         ["fault", "recovered", "attempts", "discarded", "consistent"],
         rows,
     ))
-    return 0 if report.n_errors == 0 else 1
-
-
-def _cmd_matrix_all(args) -> int:
-    from repro.harness.matrix import expand_matrix, run_matrix
-    from repro.harness.sweep import write_report
-
-    specs = expand_matrix(seeds=range(args.seeds))
-    report = run_matrix(specs, jobs=args.jobs, progress=_progress_line)
-    from repro.faults.registry import scenario_by_id
-
-    def _recovered(c) -> bool:
-        return bool(
-            c.ok and c.result().mitigation is not None
-            and c.result().mitigation.recovered
-        )
-
-    rows = []
-    for solution in SOLUTIONS:
-        cells = [c for c in report.cells if c.spec.solution == solution]
-        recovered = sum(1 for c in cells if _recovered(c))
-        errors = sum(1 for c in cells if not c.ok)
-        rows.append([solution, len(cells), recovered, errors])
-    print(render_table(
-        f"Full matrix sweep ({args.seeds} seed(s), {report.jobs} "
-        f"worker(s), {report.wall_seconds:.1f}s wall)",
-        ["solution", "cells", "recovered", "errors"],
-        rows,
-    ))
-    # per-family recoverability: the seeded table2 row vs the
-    # fuzzer-discovered families, per solution
-    families: List[str] = []
-    for cell in report.cells:
-        fam = scenario_by_id(cell.spec.fid).family
-        if fam not in families:
-            families.append(fam)
-    family_rows = []
-    family_json: dict = {}
-    for family in families:
-        fam_cells = [
-            c for c in report.cells
-            if scenario_by_id(c.spec.fid).family == family
-        ]
-        fids = sorted({c.spec.fid for c in fam_cells},
-                      key=lambda f: int(f[1:]))
-        row: List[object] = [family, len(fids)]
-        family_json[family] = {"faults": fids, "solutions": {}}
-        for solution in SOLUTIONS:
-            cells = [c for c in fam_cells if c.spec.solution == solution]
-            recovered = sum(1 for c in cells if _recovered(c))
-            row.append(f"{recovered}/{len(cells)}")
-            family_json[family]["solutions"][solution] = {
-                "cells": len(cells), "recovered": recovered,
-            }
-        family_rows.append(row)
-    print()
-    print(render_table(
-        "Recoverability by fault family (recovered/cells)",
-        ["family", "faults"] + list(SOLUTIONS),
-        family_rows,
-    ))
-    write_report({
-        "config": {
-            "seeds": args.seeds,
-            "jobs": report.jobs,
-        },
-        "families": family_json,
-        "report": report.to_json(),
-    }, args.out)
     return 0 if report.n_errors == 0 else 1
 
 
@@ -286,23 +218,37 @@ def _cmd_serve_bench(args) -> int:
     return 0
 
 
-def _run_sweep(args):
-    """The sweep subcommands' shared path: the module named after the
-    subcommand runs its cells; the sweep core drift-checks or writes."""
+#: the sweep subcommands and the harness module that runs each
+_SWEEPS = {
+    "matrix-all": "matrix",
+    "inject-sweep": "inject_sweep",
+    "fuzz-sweep": "fuzz_sweep",
+    "cluster-sweep": "cluster_sweep",
+}
+
+
+def _run_sweep(args, **options):
+    """The sweep subcommands' shared path: the sweep's module runs its
+    cells; the sweep core drift-checks and writes."""
     from importlib import import_module
 
     from repro.harness.sweep import conclude
 
-    sweep = import_module("repro.harness." + args.command.replace("-", "_"))
+    sweep = import_module("repro.harness." + _SWEEPS[args.command])
     report = sweep.run_sweep(
         seed=args.seed, quick=args.quick,
         progress=lambda rec: print(f"  {rec.progress_line}", file=sys.stderr),
+        **options,
     )
     return report, conclude(report, sweep.DRIFT, args.out, args.quick)
 
 
 def _cmd_sweep(args) -> int:
     return _run_sweep(args)[1]
+
+
+def _cmd_matrix_sweep(args) -> int:
+    return _run_sweep(args, jobs=args.jobs)[1]
 
 
 def _cmd_fuzz_sweep(args) -> int:
@@ -384,19 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="worker processes (default: CPU count; "
                                "1 = exact serial path)")
 
-    matrix_all_p = sub.add_parser(
-        "matrix-all",
-        help="the full fault x solution sweep over a process pool, "
-             "with per-family recoverability",
-    )
-    matrix_all_p.add_argument("--seeds", type=int, default=1,
-                              help="run seeds 0..K-1 per cell (default 1)")
-    matrix_all_p.add_argument("--jobs", type=int, default=None,
-                              help="worker processes (default: CPU count; "
-                                   "1 = exact serial path)")
-    matrix_all_p.add_argument("--out", default="results/matrix_all.json",
-                              help="JSON report path ('-' to skip writing)")
-
     analyze_p = sub.add_parser("analyze", help="static-analysis statistics")
     analyze_p.add_argument("--system", required=True,
                            choices=["memcached", "redis", "cceh",
@@ -429,9 +362,20 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"{quick} (CI mode): drift-check it against "
                             f"the committed report at --out, write nothing")
         p.add_argument("--out", default=committed,
-                       help="JSON report path ('-' to skip writing)")
+                       help="JSON report path ('-' to skip writing); a "
+                            "full run drift-checks against it, then "
+                            "rewrites it")
         return p
 
+    matrix_all_p = sweep_parser(
+        "matrix-all",
+        "the full fault x solution sweep over a process pool, "
+        "with per-family recoverability",
+        seed=0, quick="f4, f17 and f21 under every solution",
+    )
+    matrix_all_p.add_argument("--jobs", type=int, default=None,
+                              help="worker processes (default: CPU count; "
+                                   "1 = exact serial path)")
     sweep_parser(
         "inject-sweep",
         "inject a fault at every enumerable recovery-pipeline site "
@@ -475,7 +419,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "study": _cmd_study,
         "run": _cmd_run,
         "matrix": _cmd_matrix,
-        "matrix-all": _cmd_matrix_all,
+        "matrix-all": _cmd_matrix_sweep,
         "analyze": _cmd_analyze,
         "serve-bench": _cmd_serve_bench,
         "inject-sweep": _cmd_sweep,

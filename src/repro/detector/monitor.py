@@ -107,7 +107,3 @@ class Detector:
         """True when a similar failure was seen before (recurs on retry)."""
         earlier = [s for s in self.history if s is not signature]
         return any(signatures_similar(signature, s) for s in earlier)
-
-    def last_signature(self) -> Optional[FailureSignature]:
-        """The most recently recorded failure signature, if any."""
-        return self.history[-1] if self.history else None

@@ -44,21 +44,6 @@ def signatures_similar(a: FailureSignature, b: FailureSignature) -> bool:
     Failure *kind* plays the role of the exit code; a matching kind makes
     two failures similar.  The heuristic is deliberately permissive —
     false alarms cost nothing because the reactor prunes them (an empty
-    reversion plan leads to a plain restart).  Matching fault site or
-    innermost stack frame marks the signatures as strongly similar, which
-    callers may additionally inspect.
+    reversion plan leads to a plain restart).
     """
     return a.kind == b.kind
-
-
-def signatures_strongly_similar(a: FailureSignature, b: FailureSignature) -> bool:
-    """Same kind *and* matching fault instruction, location or stack top."""
-    if a.kind != b.kind:
-        return False
-    if a.fault_iid == b.fault_iid and a.fault_iid >= 0:
-        return True
-    if a.location == b.location:
-        return True
-    return bool(
-        a.stack_funcs and b.stack_funcs and a.stack_funcs[-1] == b.stack_funcs[-1]
-    )

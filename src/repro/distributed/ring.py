@@ -73,13 +73,6 @@ class HashRing:
             insort(self._points, (point, node_id))
         self._build_table()
 
-    def remove_node(self, node_id: int) -> None:
-        self._nodes.discard(node_id)
-        self.down.discard(node_id)
-        self.demoted.discard(node_id)
-        self._points = [(p, n) for (p, n) in self._points if n != node_id]
-        self._build_table()
-
     def _build_table(self) -> None:
         points = self._points
         n, want = len(points), len(self._nodes)
@@ -111,9 +104,6 @@ class HashRing:
 
     def demote(self, node_id: int) -> None:
         self.demoted.add(node_id)
-
-    def undemote(self, node_id: int) -> None:
-        self.demoted.discard(node_id)
 
     def is_down(self, node_id: int) -> bool:
         return node_id in self.down

@@ -48,9 +48,9 @@ shipping round must re-apply idempotently when the serving client
 retries it.
 
 Digests are compared across the two in-process runs; the committed
-report (``results/cluster_sweep.json``) records the stable per-cell
-outcome contract, and ``python -m repro cluster-sweep --quick`` re-runs
-the quick subset and drift-checks it against the committed cells
+report (``results/cluster_sweep.json``) records every cell, and
+``python -m repro cluster-sweep --quick`` re-runs the quick subset and
+drift-checks each of its cells, whole, against the committed one
 through the shared sweep core (:mod:`repro.harness.sweep`).
 """
 
@@ -103,14 +103,6 @@ QUICK_CRASH_CELLS: Tuple[Tuple[str, int], ...] = (
     # every full shipping round ends in a stream truncation
     ("cluster.ship_delta", 1),
     ("cluster.compact", 1),
-)
-
-
-#: the per-cell outcome fields the drift check compares
-CONTRACT_FIELDS = (
-    "manifested", "confirmed_hard", "promoted", "recovered", "recovered_by",
-    "crash_retries", "discarded_ops", "cascaded_ops", "resync_replayed",
-    "demoted", "digests_match", "causal_cut_ok", "serving_ok",
 )
 
 
@@ -195,10 +187,6 @@ class CellOutcome:
     def progress_line(self) -> str:
         return f"{self.cell_key}: {'converged' if self.converged else 'FAILED'}"
 
-    def contract(self) -> Dict[str, object]:
-        """The drift-stable fields the quick drift check compares."""
-        return {f: getattr(self, f) for f in CONTRACT_FIELDS}
-
     def to_json(self) -> Dict[str, object]:
         out = {
             "cell": self.cell_key,
@@ -208,12 +196,24 @@ class CellOutcome:
             "target": self.target,
             "site": self.site,
             "seed": self.seed,
+            "manifested": self.manifested,
+            "confirmed_hard": self.confirmed_hard,
+            "promoted": self.promoted,
+            "recovered": self.recovered,
+            "recovered_by": self.recovered_by,
+            "crash_retries": self.crash_retries,
+            "discarded_ops": self.discarded_ops,
+            "cascaded_ops": self.cascaded_ops,
             "cascade_rounds": self.cascade_rounds,
+            "resync_replayed": self.resync_replayed,
+            "demoted": self.demoted,
             "health_score": self.health_score,
             "digests": list(self.digests),
+            "digests_match": self.digests_match,
+            "causal_cut_ok": self.causal_cut_ok,
+            "serving_ok": self.serving_ok,
             "converged": self.converged,
         }
-        out.update(self.contract())
         if self.notes:
             out["notes"] = self.notes
         return out
@@ -240,7 +240,6 @@ class ClusterSweepReport:
             "sweep_seed": self.sweep_seed,
             "n_nodes": self.n_nodes,
             "replication": self.replication,
-            "wall_seconds": round(self.wall_seconds, 2),
             "cells_total": len(self.cells),
             "cells_manifested": len(manifested),
             "cells_recovered": sum(1 for c in manifested if c.recovered),
@@ -277,10 +276,9 @@ class ClusterSweepReport:
 DRIFT = DriftRule(
     identity=("sweep_seed", "n_nodes", "replication"),
     scope=lambda report: [c["cell"] for c in report["cells"]],
-    contracts=lambda report: {
-        c["cell"]: {f: c.get(f) for f in CONTRACT_FIELDS}
-        for c in report["cells"]
-    },
+    # a quick cell is the same run as its full cell, so the contract is
+    # the whole cell record
+    contracts=lambda report: {c["cell"]: c for c in report["cells"]},
 )
 
 

@@ -120,7 +120,6 @@ class MitigationRun:
     plan_candidates: int = 0
     slice_size: int = 0
     pm_slice_size: int = 0
-    slicing_seconds: float = 0.0
     leaked_blocks: int = 0
     timed_out: bool = False
     notes: str = ""
@@ -131,15 +130,12 @@ class MitigationRun:
     #: the degradation-ladder account (rungs, crash retries,
     #: post-recovery verification)
     ladder: dict = field(default_factory=dict)
-    #: reactor-server accounting: background PDG precompute cost and
-    #: plan requests served — the paper accounts analysis time outside
-    #: mitigation latency, so it is surfaced next to slicing_seconds
-    #: instead of being folded into duration_seconds
-    analysis_seconds: float = 0.0
+    #: plan requests the reactor server answered
     reactor_requests: int = 0
-    #: checkpoint sequence numbers the reverter-based rungs reverted —
-    #: the distributed coordinator's damage-assessment input (it maps
-    #: them through the cluster oplog to discarded client ops)
+    #: checkpoint sequence numbers the reverter-based rungs reverted,
+    #: sorted and distinct — the distributed coordinator's
+    #: damage-assessment input (it maps them through the cluster oplog
+    #: to discarded client ops)
     reverted_seqs: List[int] = field(default_factory=list)
     #: True when recovery came from a whole-pool snapshot restore: the
     #: revert set is then not seq-addressable and damage assessment
@@ -150,7 +146,9 @@ class MitigationRun:
         """Copy one reverter or baseline result into the run."""
         self.attempts += mres.attempts
         self.reverted_updates += mres.discarded_updates
-        self.reverted_seqs.extend(mres.reverted_seqs)
+        self.reverted_seqs = sorted(
+            set(self.reverted_seqs).union(mres.reverted_seqs)
+        )
         self.recovered = mres.recovered
         self.timed_out = mres.timed_out
         self.notes = mres.notes
@@ -479,8 +477,6 @@ def _make_rounds_runner(
             run.plan_candidates = max(run.plan_candidates, len(plan.candidates))
             run.slice_size = max(run.slice_size, plan.slice_size)
             run.pm_slice_size = max(run.pm_slice_size, plan.pm_slice_size)
-            run.slicing_seconds += plan.slicing_seconds
-            run.analysis_seconds = server.analysis_seconds
             run.reactor_requests = server.requests_served
             if mres.recovered:
                 return

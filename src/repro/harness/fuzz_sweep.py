@@ -33,8 +33,7 @@ column) with randomized site x kind x occurrence plans:
 
 ``python -m repro fuzz-sweep`` drives this through the shared sweep core
 (:mod:`repro.harness.sweep`); ``--quick`` runs the first 10 trials per
-system and drift-checks them against the committed report (CI drift
-contract).
+system and fails when they drift from the committed report.
 """
 
 from __future__ import annotations
@@ -180,7 +179,6 @@ class FuzzReport:
             "trials_per_system": self.trials_per_system,
             "max_per_system": MAX_PER_SYSTEM,
             "probes": sum(row.probes for row in self.systems),
-            "wall_seconds": round(self.wall_seconds, 2),
             "systems": {row.system: row.to_json() for row in self.systems},
             "discovered": len(self.discoveries),
             "by_family": {k: by_family[k] for k in sorted(by_family)},

@@ -20,9 +20,9 @@ proves it by enumeration:
 
 ``python -m repro inject-sweep`` drives this through the shared sweep
 core (:mod:`repro.harness.sweep`) and exits non-zero unless every cell
-verifies; ``--quick`` (occurrence 1 of each site × kind, a subset of the
-full sweep's cells) also drift-checks each cell's contract against the
-committed report — the CI contract for the recovery pipeline.
+verifies; both modes drift-check each cell's contract against the
+committed report, and ``--quick`` (occurrence 1 of each site × kind, a
+subset of the full sweep's cells) also fails on drift.
 """
 
 from __future__ import annotations
@@ -172,7 +172,6 @@ class SweepReport:
             "verified_consistent": self.n_verified,
             "recovery_success_rate_pct": round(self.success_rate, 2),
             "mean_recovery_seconds": round(self.mean_recovery_seconds, 3),
-            "wall_seconds": round(self.wall_seconds, 2),
             "failures": [c.to_json() for c in self.failures()],
         }
 

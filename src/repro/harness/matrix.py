@@ -15,7 +15,12 @@ them out over a :class:`concurrent.futures.ProcessPoolExecutor`:
   :class:`~repro.harness.experiment.ExperimentResult` through a plain
   JSON-compatible dict, the only payload that crosses the process
   boundary (and the format persisted under ``results/``, following the
-  JSON-artifact convention of :mod:`repro.instrument.artifacts`).
+  JSON-artifact convention of :mod:`repro.instrument.artifacts`);
+* :func:`run_sweep`, :data:`DRIFT` and :class:`MatrixSweep` make
+  ``matrix-all`` one of the sweeps of :mod:`repro.harness.sweep`: the
+  full 24 x 5 matrix at one seed, written to
+  ``results/matrix_all.json``, or (``--quick``) the
+  :data:`QUICK_FIDS` x 5 slice drift-checked against it.
 
 Failure handling: a cell that raises inside a worker produces a per-cell
 *error record* instead of aborting the sweep; a worker process dying
@@ -25,11 +30,11 @@ cells once (:data:`MAX_WORKER_CRASH_RETRIES`) before recording
 step budget already turns a hung guest into a ``HangTrap``.  Progress is
 reported incrementally as futures complete.
 
-Determinism: ``run_experiment`` depends only on the cell spec, so the
-parallel sweep must produce summary-*equal* cells to the serial loop at
-every seed — modulo the few fields that record measured wall-clock time
-(the slicer times itself; :func:`comparable_summary` zeroes them for
-comparison).  ``tests/test_matrix_parallel.py`` enforces exactly that.
+Determinism: ``run_experiment`` depends only on the cell spec, and no
+summary field holds measured time, so the parallel sweep produces
+cells equal to the serial loop's at every seed, and a report's JSON is
+the same at any ``jobs``.  ``tests/test_matrix_parallel.py`` enforces
+exactly that.
 """
 
 from __future__ import annotations
@@ -49,7 +54,9 @@ from repro.harness.experiment import (
     MitigationRun,
     run_experiment,
 )
-from repro.faults.registry import ALL_SCENARIOS
+from repro.faults.registry import ALL_SCENARIOS, scenario_by_id
+from repro.harness.report import render_table
+from repro.harness.sweep import DriftRule
 from repro.lang.interp import FaultInfo
 
 #: matrix axes: the paper's Section 6.1 evaluation (f1–f12) plus every
@@ -64,6 +71,12 @@ _NESTED_FIELDS = ("detection_fault", "mitigation")
 #: resubmissions of an unfinished cell after worker death before it is
 #: recorded as a ``worker-crash``
 MAX_WORKER_CRASH_RETRIES = 1
+
+#: ``matrix-all --quick``: these faults under every solution.  f4
+#: covers primary-rung recovery and bisect, f17 purge falling back to
+#: rollback under ``arthas`` and the ``arckpt`` timeout, and f21 is the
+#: cheapest cell
+QUICK_FIDS = ("f4", "f17", "f21")
 
 
 # ----------------------------------------------------------------------
@@ -147,37 +160,6 @@ def summarize_result(result: ExperimentResult) -> Dict[str, object]:
     return out
 
 
-#: summary fields that record *measured wall-clock* time — the slicer
-#: times itself with a real clock (`ReversionPlan.slicing_seconds`), so
-#: two runs of the same cell agree on every field except these.
-#: (`duration_seconds` is the *simulated* clock and stays deterministic.)
-_WALL_CLOCK_FIELDS: Tuple[Tuple[str, str], ...] = (
-    ("mitigation", "slicing_seconds"),
-    ("mitigation", "analysis_seconds"),
-)
-
-
-def comparable_summary(
-    summary: Optional[Dict[str, object]],
-) -> Optional[Dict[str, object]]:
-    """*summary* with measured wall-clock fields zeroed (a copy).
-
-    A cell is a deterministic function of ``(fault, solution, seed)``
-    **except** for fields holding real elapsed time; serial-vs-parallel
-    equality checks must compare through this canonical form.
-    """
-    if summary is None:
-        return None
-    out = dict(summary)
-    for parent, leaf in _WALL_CLOCK_FIELDS:
-        nested = out.get(parent)
-        if isinstance(nested, dict) and leaf in nested:
-            nested = dict(nested)
-            nested[leaf] = 0.0
-            out[parent] = nested
-    return out
-
-
 def result_from_summary(summary: Dict[str, object]) -> ExperimentResult:
     """Rebuild the :class:`ExperimentResult` a summary dict came from."""
     data = dict(summary)
@@ -203,14 +185,9 @@ def _run_cell_payload(key: Tuple[str, str, int]) -> Dict[str, object]:
     surfaces at the pool level.
     """
     fid, solution, seed = key
-    start = time.perf_counter()
     try:
         result = run_experiment(fid, solution, seed=seed)
-        return {
-            "status": "ok",
-            "summary": summarize_result(result),
-            "seconds": time.perf_counter() - start,
-        }
+        return {"status": "ok", "summary": summarize_result(result)}
     except Exception as exc:
         return {
             "status": "error",
@@ -220,7 +197,6 @@ def _run_cell_payload(key: Tuple[str, str, int]) -> Dict[str, object]:
                 "message": str(exc),
                 "traceback": traceback.format_exc(),
             },
-            "seconds": time.perf_counter() - start,
         }
 
 
@@ -234,12 +210,23 @@ class CellOutcome:
     spec: CellSpec
     summary: Optional[Dict[str, object]] = None
     error: Optional[Dict[str, object]] = None
-    seconds: float = 0.0
     attempts: int = 1
 
     @property
     def ok(self) -> bool:
         return self.summary is not None
+
+    @property
+    def recovered(self) -> bool:
+        return bool(
+            self.ok and self.summary["mitigation"] is not None
+            and self.summary["mitigation"]["recovered"]
+        )
+
+    @property
+    def progress_line(self) -> str:
+        status = "done" if self.ok else f"ERROR ({self.error['kind']})"
+        return f"{self.spec.label()}: {status}"
 
     def result(self) -> ExperimentResult:
         """The rebuilt :class:`ExperimentResult` (raises on error cells)."""
@@ -257,7 +244,6 @@ class CellOutcome:
             "ok": self.ok,
             "summary": self.summary,
             "error": self.error,
-            "seconds": self.seconds,
             "attempts": self.attempts,
         }
 
@@ -287,8 +273,6 @@ class MatrixReport:
 
     def to_json(self) -> Dict[str, object]:
         return {
-            "jobs": self.jobs,
-            "wall_seconds": self.wall_seconds,
             "n_cells": len(self.cells),
             "n_ok": self.n_ok,
             "n_errors": self.n_errors,
@@ -351,7 +335,6 @@ def _outcome_from_payload(
         spec=spec,
         summary=payload.get("summary") if payload["status"] == "ok" else None,
         error=payload.get("error") if payload["status"] != "ok" else None,
-        seconds=float(payload.get("seconds", 0.0)),
         attempts=attempts,
     )
 
@@ -450,3 +433,109 @@ def _run_pooled(
                 },
                 attempts=attempts[i],
             ))
+
+
+# ----------------------------------------------------------------------
+# matrix-all: the matrix as one of the seeded sweeps
+# ----------------------------------------------------------------------
+@dataclass
+class MatrixSweep:
+    """``matrix-all``'s report: the fault x solution matrix at one seed,
+    with per-family recoverability."""
+
+    seed: int
+    matrix: MatrixReport
+
+    @property
+    def passed(self) -> bool:
+        """The sweep's verdict: no cell errored."""
+        return self.matrix.n_errors == 0
+
+    def families(self) -> Dict[str, dict]:
+        """Recoverability per fault family and solution, families in
+        the order their first cell appears."""
+        out: Dict[str, dict] = {}
+        for cell in self.matrix.cells:
+            family = out.setdefault(
+                scenario_by_id(cell.spec.fid).family,
+                {"faults": set(), "solutions": {}},
+            )
+            family["faults"].add(cell.spec.fid)
+            row = family["solutions"].setdefault(
+                cell.spec.solution, {"cells": 0, "recovered": 0}
+            )
+            row["cells"] += 1
+            row["recovered"] += cell.recovered
+        for family in out.values():
+            family["faults"] = sorted(family["faults"], key=lambda f: int(f[1:]))
+        return out
+
+    def to_json(self) -> Dict[str, object]:
+        return {
+            "config": {"seed": self.seed},
+            "families": self.families(),
+            "report": self.matrix.to_json(),
+        }
+
+    def summary(self) -> str:
+        cells = self.matrix.cells
+        solutions = [s for s in ALL_SOLUTIONS
+                     if any(c.spec.solution == s for c in cells)]
+        rows = []
+        for solution in solutions:
+            mine = [c for c in cells if c.spec.solution == solution]
+            rows.append([solution, len(mine), sum(c.recovered for c in mine),
+                         sum(not c.ok for c in mine)])
+        family_rows = [
+            [name, len(family["faults"])] + [
+                f"{family['solutions'][s]['recovered']}/"
+                f"{family['solutions'][s]['cells']}"
+                for s in solutions
+            ]
+            for name, family in self.families().items()
+        ]
+        return "\n\n".join([
+            render_table(
+                f"Matrix sweep (seed {self.seed}, {len(cells)} cells, "
+                f"{self.matrix.jobs} worker(s), "
+                f"{self.matrix.wall_seconds:.1f}s wall)",
+                ["solution", "cells", "recovered", "errors"],
+                rows,
+            ),
+            render_table(
+                "Recoverability by fault family (recovered/cells)",
+                ["family", "faults"] + solutions,
+                family_rows,
+            ),
+        ])
+
+
+def _cells_by_label(report: dict) -> Dict[str, dict]:
+    return {
+        f"{c['fid']}/{c['solution']}@{c['seed']}": c
+        for c in report["report"]["cells"]
+    }
+
+
+DRIFT = DriftRule(
+    identity=("config",),
+    scope=lambda report: list(_cells_by_label(report)),
+    contracts=_cells_by_label,
+)
+
+
+def run_sweep(
+    seed: int = 0,
+    quick: bool = False,
+    progress: Optional[Callable[[CellOutcome], None]] = None,
+    jobs: Optional[int] = None,
+) -> MatrixSweep:
+    """Every registered fault under every solution at ``seed``
+    (``quick``: the :data:`QUICK_FIDS` rows only)."""
+    specs = expand_matrix(fids=QUICK_FIDS if quick else None, seeds=[seed])
+    report = run_matrix(
+        specs, jobs=jobs,
+        progress=None if progress is None
+        else lambda _done, _total, cell: progress(cell),
+    )
+    return MatrixSweep(seed=seed, matrix=report)

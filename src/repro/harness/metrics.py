@@ -22,17 +22,6 @@ def median(values: Sequence[float]) -> float:
     return (vals[mid - 1] + vals[mid]) / 2.0
 
 
-def geo_mean(values: Sequence[float]) -> float:
-    """Geometric mean over the positive values."""
-    vals = [v for v in values if v > 0]
-    if not vals:
-        return 0.0
-    product = 1.0
-    for v in vals:
-        product *= v
-    return product ** (1.0 / len(vals))
-
-
 def fraction(hits: int, total: int) -> str:
     """Render a success fraction the way the paper's tables do."""
     if total <= 0:
@@ -42,8 +31,3 @@ def fraction(hits: int, total: int) -> str:
     if hits == 0:
         return "N"
     return f"{hits}/{total}"
-
-
-def pct(value: float, digits: int = 1) -> str:
-    """Format a percentage with the given precision."""
-    return f"{value:.{digits}f}%"

@@ -1,19 +1,25 @@
-"""The one core behind the seeded sweeps.
+"""The one core behind the seeded sweeps and the committed reports.
 
-``inject-sweep``, ``fuzz-sweep`` and ``cluster-sweep`` share one
-skeleton: seeded cells → run → verdict → report → drift check.  Each
-sweep module keeps only what is its own — a cell enumerator for
-``(seed, quick)``, a cell function, a cell record and its summary lines
-(a report with ``to_json()``, ``summary()`` and a ``passed`` verdict) —
-plus a :class:`DriftRule` over its report JSON.  This module owns the
-rest, without knowing which sweep it serves:
+``matrix-all``, ``inject-sweep``, ``fuzz-sweep`` and ``cluster-sweep``
+share one skeleton: seeded cells → run → verdict → report → drift
+check.  Each sweep module keeps only what is its own — a cell
+enumerator for ``(seed, quick)``, a cell function, a cell record and
+its summary lines (a report with ``to_json()``, ``summary()`` and a
+``passed`` verdict) — plus a :class:`DriftRule` over its report JSON.
+This module owns the rest, without knowing which sweep it serves:
 
 * :func:`run_cells` — the timed cell loop;
 * :func:`write_report` — the one ``results/*.json`` writer (indent 2,
   sorted keys, trailing newline; ``-`` skips writing), which
-  ``matrix-all`` and ``serve-bench`` use too;
+  ``serve-bench`` uses too;
 * :func:`check_against` — the drift rule;
 * :func:`conclude` — the subcommands' shared tail and exit code.
+
+**No measured time in a report.**  A report's JSON is a pure function
+of the code and its seed: wall-clock seconds go to the summary lines,
+never into ``to_json()``.  So a full run regenerates its committed
+report byte-identical, and ``git diff --exit-code results/`` after the
+four full runs is the drift check CI runs.
 
 **The drift rule.**  A sweep names its *identity* (top-level report
 fields that must match exactly) and supplies two pure functions of its
@@ -21,13 +27,14 @@ report JSON, applied alike to the fresh report and the committed one:
 *scope* (the cell keys the fresh run covered) and *contracts* (each
 cell's deterministic outcome fields, by cell key).  A check fails when an
 identity field differs, or when, for some key in the fresh scope, the
-committed contract differs from the fresh one.  A key absent on one
-side counts as "no cell", so a vanished cell and a new one are both
-flagged.
+committed contract differs from the fresh one; nested fields are named
+with dots (``summary.mitigation.attempts``).  A key absent on one side
+counts as "no cell", so a vanished cell and a new one are both flagged.
 
-``--quick`` runs the CI subset and drift-checks it against the
-committed report at ``--out``; it writes nothing.  A full run writes
-``--out``, and ``git diff results/`` is its drift check.
+Both modes drift-check against the report at ``--out`` when one exists.
+``--quick`` runs the CI subset, fails on drift and writes nothing.  A
+full run prints the same drift lines, then rewrites ``--out``; its exit
+code is the sweep's own verdict.
 """
 
 from __future__ import annotations
@@ -88,6 +95,7 @@ def check_against(fresh: dict, committed: dict, rule: DriftRule) -> List[str]:
             side = "committed report" if old is None else "fresh run"
             problems.append(f"cell {key} missing from {side}")
             continue
+        old, new = _flat(old), _flat(new)
         problems.extend(
             f"cell {key} drifted on {field}: committed "
             f"{old.get(field)!r} vs {new.get(field)!r}"
@@ -95,6 +103,17 @@ def check_against(fresh: dict, committed: dict, rule: DriftRule) -> List[str]:
             if old.get(field) != new.get(field)
         )
     return problems
+
+
+def _flat(record: dict, prefix: str = "") -> dict:
+    """``record`` with nested dicts flattened to dotted field names."""
+    out = {}
+    for name, value in record.items():
+        if isinstance(value, dict) and value:
+            out.update(_flat(value, f"{prefix}{name}."))
+        else:
+            out[prefix + name] = value
+    return out
 
 
 def write_report(payload: dict, out: str) -> None:
@@ -108,27 +127,27 @@ def write_report(payload: dict, out: str) -> None:
     print(f"wrote {out}", file=sys.stderr)
 
 
-def _drift(payload: dict, out: str, rule: DriftRule) -> List[str]:
-    if not os.path.exists(out):
-        return [f"no committed report at {out}"]
-    with open(out) as f:
-        return check_against(payload, json.load(f), rule)
-
-
 def conclude(report, rule: DriftRule, out: str, quick: bool) -> int:
-    """Print the summary, then drift-check (quick) or write (full).
+    """Print the summary, drift-check against the report at ``out``
+    when there is one, then write ``out`` (full runs only).
 
     Exit code 0 only when the sweep's own verdict (``report.passed``)
-    holds and a quick run found no drift against the report at ``out``.
+    holds and, for a quick run, a committed report exists and shows no
+    drift.
     """
     print(report.summary())
     payload = report.to_json()
-    if not quick:
-        write_report(payload, out)
-        return 0 if report.passed else 1
-    problems = _drift(payload, out, rule)
+    problems: List[str] = []
+    if out != "-" and os.path.exists(out):
+        with open(out) as f:
+            problems = check_against(payload, json.load(f), rule)
+        if not problems:
+            print(f"drift check: no drift against {out}", file=sys.stderr)
+    elif quick:
+        problems = [f"no committed report at {out}"]
     for p in problems:
         print(f"drift check: {p}", file=sys.stderr)
-    if not problems:
-        print(f"drift check: quick sweep matches {out}", file=sys.stderr)
-    return 0 if report.passed and not problems else 1
+    if quick:
+        return 0 if report.passed and not problems else 1
+    write_report(payload, out)
+    return 0 if report.passed else 1

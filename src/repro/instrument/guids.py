@@ -77,11 +77,6 @@ class GuidMap:
         """GUID assigned to an instruction id (None if not instrumented)."""
         return self._by_iid.get(iid)
 
-    def iid_of(self, guid: str) -> Optional[int]:
-        """Instruction id a GUID names (None for unknown GUIDs)."""
-        entry = self._by_guid.get(guid)
-        return entry.iid if entry else None
-
     def entry(self, guid: str) -> Optional[GuidEntry]:
         """Full metadata record for a GUID."""
         return self._by_guid.get(guid)

@@ -75,10 +75,3 @@ def _covered_geps(
             else:
                 readers[reg] = None
     return [(geps[reg], users) for reg, users in readers.items() if users]
-
-
-def uninstrument_module(module: Module) -> None:
-    """Strip GUIDs (used to measure vanilla-vs-instrumented overhead)."""
-    for instr in module.instructions():
-        instr.guid = None
-    _invalidate_fused(module)

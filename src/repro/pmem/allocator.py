@@ -262,13 +262,6 @@ class PMAllocator:
         """True when ``addr`` is the start of a live block."""
         return addr in self._allocations
 
-    def size_of(self, addr: int) -> int:
-        """Size in words of the live block starting at ``addr``."""
-        try:
-            return self._allocations[addr]
-        except KeyError:
-            raise AllocationError(f"{addr:#x} is not an allocation start") from None
-
     def block_containing(self, addr: int) -> Optional[Tuple[int, int]]:
         """Return (start, nwords) of the live block containing ``addr``."""
         for start, nwords in self._allocations.items():
@@ -279,10 +272,6 @@ class PMAllocator:
     def allocations(self) -> Dict[int, int]:
         """A copy of the live allocation map (addr -> nwords)."""
         return dict(self._allocations)
-
-    def site_of(self, addr: int) -> Optional[str]:
-        """Provenance tag recorded at allocation (e.g. a trace GUID)."""
-        return self._sites.get(addr)
 
     def used_words(self) -> int:
         """Words currently allocated."""

@@ -21,7 +21,7 @@ program chose, which is what makes rollback consistent (Section 4.6).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro import faultinject
 from repro.errors import InjectedCrash, PoolError
@@ -130,13 +130,6 @@ class PMPool:
             cache[a] if a in cache else durable.get(a, 0)
             for a in range(addr, addr + nwords)
         ]
-
-    def write_range(self, addr: int, values: Iterable[int]) -> None:
-        """Store consecutive words starting at ``addr``."""
-        values = list(values)
-        self._check(addr, len(values))
-        for i, v in enumerate(values):
-            self.write(addr + i, v)
 
     def durable_read(self, addr: int) -> int:
         """Read the *durable* value of a word (what a crash would keep)."""
@@ -262,10 +255,6 @@ class PMPool:
         self._staged_lines.clear()
         self._pending_ranges.clear()
 
-    def dirty_words(self) -> int:
-        """Number of words sitting in the write buffer (would be lost)."""
-        return len(self._cache)
-
     def durable_write(self, addr: int, value: int) -> None:
         """Write directly to durable storage, bypassing the write buffer.
 
@@ -375,10 +364,6 @@ class PMPool:
         self._epoch_next += 1
         self._epoch_preimages[token] = {}
         return token
-
-    def epoch_dirty_words(self, token: int) -> int:
-        """Number of distinct durable words mutated since the epoch opened."""
-        return len(self._epoch_preimages[token])
 
     def epoch_undo(self, token: int, close: bool = True) -> int:
         """Rewrite the epoch's dirty words back to their pre-images.

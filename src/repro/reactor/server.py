@@ -900,8 +900,8 @@ class LiveRecoveryServer:
                 "attempts": sum(r.attempts for r in runs),
                 "sim_seconds": sum(r.duration_seconds for r in runs),
                 "wall_seconds": sum(e - s for s, e in self._windows),
-                "analysis_seconds": max(
-                    (r.analysis_seconds for r in runs), default=0.0
+                "analysis_seconds": (
+                    self.reactor.analysis_seconds if runs else 0.0
                 ),
                 "reactor_requests": max(
                     (r.reactor_requests for r in runs), default=0

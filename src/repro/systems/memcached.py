@@ -449,9 +449,6 @@ class MemcachedAdapter(SystemAdapter):
     def touch(self, key: int, when: int) -> int:
         return self.call("mc_touch", self.root, key, when)
 
-    def cas(self, key: int, expected: int, value: int) -> int:
-        return self.call("mc_cas", self.root, key, expected, value)
-
     def append(self, key: int, nwords: int, value: int) -> int:
         return self.call("mc_append", self.root, key, nwords, value)
 

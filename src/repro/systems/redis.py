@@ -510,9 +510,6 @@ class RedisAdapter(SystemAdapter):
     def exists(self, key: int) -> int:
         return self.call("rd_exists", self.root, key)
 
-    def llen(self, key: int) -> int:
-        return self.call("rd_llen", self.root, key)
-
     def slow_op(self, duration: int) -> int:
         return self.call("rd_slow_op", self.root, duration)
 

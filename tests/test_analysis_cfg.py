@@ -91,13 +91,6 @@ def test_postdominators_computed_for_all_blocks():
     for label in module.functions["f"].block_order:
         assert label in ipdom
 
-def test_reachable_blocks():
-    src = "def f(a):\n    if a:\n        return 1\n    return 2\n"
-    module, cfg = _cfg(src)
-    reachable = cfg.reachable_blocks()
-    assert "entry" in reachable
-
-
 def test_successors_and_preds_consistent():
     src = (
         "def f(n):\n"

@@ -1,7 +1,7 @@
 """Tests for PDG construction and program slicing."""
 
 from repro.analysis import analyze_module
-from repro.analysis.slicing import backward_slice, forward_slice, pm_slice, slice_distances
+from repro.analysis.slicing import backward_slice, pm_slice, slice_distances
 from repro.lang.compiler import compile_module
 
 
@@ -78,21 +78,6 @@ def test_memory_dependence_links_store_to_load():
     store = next(i for i in module.functions["w"].instructions() if i.op == "store")
     sl = backward_slice(res.pdg, load.iid)
     assert store.iid in sl
-
-
-def test_forward_slice_reaches_dependents():
-    src = "def f(a):\n    b = a + 1\n    c = b * 2\n    return c\n"
-    module, res = _analyze(src)
-    add = next(
-        i for i in module.functions["f"].instructions()
-        if i.op == "binop" and i.args[0] == "+"
-    )
-    fwd = forward_slice(res.pdg, add.iid)
-    mul = next(
-        i for i in module.functions["f"].instructions()
-        if i.op == "binop" and i.args[0] == "*"
-    )
-    assert mul.iid in fwd
 
 
 def test_pm_slice_keeps_only_pm_instrs(kv_module):

@@ -23,8 +23,6 @@ class TestLog:
         entry = log.entries[100]
         assert [v.seq for v in entry.versions] == [s1, s2]
         assert entry.latest().data == (3, 4)
-        assert entry.latest_before(s2).data == (1, 2)
-        assert entry.latest_before(s1) is None
 
     def test_version_ring_evicts_oldest(self):
         log = CheckpointLog(max_versions=3)

@@ -59,9 +59,11 @@ def test_cluster_sweep_quick_check(capsys):
 
 
 def test_sweep_flag_set_rejects_removed_flags():
-    # the three sweeps accept --seed --quick --out (+ fuzz's
-    # --emit-registry) and nothing else: --check folded into --quick
+    # the four sweeps accept --seed --quick --out (+ the matrix's
+    # --jobs and fuzz's --emit-registry) and nothing else: --check
+    # folded into --quick, and matrix-all runs one --seed
     for argv in (
+        ["matrix-all", "--seeds", "1"],
         ["inject-sweep", "--check"],
         ["fuzz-sweep", "--check"],
         ["cluster-sweep", "--check"],

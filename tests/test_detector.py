@@ -4,11 +4,7 @@ import pytest
 
 from repro.detector.checksum import ChecksumMonitor
 from repro.detector.monitor import Detector, LeakMonitor
-from repro.detector.signature import (
-    FailureSignature,
-    signatures_similar,
-    signatures_strongly_similar,
-)
+from repro.detector.signature import FailureSignature, signatures_similar
 from repro.errors import PanicTrap
 from repro.lang.compiler import compile_module
 from repro.lang.interp import FaultInfo, Machine
@@ -37,16 +33,6 @@ class TestSignatures:
         b = FailureSignature.from_fault(_fault(kind="hang"))
         assert not signatures_similar(a, b)
 
-    def test_strong_similarity_requires_matching_site(self):
-        a = FailureSignature.from_fault(_fault(iid=7))
-        b = FailureSignature.from_fault(_fault(iid=7, location="other"))
-        c = FailureSignature.from_fault(
-            _fault(iid=99, location="g:x:0", stack=("g:x:0",))
-        )
-        assert signatures_strongly_similar(a, b)
-        assert not signatures_strongly_similar(a, c)
-
-
 class TestDetector:
     def _machine(self):
         src = (
@@ -67,7 +53,7 @@ class TestDetector:
         out = detector.observe(machine, lambda: machine.call("boom"))
         assert not out.ok
         assert out.fault.kind == "panic"
-        assert detector.last_signature() is out.signature
+        assert detector.history[-1] is out.signature
 
     def test_hard_failure_needs_recurrence(self):
         machine = self._machine()

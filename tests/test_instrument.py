@@ -5,7 +5,7 @@ import pytest
 from repro.analysis import analyze_module
 from repro.errors import Trap
 from repro.instrument.guids import GuidMap, guid_for
-from repro.instrument.passes import instrument_module, uninstrument_module
+from repro.instrument.passes import instrument_module
 from repro.instrument.tracer import PMTrace
 from repro.lang.compiler import compile_module
 from repro.lang.interp import Machine
@@ -31,7 +31,7 @@ def test_instrument_marks_exactly_pm_instrs(kv_module):
     assert traced == mapped - covered
     for iid in covered:
         for carrier in guid_map.carriers(iid):
-            assert guid_map.iid_of(carrier) in traced
+            assert guid_map.entry(carrier).iid in traced
     assert seconds >= 0
 
 
@@ -68,7 +68,7 @@ def test_guid_roundtrip(kv_module):
     guid_map, _ = instrument_module(kv_module, res.pm)
     for instr in kv_module.instructions():
         if instr.guid is not None:
-            assert guid_map.iid_of(instr.guid) == instr.iid
+            assert guid_map.entry(instr.guid).iid == instr.iid
             assert guid_map.guid_of(instr.iid) == instr.guid
             entry = guid_map.entry(instr.guid)
             assert entry.op == instr.op
@@ -83,7 +83,7 @@ def test_metadata_file_roundtrip(kv_module, tmp_path):
     loaded = GuidMap.load(str(path))
     assert len(loaded) == len(guid_map)
     some = next(i for i in kv_module.instructions() if i.guid)
-    assert loaded.iid_of(some.guid) == some.iid
+    assert loaded.entry(some.guid).iid == some.iid
     # the carriers round-trip: every instruction resolves to the same
     # GUIDs, covered geps included
     for instr in kv_module.instructions():
@@ -92,15 +92,6 @@ def test_metadata_file_roundtrip(kv_module, tmp_path):
         guid_map.carriers(i.iid) not in ((), (i.guid,))
         for i in kv_module.instructions()
     )
-
-
-def test_uninstrument_strips_guids(kv_module):
-    res = analyze_module(kv_module)
-    instrument_module(kv_module, res.pm)
-    uninstrument_module(kv_module)
-    assert all(i.guid is None for i in kv_module.instructions())
-    # re-instrument for other tests sharing the session module
-    instrument_module(kv_module, res.pm)
 
 
 def test_trace_records_pm_addresses(kv_module):

@@ -14,7 +14,7 @@ class TestAllocation:
         addr = allocator.zalloc(8)
         assert allocator.pool.contains(addr)
         assert allocator.is_allocated(addr)
-        assert allocator.size_of(addr) == 8
+        assert allocator.allocations()[addr] == 8
 
     def test_zalloc_zero_fills_durably(self, allocator):
         addr = allocator.zalloc(4)
@@ -66,9 +66,9 @@ class TestAllocation:
 
     def test_site_tags(self, allocator):
         a = allocator.zalloc(4, site="g1")
-        assert allocator.site_of(a) == "g1"
+        assert allocator.export_meta()["sites"][a] == "g1"
         allocator.free(a)
-        assert allocator.site_of(a) is None
+        assert a not in allocator.export_meta()["sites"]
 
 
 class TestRealloc:
@@ -99,7 +99,7 @@ class TestUnfree:
         allocator.free(a)
         allocator.unfree(a, 8)
         assert allocator.is_allocated(a)
-        assert allocator.size_of(a) == 8
+        assert allocator.allocations()[a] == 8
 
     def test_unfree_is_idempotent_for_live_blocks(self, allocator):
         a = allocator.zalloc(8)
@@ -168,7 +168,7 @@ class TestRootAndHooks:
         fresh = PMAllocator(allocator.pool)
         fresh.import_meta(meta)
         assert fresh.is_allocated(a)
-        assert fresh.site_of(a) == "s"
+        assert fresh.export_meta()["sites"][a] == "s"
 
 
 # ----------------------------------------------------------------------

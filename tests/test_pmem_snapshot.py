@@ -63,7 +63,6 @@ def test_epoch_snapshot_restores_only_dirty_words(pool, allocator):
     pool.write(a + 2, 999)
     pool.persist(a + 2, 1)
     pool.durable_write(a + 5, 888)
-    assert pool.epoch_dirty_words(token) == 2
     restored = pool.epoch_undo(token)
     assert restored == 2
     assert [pool.read(a + i) for i in range(8)] == list(range(10, 18))
@@ -122,8 +121,7 @@ def test_epoch_undo_keep_open_continues_tracking(pool):
     pool.epoch_undo(tok, close=False)
     assert pool.read(addr) == 0
     pool.durable_write(addr, 6)
-    assert pool.epoch_dirty_words(tok) == 1
-    pool.epoch_undo(tok)
+    assert pool.epoch_undo(tok) == 1
     assert pool.read(addr) == 0
 
 

@@ -1,6 +1,6 @@
 """Tests for the report renderers and metric helpers."""
 
-from repro.harness.metrics import fraction, geo_mean, mean, median, pct
+from repro.harness.metrics import fraction, mean, median
 from repro.harness.report import render_bars, render_grouped_bars, render_table
 from repro.harness.simclock import ReexecDelay, SimClock
 
@@ -13,19 +13,11 @@ class TestMetrics:
         assert median([4, 1, 2, 3]) == 2.5
         assert median([]) == 0.0
 
-    def test_geo_mean(self):
-        assert geo_mean([1, 100]) == 10.0
-        assert geo_mean([]) == 0.0
-
     def test_fraction(self):
         assert fraction(10, 10) == "Y"
         assert fraction(0, 10) == "N"
         assert fraction(4, 10) == "4/10"
         assert fraction(0, 0) == "n/a"
-
-    def test_pct(self):
-        assert pct(3.14159) == "3.1%"
-
 
 class TestReport:
     def test_table_renders_all_rows(self):

@@ -1,10 +1,11 @@
 """The sweep core: one drift rule, one results writer, one exit code.
 
-The drift cases are parametrized over the three sweeps.  Each fresh
-report is a quick-scope run: f12's quick inject cells, memcached's
-quick fuzz trials, and the cluster sweep's quick subset.  Every case
-goes through the same :func:`check_against`; only the sweep's
-:class:`DriftRule` differs.
+The drift cases are parametrized over three of the four sweeps.  Each
+fresh report is a quick-scope run: f12's quick inject cells,
+memcached's quick fuzz trials, and the cluster sweep's quick subset.
+Every case goes through the same :func:`check_against`; only the
+sweep's :class:`DriftRule` differs.  The matrix's rule is pinned in
+``tests/test_matrix_report.py``.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from typing import NamedTuple
 import pytest
 
 from repro.harness import cluster_sweep, fuzz_sweep, inject_sweep
+from repro.harness.matrix import CellSpec, run_matrix
 from repro.harness.sweep import DriftRule, check_against, conclude
 
 
@@ -113,6 +115,26 @@ def test_committed_report_is_current(case):
     assert check_against(case.fresh, committed, case.rule) == []
 
 
+def test_reports_hold_no_measured_time():
+    # a committed report regenerates byte-identical only if its JSON
+    # holds no measured time: neither the matrix's worker count, wall
+    # time and per-cell seconds nor a sweep's wall_seconds
+    specs = [CellSpec("f21", "arthas", 0), CellSpec("f4", "arckpt", 0)]
+    serial, pooled = (
+        json.dumps(run_matrix(specs, jobs=jobs).to_json(), sort_keys=True)
+        for jobs in (1, 2)
+    )
+    assert serial == pooled
+    for report in (
+        inject_sweep.SweepReport(seed=0, quick=True),
+        fuzz_sweep.FuzzReport(sweep_seed=0, trials_per_system=1),
+        cluster_sweep.ClusterSweepReport(sweep_seed=0),
+    ):
+        before = report.to_json()
+        report.wall_seconds += 123.0
+        assert report.to_json() == before, type(report).__name__
+
+
 def test_committed_verdicts_hold():
     # the committed full reports' own verdicts: every inject cell
     # verified, every cluster cell converged
@@ -182,3 +204,20 @@ def test_conclude_writes_full_runs_and_drift_checks_quick(tmp_path, capsys):
     assert conclude(_Report(), _RULE, "-", quick=False) == 0
     err = capsys.readouterr().err
     assert "drift check: cell a drifted on value: committed 1 vs 2" in err
+
+
+def test_conclude_full_run_prints_drift_then_writes(tmp_path, capsys):
+    out = str(tmp_path / "report.json")
+    # no report at --out yet: a full run just writes it
+    assert conclude(_Report(), _RULE, out, quick=False) == 0
+    assert "drift check" not in capsys.readouterr().err
+    # a drifting full run names the cell and field, rewrites --out, and
+    # exits on the sweep's own verdict alone
+    assert conclude(_Report(value=2), _RULE, out, quick=False) == 0
+    err = capsys.readouterr().err
+    assert "drift check: cell a drifted on value: committed 1 vs 2" in err
+    with open(out) as f:
+        assert json.load(f) == _Report(value=2).to_json()
+    assert conclude(_Report(passed=False, value=2), _RULE, out,
+                    quick=False) == 1
+    assert f"drift check: no drift against {out}" in capsys.readouterr().err

@@ -44,11 +44,11 @@ class TestMemcachedCommands:
 
     def test_cas(self, mc):
         mc.insert(1, 10)
-        assert mc.cas(1, 10, 20) == 1
+        assert mc.call("mc_cas", mc.root, 1, 10, 20) == 1
         assert mc.lookup(1) == 20
-        assert mc.cas(1, 10, 30) == 0  # stale expectation
+        assert mc.call("mc_cas", mc.root, 1, 10, 30) == 0  # stale expectation
         assert mc.lookup(1) == 20
-        assert mc.cas(9, 0, 1) == -1  # missing key
+        assert mc.call("mc_cas", mc.root, 9, 0, 1) == -1  # missing key
 
     def test_cas_under_concurrency_one_winner(self, mc):
         mc.insert(1, 10)
@@ -81,12 +81,12 @@ class TestRedisCommands:
         assert rd.exists(1) == 0
 
     def test_llen(self, rd):
-        assert rd.llen(100) == -1
+        assert rd.call("rd_llen", rd.root, 100) == -1
         rd.lpush(100, 2, 7)
         rd.lpush(100, 3, 8)
-        assert rd.llen(100) == 2
+        assert rd.call("rd_llen", rd.root, 100) == 2
         rd.insert(1, 11)
-        assert rd.llen(1) == -1  # not a listpack
+        assert rd.call("rd_llen", rd.root, 1) == -1  # not a listpack
 
     def test_incr_durable(self, rd):
         rd.incr(1, 41)
