@@ -19,7 +19,7 @@ from repro.analysis.dynslice import DynamicDependenceRecorder, dynamic_slice
 from repro.detector.monitor import Detector
 from repro.harness.report import render_table
 from repro.harness.simclock import ReexecDelay, SimClock
-from repro.reactor.plan import compute_plan, distance_policy
+from repro.reactor.plan import compute_plan
 from repro.reactor.revert import Reverter
 from repro.reactor.server import ReactorServer
 from repro.systems.memcached import MemcachedAdapter
@@ -32,7 +32,7 @@ def _poisoned_memcached(with_recorder):
     recorder = None
     if with_recorder:
         recorder = DynamicDependenceRecorder()
-        mc.machine.dep_recorder = recorder
+        recorder.attach(mc.machine)
     start = time.perf_counter()
     for key in range(60):
         mc.insert(key, 900_000_000 + key)
@@ -50,8 +50,7 @@ def _poisoned_memcached(with_recorder):
 
 def _mitigate(mc, detector, probe, plan, strategy):
     def reexec():
-        mc.machine.dep_recorder = None  # diagnostics off during recovery
-        mc.restart()
+        mc.restart()  # the fresh machine runs unrecorded
         return detector.observe(
             mc.machine, lambda: (mc.recover(), mc.lookup(probe))
         )
@@ -81,8 +80,7 @@ def test_ablation_static_vs_dynamic_slicing(benchmark):
         )
         plan = compute_plan(
             mc.analysis, mc.guid_map, mc.trace, mc.ckpt.log,
-            outcome.fault.iid, policy=distance_policy(max_distance=8),
-            slice_override=override,
+            outcome.fault.iid, slice_override=override,
         )
         result = _mitigate(mc, detector, probe, plan, "purge")
         rows.append([
@@ -118,8 +116,7 @@ def test_ablation_bisect_vs_one_by_one(benchmark):
     for strategy in ("one-by-one", "bisect"):
         mc, _rec, detector, outcome, probe, _secs = _poisoned_memcached(False)
         plan = compute_plan(
-            mc.analysis, mc.guid_map, mc.trace, mc.ckpt.log,
-            outcome.fault.iid, policy=distance_policy(max_distance=8),
+            mc.analysis, mc.guid_map, mc.trace, mc.ckpt.log, outcome.fault.iid
         )
         result = _mitigate(mc, detector, probe, plan, strategy)
         rows.append([

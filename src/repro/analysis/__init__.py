@@ -31,7 +31,7 @@ from repro.analysis.callgraph import CallGraph, build_callgraph
 from repro.analysis.pdg import PDG, build_pdg
 from repro.analysis.pointer import PointsToResult, analyze_pointers
 from repro.analysis.pmvars import PMClassification, classify_pm
-from repro.analysis.slicing import backward_slice, pm_slice
+from repro.analysis.slicing import backward_slice
 from repro.lang.ir import Module
 
 
@@ -89,7 +89,6 @@ __all__ = [
     "build_pdg",
     "build_callgraph",
     "backward_slice",
-    "pm_slice",
     "PDG",
     "CallGraph",
     "PointsToResult",

@@ -7,8 +7,9 @@ tracking.  This module implements that trade-off so the ablation bench
 can quantify both sides:
 
 * :class:`DynamicDependenceRecorder` attaches to a
-  :class:`~repro.lang.interp.Machine` (``machine.dep_recorder``) and
-  shadows the execution: register provenance per frame, a last-writer map
+  :class:`~repro.lang.interp.Machine` as an injection on every
+  instruction (:meth:`~DynamicDependenceRecorder.attach`) and shadows
+  the execution: register provenance per frame, a last-writer map
   per memory word, call/return linkage, and a last-taken-branch control
   approximation.  Every executed instruction contributes edges
   ``dep -> instr`` to a *dynamic* dependence graph containing only
@@ -61,6 +62,16 @@ class DynamicDependenceRecorder:
         #: per-thread iid of a ``ret`` whose value is about to land
         self._pending_ret: Dict[int, int] = {}
         self.instructions_recorded = 0
+
+    def attach(self, machine) -> None:
+        """Record every instruction ``machine`` executes from now on.
+
+        The recorder rides the machine's per-instruction injection hook,
+        so the machine single-steps while it is attached; a restart's
+        fresh machine runs unrecorded unless attached again.
+        """
+        for instr in machine.module.instructions():
+            machine.add_injection(instr.iid, self.on_instr)
 
     # ------------------------------------------------------------------
     def _sync_stack(self, machine, thread) -> _ShadowFrame:

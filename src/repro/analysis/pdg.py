@@ -25,7 +25,7 @@ map supports the purge mode's forward-dependency second pass
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.analysis.callgraph import CallGraph
 from repro.analysis.cfg import FunctionCFG
@@ -42,14 +42,10 @@ class PDG:
     deps: Dict[int, Set[Tuple[int, str]]] = field(default_factory=dict)
     #: u -> set of (v, kind): v depends on u
     fwd: Dict[int, Set[Tuple[int, str]]] = field(default_factory=dict)
-    #: memoized backward slices keyed by (iid, max_nodes) — the reactor
+    #: memoized BFS distance maps keyed by fault iid — the reactor
     #: re-slices the same fault across detector/reactor rounds and the
     #: purge->rollback fallback; the graph is immutable after build, so
     #: add_edge invalidates (see repro.analysis.slicing)
-    _slice_cache: Dict[Tuple[int, Optional[int]], FrozenSet[int]] = field(
-        default_factory=dict, repr=False, compare=False
-    )
-    #: memoized BFS distance maps keyed by fault iid (distance_policy)
     _dist_cache: Dict[int, Dict[int, int]] = field(
         default_factory=dict, repr=False, compare=False
     )
@@ -58,8 +54,7 @@ class PDG:
         """Record that instruction ``v`` depends on ``u`` (self-loops dropped)."""
         if u == v:
             return
-        if self._slice_cache or self._dist_cache:
-            self._slice_cache.clear()
+        if self._dist_cache:
             self._dist_cache.clear()
         self.deps.setdefault(v, set()).add((u, kind))
         self.fwd.setdefault(u, set()).add((v, kind))

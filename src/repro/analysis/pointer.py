@@ -32,6 +32,9 @@ TOP = -1
 #: the pool-root cell is modelled as a one-word pseudo allocation site
 ROOT_SITE = -2
 
+#: the solver stops after this many passes even short of a fixpoint
+MAX_SOLVER_PASSES = 200
+
 Loc = Tuple[int, int]  # (site, offset)
 
 
@@ -115,7 +118,7 @@ def _weaken(locs: Set[Loc]) -> Set[Loc]:
     return {(site, TOP) for site, _off in locs}
 
 
-def analyze_pointers(module: Module, max_iterations: int = 200) -> PointsToResult:
+def analyze_pointers(module: Module) -> PointsToResult:
     """Solve the inclusion constraints to a fixpoint."""
     result = PointsToResult()
     pts = result.pts
@@ -150,7 +153,7 @@ def analyze_pointers(module: Module, max_iterations: int = 200) -> PointsToResul
 
     changed = True
     iteration = 0
-    while changed and iteration < max_iterations:
+    while changed and iteration < MAX_SOLVER_PASSES:
         changed = False
         iteration += 1
         for fname, instr in instrs:

@@ -43,12 +43,10 @@ class PmCRIU:
         pool: PMPool,
         allocator: PMAllocator,
         interval_seconds: float = 60.0,
-        snapshot_cost: float = 0.35,
     ):
         self.pool = pool
         self.allocator = allocator
         self.interval_seconds = interval_seconds
-        self.snapshot_cost = snapshot_cost
         self.snapshots: List[PoolSnapshot] = []
         self._last_snapshot_at: Optional[float] = None
         # the pristine image (empty pool) is always restorable

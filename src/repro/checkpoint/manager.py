@@ -17,7 +17,7 @@ callbacks only, which is the runtime overhead Figure 12 measures.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro import faultinject
 from repro.checkpoint.log import MAX_VERSIONS, CheckpointLog
@@ -35,12 +35,11 @@ class CheckpointManager:
         allocator: PMAllocator,
         txman: TransactionManager,
         max_versions: int = MAX_VERSIONS,
-        log: Optional[CheckpointLog] = None,
     ):
         self.pool = pool
         self.allocator = allocator
         self.txman = txman
-        self.log = log if log is not None else CheckpointLog(max_versions)
+        self.log = CheckpointLog(max_versions)
         self.enabled = True
         #: count of checkpointed ranges, for the overhead model
         self.updates_recorded = 0

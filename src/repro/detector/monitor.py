@@ -22,6 +22,9 @@ from repro.errors import Trap
 from repro.lang.interp import FaultInfo, Machine
 from repro.pmem.allocator import PMAllocator
 
+#: pool usage fraction the leak monitor flags whatever the live items
+LEAK_USAGE_LIMIT = 0.9
+
 
 @dataclass
 class RunOutcome:
@@ -43,8 +46,8 @@ class LeakMonitor:
     """Flags runaway PM usage (persistent leaks).
 
     ``threshold_ratio`` is the tolerated ratio of allocated words to the
-    words accounted for by live application items; ``usage_limit`` is an
-    absolute usage fraction that triggers regardless.
+    words accounted for by live application items; a pool used past
+    :data:`LEAK_USAGE_LIMIT` triggers regardless.
     """
 
     def __init__(
@@ -52,17 +55,15 @@ class LeakMonitor:
         allocator: PMAllocator,
         expected_words_fn: Callable[[], int],
         threshold_ratio: float = 3.0,
-        usage_limit: float = 0.9,
     ):
         self.allocator = allocator
         self.expected_words_fn = expected_words_fn
         self.threshold_ratio = threshold_ratio
-        self.usage_limit = usage_limit
 
     def check(self) -> Optional[str]:
         """Return a violation message when usage looks like a leak."""
         used = self.allocator.used_words()
-        if self.allocator.usage_ratio() >= self.usage_limit:
+        if self.allocator.usage_ratio() >= LEAK_USAGE_LIMIT:
             return f"PM usage at {self.allocator.usage_ratio():.0%} of pool"
         expected = self.expected_words_fn()
         if expected > 0 and used > expected * self.threshold_ratio:

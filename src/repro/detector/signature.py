@@ -15,6 +15,9 @@ from typing import Tuple
 
 from repro.lang.interp import FaultInfo
 
+#: innermost stack frames a signature keeps
+STACK_DEPTH = 3
+
 
 @dataclass(frozen=True)
 class FailureSignature:
@@ -27,8 +30,8 @@ class FailureSignature:
     stack_funcs: Tuple[str, ...] = ()
 
     @classmethod
-    def from_fault(cls, fault: FaultInfo, depth: int = 3) -> "FailureSignature":
-        funcs = tuple(loc.split(":")[0] for loc in fault.stack[-depth:])
+    def from_fault(cls, fault: FaultInfo) -> "FailureSignature":
+        funcs = tuple(loc.split(":")[0] for loc in fault.stack[-STACK_DEPTH:])
         return cls(
             kind=fault.kind,
             fault_iid=fault.iid,

@@ -463,7 +463,6 @@ class Cluster:
         adapter_cls: Type[SystemAdapter] = MemcachedAdapter,
         seed: int = 0,
         replication: Optional[int] = None,
-        vnodes: int = 64,
         replication_batch: Optional[int] = None,
     ):
         self.replication_batch = (
@@ -482,7 +481,7 @@ class Cluster:
         self.replication = (
             min(2, n_nodes) if replication is None else min(replication, n_nodes)
         )
-        self.ring = HashRing(range(n_nodes), vnodes=vnodes, seed=seed)
+        self.ring = HashRing(range(n_nodes), seed=seed)
         #: per-client vector clocks over (clients + nodes) dimensions
         self._dims = n_clients + n_nodes
         self._client_vc: List[List[int]] = [
@@ -526,20 +525,20 @@ class Cluster:
         return self.ring.is_down(node_id)
 
     def keys_for_node(
-        self, node_id: int, count: int = 1, start: int = 0, stride: int = 1
+        self, node_id: int, count: int = 1, start: int = 0
     ) -> List[int]:
         """The first ``count`` integer keys ≥ ``start`` whose primary is
         ``node_id`` — how tests and the sweep aim traffic at one shard
         now that routing is ring-hashed rather than ``key % n``."""
         out: List[int] = []
         key = start
-        limit = start + stride * max(1_000_000, count * 1000)
+        limit = start + max(1_000_000, count * 1000)
         while len(out) < count:
             if key > limit:
                 raise ValueError(f"node {node_id} owns no keys in range")
             if self.ring.primary_for(key) == node_id:
                 out.append(key)
-            key += stride
+            key += 1
         return out
 
     # ------------------------------------------------------------------
@@ -922,7 +921,7 @@ class Cluster:
                 return nid
         return None
 
-    def rebase_node(self, node_id: int, tick=None) -> Tuple[int, int]:
+    def rebase_node(self, node_id: int) -> Tuple[int, int]:
         """Re-align a healed/rebuilt node by copying a live mirror.
 
         Instead of re-executing the node's oplog share, a full
@@ -932,12 +931,12 @@ class Cluster:
         transaction counter, trace, oracle.  No copy aliases the
         mirror.  The mirror's reverts come with its state, so any revert
         the node owed while it was down is settled too, and the mirror
-        sits at the stream head, so no tail is left to drain.  ``tick``
-        is called once per op credited from the mirror, which threads
-        the supervisor's ``cluster.resync`` injection site through the
-        rebase; a crash mid-rebase retries from scratch (every step
-        reinstalls).  Returns ``(credited, reverted)``: ops credited to
-        the node and how many of those carry an inherited revert.
+        sits at the stream head, so no tail is left to drain.  The
+        ``cluster.resync`` injection site fires once per op credited
+        from the mirror; a crash mid-rebase retries from scratch (every
+        step reinstalls).  Returns ``(credited, reverted)``: ops
+        credited to the node and how many of those carry an inherited
+        revert.
         """
         self.drain()
         source = self._aligned_mirror(exclude=node_id)
@@ -962,9 +961,8 @@ class Cluster:
         oracle.update(self.oracles[source])
         log = self.oplog
         log.forget_node(node_id)
-        if tick is not None:
-            for _ in log.rows_on(source):
-                tick()
+        for _ in log.rows_on(source):
+            faultinject.fire("cluster.resync")
         credited, reverted = log.copy_node(source, node_id)
         self._applied[node_id] = self._log_pos
         self._needs_rebase.discard(node_id)
@@ -987,11 +985,11 @@ class ClusterClient:
     def lookup(self, key: int) -> int:
         return self.cluster.lookup(self.client_id, key)
 
-    def derived_insert(self, src_key: int, dst_key: int, f=lambda v: v + 1) -> Optional[OpRecord]:
-        """Read ``src_key`` and write a value derived from it — the
+    def derived_insert(self, src_key: int, dst_key: int) -> Optional[OpRecord]:
+        """Write ``src_key``'s value plus one to ``dst_key`` — the
         cross-node dependency pattern of the paper's Section 7 example
         (request r2 is computed from request r1's result)."""
         value = self.lookup(src_key)
         if value == ABSENT:
             return None
-        return self.insert(dst_key, f(value))
+        return self.insert(dst_key, value + 1)

@@ -70,7 +70,8 @@ from repro.harness.experiment import (
 )
 from repro.harness.simclock import ReexecDelay, SimClock
 from repro.harness.supervisor import StepResult, with_crash_retries
-from repro.reactor.server import cooperative_yield, run_gated
+from repro.lang.interp import cooperative_yield
+from repro.reactor.server import run_gated
 
 
 @dataclass
@@ -243,9 +244,12 @@ class ShardManager:
 
         ``gate`` (a :class:`repro.reactor.server.WorkerGate`) chunks
         the ladder through a thread turnstile so a serving thread can
-        interleave healthy-shard reads between mitigation chunks; the
-        hook rides ``ctx.yield_fn`` + the VM step hook exactly like the
-        live-traffic server's cooperative mitigation.
+        interleave healthy-shard reads between mitigation chunks: its
+        checkpoint becomes this thread's park hook
+        (:func:`repro.lang.interp.cooperative_yield`), exactly like the
+        live-traffic server's cooperative mitigation.  Only this
+        thread parks, so the caller's guest calls on the healthy shards
+        never do.
         """
         journal = self.journal(node_id)
         if journal.done("mitigate"):
@@ -253,7 +257,7 @@ class ShardManager:
         h = self.health[node_id]
         h.status = "mitigating"
         installed = (
-            cooperative_yield(ctx, gate.checkpoint)
+            cooperative_yield(gate.checkpoint)
             if gate is not None else nullcontext()
         )
         with installed:
@@ -358,10 +362,7 @@ class ShardManager:
 
             def catchup() -> StepResult:
                 faultinject.fire("cluster.resync")
-                # the tick fires the site once per credited op
-                replayed, reverted = self.cluster.rebase_node(
-                    node_id, tick=lambda: faultinject.fire("cluster.resync"),
-                )
+                replayed, reverted = self.cluster.rebase_node(node_id)
                 return StepResult(
                     recovered=True, notes=f"reverted={reverted} replayed={replayed}",
                     attempts=replayed,

@@ -63,8 +63,8 @@ site family                fired from
                            node is marked down on the ring, before the
                            promotion journal entry completes
 ``cluster.resync``         :meth:`ShardManager.resync`, at the start of
-                           the catch-up pass and before each op the
-                           rebase credits
+                           the catch-up pass; :meth:`Cluster.rebase_node`,
+                           before each op it credits
 ``cluster.handoff``        :meth:`ShardManager.resync`, after the healed
                            node is demoted + marked up, before the
                            journal records the handoff

@@ -48,7 +48,7 @@ from repro.harness.supervisor import (
 from repro.lang.interp import FaultInfo
 from repro.pmem.poolcheck import check_pool
 from repro.reactor.leakfix import find_leaked_objects, mitigate_leak
-from repro.reactor.plan import Candidate, distance_policy
+from repro.reactor.plan import Candidate
 from repro.reactor.revert import IntentJournal, MitigationResult, Reverter
 from repro.reactor.server import ReactorServer
 from repro.workloads.generators import MixedWorkload
@@ -66,7 +66,12 @@ MITIGATION_TIMEOUT = 600.0
 
 
 class ExperimentContext:
-    """Mutable state shared between the runner and the scenario."""
+    """Mutable state shared between the runner and the scenario.
+
+    A mitigation that must park for a serving thread does not carry its
+    hook here: it installs it on its own thread with
+    :func:`repro.lang.interp.cooperative_yield`.
+    """
 
     def __init__(self, adapter, scenario: FaultScenario, seed: int):
         self.adapter = adapter
@@ -76,11 +81,6 @@ class ExperimentContext:
         self.oracle: Dict[int, int] = {}
         self.state: Dict[str, object] = {}
         self.op_index = 0
-        #: cooperative yield point threaded to host-side mitigation
-        #: loops (the probe engine, plan joins); the live-traffic server
-        #: installs a throttled gate checkpoint here for the duration
-        #: of a mitigation window
-        self.yield_fn: Optional[Callable[[], None]] = None
 
     def sample_keys(
         self, n: int, exclude: Optional[Callable[[int], bool]] = None
@@ -444,13 +444,8 @@ def _make_rounds_runner(
         fault_iid = start_iid
         first_round = run.attempts == 0
         for _round in range(4):
-            # order candidates by slice distance from the fault (the
-            # paper's "more complex policy function"), capped to bound
-            # collateral reverts
             plan = server.compute_plan(
-                adapter.guid_map, adapter.trace, log, fault_iid,
-                policy=distance_policy(max_distance=8),
-                yield_fn=ctx.yield_fn,
+                adapter.guid_map, adapter.trace, log, fault_iid
             )
             reverter = Reverter(
                 log,
@@ -465,7 +460,6 @@ def _make_rounds_runner(
                 known_faults=seen_faults,
                 enable_divergence_repair=first_round and _round == 0,
                 intents=intents,
-                yield_fn=ctx.yield_fn,
             )
             if mode == "rollback":
                 mres = reverter.mitigate_rollback(plan)

@@ -8,6 +8,10 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence
 
+#: bar length of the largest value, in characters
+BAR_WIDTH = 40
+GROUPED_BAR_WIDTH = 30
+
 
 def render_table(
     title: str,
@@ -31,13 +35,7 @@ def render_table(
     return "\n".join(lines)
 
 
-def render_bars(
-    title: str,
-    series: Dict[str, float],
-    unit: str = "",
-    width: int = 40,
-    log_floor: Optional[float] = None,
-) -> str:
+def render_bars(title: str, series: Dict[str, float], unit: str = "") -> str:
     """Horizontal ASCII bar chart (one bar per key), for the figures."""
     lines = [f"== {title} =="]
     if not series:
@@ -46,7 +44,7 @@ def render_bars(
     peak = max(abs(v) for v in series.values()) or 1.0
     for key, value in series.items():
         frac = abs(value) / peak
-        bar = "#" * max(1 if value else 0, int(round(frac * width)))
+        bar = "#" * max(1 if value else 0, int(round(frac * BAR_WIDTH)))
         lines.append(f"{key.ljust(label_w)} | {bar} {value:.4g}{unit}")
     return "\n".join(lines)
 
@@ -56,7 +54,6 @@ def render_grouped_bars(
     groups: Sequence[str],
     series: Dict[str, Dict[str, float]],
     unit: str = "",
-    width: int = 30,
 ) -> str:
     """Grouped bars: for each group, one bar per series (figure style)."""
     lines = [f"== {title} =="]
@@ -72,7 +69,7 @@ def render_grouped_bars(
             if value is None:
                 lines.append(f"{(group + ' ' + name).ljust(label_w)} | n/a")
                 continue
-            bar = "#" * int(round(abs(value) / peak * width))
+            bar = "#" * int(round(abs(value) / peak * GROUPED_BAR_WIDTH))
             lines.append(
                 f"{(group + ' ' + name).ljust(label_w)} | {bar} {value:.4g}{unit}"
             )

@@ -16,8 +16,8 @@ import random
 class SimClock:
     """Monotonic simulated time in seconds."""
 
-    def __init__(self, start: float = 0.0):
-        self.now = float(start)
+    def __init__(self) -> None:
+        self.now = 0.0
 
     def advance(self, dt: float) -> float:
         """Move time forward by ``dt`` seconds; returns the new now."""
@@ -27,16 +27,18 @@ class SimClock:
         return self.now
 
 
+#: bounds of the seeded re-execution delay, in simulated seconds
+REEXEC_DELAY_S = (3.0, 5.0)
+
+
 class ReexecDelay:
     """Seeded 3-5 s re-execution delay (paper Section 6.3)."""
 
-    def __init__(self, seed: int = 0, low: float = 3.0, high: float = 5.0):
+    def __init__(self, seed: int = 0):
         self._rng = random.Random(seed)
-        self.low = low
-        self.high = high
 
     def __call__(self) -> float:
-        return self._rng.uniform(self.low, self.high)
+        return self._rng.uniform(*REEXEC_DELAY_S)
 
 
 #: seconds of simulated time per workload operation (600 ops ~= 5 minutes)

@@ -68,10 +68,10 @@ def save_trace(trace: PMTrace, path: str) -> int:
     return len(pairs)
 
 
-def load_trace(path: str, flush_threshold: int = 256) -> PMTrace:
+def load_trace(path: str) -> PMTrace:
     with open(path) as f:
         data = json.load(f)
-    trace = PMTrace(flush_threshold=flush_threshold)
+    trace = PMTrace()
     for guid, addr in data["records"]:
         trace.record(guid, addr)
     trace.flush()

@@ -14,22 +14,34 @@ the Arthas toolchain needs from a runtime:
 * **Crash/restart** — ``crash()`` drops all volatile state and every PM
   store that was not persisted; a fresh machine over the same pool models
   a restart.
-* **Fault injection** — host callbacks keyed by instruction id run before
-  an instruction executes; they can flip persisted bits (hardware faults)
-  or raise :class:`~repro.errors.InjectedCrash` (untimely crashes).
 * **Cooperative threads** — ``call_concurrent`` interleaves threads
   with a seeded preemptive scheduler, which is how the race-condition
   faults are triggered deterministically.
-* **Tracing hooks** — instructions carrying a GUID report their runtime PM
+
+The host reaches into a run through three hooks:
+
+* **Injections** (``add_injection``) — callbacks keyed by instruction id
+  run before the instruction executes.  Fault injection flips persisted
+  bits (hardware faults) or raises :class:`~repro.errors.InjectedCrash`
+  (untimely crashes) here, and the dynamic-dependence recorder
+  (:mod:`repro.analysis.dynslice`) registers itself on every
+  instruction.  Any armed injection turns compiled segments off.
+* **Tracing** — instructions carrying a GUID report their runtime PM
   address to the attached :class:`~repro.instrument.tracer.PMTrace`
   (the paper's ``<GUID, pmem_address>`` trace).
+* **The park hook** — :func:`cooperative_yield` installs a callable for
+  the calling thread; every run on that thread fires it each
+  :data:`YIELD_EVERY_STEPS` executed steps, and host-side mitigation
+  loops fire it through :func:`park`.
 """
 
 from __future__ import annotations
 
 import random
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import (
     AllocationError,
@@ -63,6 +75,48 @@ _TRACE_PTR_OPS = frozenset({"load", "store", "persist", "flush", "txadd", "free"
 _TRACE_DST_OPS = frozenset({"alloc", "realloc", "getroot", "gep"})
 
 InjectionFn = Callable[["Machine", "Thread", Instr], None]
+
+#: cooperative-mitigation cadence: a run on a thread with a park hook
+#: fires it every this many executed steps
+YIELD_EVERY_STEPS = 4_000
+
+
+class _ParkHook(threading.local):
+    """Each thread's park hook; ``None`` until :func:`cooperative_yield`
+    installs one on that thread."""
+
+    hook: Optional[Callable[[], None]] = None
+
+
+_PARK = _ParkHook()
+
+
+@contextmanager
+def cooperative_yield(hook: Callable[[], None]) -> Iterator[None]:
+    """Install ``hook`` as the calling thread's park point for the block.
+
+    A mitigation worker installs it so the thread that serves can run
+    between mitigation chunks: guest calls on this thread fire it every
+    :data:`YIELD_EVERY_STEPS` steps (so even a long hang probe is
+    chunked), and host-side loops (plan joins, probe-engine seeks) call
+    :func:`park`.  Other threads never see it, so a serving thread never
+    parks itself.  The previous hook comes back on exit, also when the
+    block raises.  The hook must not touch guest state.
+    """
+    prev = _PARK.hook
+    _PARK.hook = hook
+    try:
+        yield
+    finally:
+        _PARK.hook = prev
+
+
+def park() -> None:
+    """Call the calling thread's park hook, if one is installed."""
+    hook = _PARK.hook
+    if hook is not None:
+        hook()
+
 
 #: handler return codes; ``None`` (the implicit return) means "advance"
 _CTRL = 1   # the handler updated block/index itself (call/ret/br/cbr)
@@ -178,21 +232,11 @@ class Machine:
         #: the trace GUID-carrying instructions record into; compiled
         #: segments append to its buffer directly
         self.trace: Optional[PMTrace] = None
-        #: cooperative yield point: when set, called every
-        #: ``step_hook_every`` executed steps, counted on the
-        #: machine-lifetime ``steps_executed`` counter so runs of many
-        #: short calls still yield (compiled segments and single steps
-        #: alike, same accounting as the budget check).  The
-        #: live-traffic server parks mitigation re-executions here so
-        #: its serving thread can serve between probe steps.  Must not
-        #: touch guest state.
-        self.step_hook: Optional[Callable[[], None]] = None
-        self.step_hook_every: int = 0
-        self._next_step_hook: int = 0
-        #: optional dynamic-dependence recorder (repro.analysis.dynslice);
-        #: called before every instruction when attached — expensive, so
-        #: only diagnostic runs enable it
-        self.dep_recorder = None
+        #: ``steps_executed`` at which the park hook fires next: counted
+        #: on the machine-lifetime counter so runs of many short calls
+        #: still park (compiled segments and single steps alike, same
+        #: accounting as the budget check)
+        self._next_park: int = 0
         self.emitted: Dict[str, List[int]] = {}
         self.last_fault: Optional[FaultInfo] = None
         # counters for the overhead model
@@ -265,12 +309,11 @@ class Machine:
         return thread
 
     def _hook_prologue(self) -> Optional[Callable[[], None]]:
-        """Arm the step hook for a run; returns it (or ``None``)."""
-        hook = self.step_hook
-        if hook is None or self.step_hook_every <= 0:
-            return None
-        if self._next_step_hook <= self.steps_executed:
-            self._next_step_hook = self.steps_executed + self.step_hook_every
+        """Arm the calling thread's park hook for a run; returns it (or
+        ``None``)."""
+        hook = _PARK.hook
+        if hook is not None and self._next_park <= self.steps_executed:
+            self._next_park = self.steps_executed + YIELD_EVERY_STEPS
         return hook
 
     def _run(
@@ -284,11 +327,11 @@ class Machine:
 
         Straight-line runs execute as one compiled-segment call
         (:mod:`repro.lang.fuse`) when nothing needs a hook between
-        instructions: no preemption (so no rng draws), no injections and
-        no dependence recorder.  Everything else — and any segment that
-        would overrun the step budget, or any instruction a segment
-        abandoned after a raw-coded ``KeyError``/``ZeroDivisionError`` —
-        single-steps through :meth:`_step`, which owns the exact trap
+        instructions: no preemption (so no rng draws) and no injections.
+        Everything else — and any segment that would overrun the step
+        budget, or any instruction a segment abandoned after a
+        raw-coded ``KeyError``/``ZeroDivisionError`` — single-steps
+        through :meth:`_step`, which owns the exact trap
         conversions.  Step accounting is the same on both paths: every
         instruction of a segment counts one step, a segment only runs
         when its full count fits the remaining budget, and on any
@@ -297,7 +340,7 @@ class Machine:
         live = [t for t in threads if not t.done]
         if not live:
             return
-        fuse = not preempt and self.dep_recorder is None and not self.injections
+        fuse = not preempt and not self.injections
         current = 0
         slice_left = self.rng.randint(*quantum) if preempt else 1 << 60
         steps = 0
@@ -340,10 +383,10 @@ class Machine:
                     else:
                         steps += seg.n_steps
                         self.steps_executed += seg.n_steps
-                        if hook is not None and self.steps_executed >= self._next_step_hook:
+                        if hook is not None and self.steps_executed >= self._next_park:
                             hook()
-                            self._next_step_hook = (
-                                self.steps_executed + self.step_hook_every
+                            self._next_park = (
+                                self.steps_executed + YIELD_EVERY_STEPS
                             )
                         continue
             try:
@@ -360,9 +403,9 @@ class Machine:
                 )
                 self._record_fault(trap, thread)
                 raise trap
-            if hook is not None and self.steps_executed >= self._next_step_hook:
+            if hook is not None and self.steps_executed >= self._next_park:
                 hook()
-                self._next_step_hook = self.steps_executed + self.step_hook_every
+                self._next_park = self.steps_executed + YIELD_EVERY_STEPS
             if thread.done:
                 live = [t for t in live if not t.done]
                 current = 0
@@ -412,9 +455,6 @@ class Machine:
 
         for fn in self.injections.get(instr.iid, ()):
             fn(self, thread, instr)
-
-        if self.dep_recorder is not None:
-            self.dep_recorder.on_instr(self, thread, instr)
 
         traced = instr.guid is not None and self.trace is not None
         if traced:

@@ -37,6 +37,7 @@ from repro import faultinject
 from repro.checkpoint.log import CheckpointLog
 from repro.detector.monitor import RunOutcome
 from repro.errors import AllocationError
+from repro.lang.interp import park
 from repro.pmem.allocator import PMAllocator
 from repro.pmem.pool import PMPool
 from repro.reactor.plan import Candidate, ReversionPlan
@@ -235,6 +236,9 @@ class _DeltaProbeEngine:
     recorded deltas no longer match a fresh application with the current
     log; the engine then rewinds to the baseline and rebuilds the prefix,
     which is exactly the oracle's apply-with-current-log semantics.
+
+    Every group apply or undo calls :func:`~repro.lang.interp.park`, so
+    a long host-side seek parks the way a long guest call does.
     """
 
     def __init__(self, reverter: "Reverter", groups: List[List[int]]):
@@ -248,7 +252,7 @@ class _DeltaProbeEngine:
         self._reexec_delta: Optional[_ProbeDelta] = None
 
     def _apply_group(self, group: List[int]) -> None:
-        self.r._maybe_yield()
+        park()
         delta = _ProbeDelta(self.r.pool, self.r.allocator)
         seqs = self.r.revert_each(group, guard_dangling=True)
         self.deltas.append(delta)
@@ -256,7 +260,7 @@ class _DeltaProbeEngine:
         self.pos += 1
 
     def _undo_group(self) -> None:
-        self.r._maybe_yield()
+        park()
         self.deltas.pop().undo()
         self.applied.pop()
         self.pos -= 1
@@ -314,7 +318,6 @@ class Reverter:
         known_faults: Optional[Set[int]] = None,
         enable_divergence_repair: bool = True,
         intents: Optional[IntentJournal] = None,
-        yield_fn: Optional[Callable[[], None]] = None,
     ):
         self.log = log
         self.pool = pool
@@ -336,15 +339,6 @@ class Reverter:
         #: write-ahead intent journal; when set, keyed cuts (rollback's)
         #: become resumable after a crash (see :class:`IntentJournal`)
         self.intents = intents
-        #: cooperative yield point for live serving: the probe engine calls
-        #: it per group apply/undo so long host-side seeks (delta
-        #: reversion, prefix rebuilds) park the same way long guest
-        #: calls do.  Must not touch the pool; ``None`` = run straight.
-        self.yield_fn = yield_fn
-
-    def _maybe_yield(self) -> None:
-        if self.yield_fn is not None:
-            self.yield_fn()
 
     # ------------------------------------------------------------------
     # low-level reversion primitives

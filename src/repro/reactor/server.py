@@ -13,7 +13,10 @@ miniature while a hard fault is detected in-line, quarantined, and
 mitigated *cooperatively* on a worker thread that parks at every
 checkpoint so the serving thread can answer the arrivals due — the
 number that matters at production scale is the p50/p99 a client sees
-during a mitigation, not mitigation wall-time.
+during a mitigation, not mitigation wall-time.  The worker installs its
+park hook with :func:`~repro.lang.interp.cooperative_yield`, so only
+its own guest calls, plan joins and probe seeks park, never the
+serving thread's.
 
 Serving contract during a mitigation (the soundness core):
 
@@ -43,7 +46,7 @@ from __future__ import annotations
 import threading
 import time
 from bisect import bisect_left, bisect_right
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
@@ -53,13 +56,9 @@ from repro.detector.monitor import RunOutcome
 from repro.errors import Trap
 from repro.instrument.guids import GuidMap
 from repro.instrument.tracer import PMTrace
+from repro.lang.interp import cooperative_yield
 from repro.lang.ir import Module
-from repro.reactor.plan import (
-    PolicyFn,
-    ReversionPlan,
-    compute_plan,
-    distance_policy,
-)
+from repro.reactor.plan import ReversionPlan, compute_plan
 from repro.workloads.generators import Op, OpKind
 from repro.workloads.ycsb import YCSBWorkload
 
@@ -68,11 +67,13 @@ class ReactorServer:
     """Holds the precomputed PDG; answers plan requests quickly.
 
     Because the server keeps one :class:`AnalysisResult` alive across
-    requests, the slice/distance memoization on its PDG (see
+    requests, the slice BFS memoized on its PDG (see
     :mod:`repro.analysis.slicing`) makes repeated plan requests for the
     same fault iid — the harness's detector/reactor rounds re-plan up to
     4x per mode — skip the graph walk entirely and pay only the
-    trace x log join.
+    trace x log join.  Every request gets :func:`compute_plan`'s one
+    ranking, so the live server's quarantine horizon and the ladder's
+    rungs rank candidates with the same code.
     """
 
     def __init__(self, module: Module, analysis: Optional[AnalysisResult] = None):
@@ -88,16 +89,11 @@ class ReactorServer:
         trace: PMTrace,
         log: CheckpointLog,
         fault_iid: int,
-        policy: Optional[PolicyFn] = None,
-        yield_fn=None,
     ) -> ReversionPlan:
         """Serve one plan request (slice + trace/log join)."""
         self.requests_served += 1
         trace.flush()  # incremental trace parsing catches up at request time
-        return compute_plan(
-            self.analysis, guid_map, trace, log, fault_iid, policy=policy,
-            yield_fn=yield_fn,
-        )
+        return compute_plan(self.analysis, guid_map, trace, log, fault_iid)
 
 
 # ======================================================================
@@ -321,40 +317,9 @@ MAX_MITIGATIONS = 3
 SMALL_BLOCK_WORDS = 32
 #: ranked plan candidates whose words are quarantined
 QUARANTINE_HORIZON = 16
-#: cooperative-mitigation cadence: a yield checkpoint every this many
-#: VM steps, throttled to at most one per this many wall seconds
-YIELD_EVERY_STEPS = 4_000
+#: the live server's mitigation parks at most once per this many wall
+#: seconds, however often its park hook is called
 YIELD_MIN_INTERVAL_S = 0.004
-
-
-@contextmanager
-def cooperative_yield(ctx, yield_fn: Callable[[], None]):
-    """Install ``yield_fn`` as a mitigation's cooperative yield point.
-
-    Host-side mitigation loops (probe-engine seeks, plan joins) call
-    ``ctx.yield_fn``; the VM fires the same callable every
-    :data:`YIELD_EVERY_STEPS` executed steps, so even a long hang probe
-    is chunked.  The step hook goes on the adapter as well as the
-    current machine because every restart builds a fresh machine.
-    Everything is removed on exit: after the window the serving side
-    itself runs guest calls, and a park from its own thread would
-    deadlock.
-    """
-    adapter = ctx.adapter
-
-    def install(fn, every: int) -> None:
-        ctx.yield_fn = fn
-        adapter.step_hook = fn
-        adapter.step_hook_every = every
-        if adapter.machine is not None:
-            adapter.machine.step_hook = fn
-            adapter.machine.step_hook_every = every
-
-    install(yield_fn, YIELD_EVERY_STEPS)
-    try:
-        yield
-    finally:
-        install(None, 0)
 
 
 class LiveRecoveryServer:
@@ -716,10 +681,9 @@ class LiveRecoveryServer:
     def _mitigate_blocking(self, gate: WorkerGate, outcome: RunOutcome):
         """Worker-thread body: confirm, derive quarantine, mitigate."""
         # host-side mitigation loops (probe-engine seeks, plan joins)
-        # call ctx.yield_fn far more often than once per chunk, so the
-        # shared yield is throttled by wall time; the VM step hook goes
-        # through the same throttle so the overall checkpoint cadence is
-        # one knob
+        # park far more often than once per chunk, so the park hook is
+        # throttled by wall time; the VM's step parks go through the
+        # same throttle so the overall checkpoint cadence is one knob
         last_yield = [0.0]
 
         def throttled_yield() -> None:
@@ -728,7 +692,7 @@ class LiveRecoveryServer:
                 last_yield[0] = now
                 gate.checkpoint()
 
-        with cooperative_yield(self.ctx, throttled_yield):
+        with cooperative_yield(throttled_yield):
             return self._mitigate_body(gate, outcome)
 
     def _mitigate_body(self, gate: WorkerGate, outcome: RunOutcome):
@@ -752,9 +716,7 @@ class LiveRecoveryServer:
         if outcome.fault is not None and adapter.ckpt is not None:
             log = adapter.ckpt.log
             plan = self.reactor.compute_plan(
-                adapter.guid_map, adapter.trace, log, outcome.fault.iid,
-                policy=distance_policy(max_distance=8),
-                yield_fn=ctx.yield_fn,
+                adapter.guid_map, adapter.trace, log, outcome.fault.iid
             )
             self._lock_plan_ranges(log, plan)
             self.quarantined_keys |= self.touch_index.keys_in_ranges(

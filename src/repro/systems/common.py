@@ -19,7 +19,7 @@ insert/lookup/delete/check interface for the experiment harness.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set
 
 from repro.analysis import AnalysisResult, analyze_module
 from repro.checkpoint.manager import CheckpointManager
@@ -102,11 +102,6 @@ class SystemAdapter:
         self.machine: Optional[Machine] = None
         self.root = 0
         self.restarts = 0
-        #: cooperative yield hook, re-attached to every machine built by
-        #: ``_new_machine`` (restarts replace the machine, so a hook set
-        #: only on ``self.machine`` would vanish at the first crash)
-        self.step_hook: Optional[Callable[[], None]] = None
-        self.step_hook_every: int = 0
 
     # ------------------------------------------------------------------
     # process lifecycle
@@ -122,9 +117,6 @@ class SystemAdapter:
         )
         if self.trace is not None:
             machine.trace = self.trace
-        if self.step_hook is not None:
-            machine.step_hook = self.step_hook
-            machine.step_hook_every = self.step_hook_every
         self.machine = machine
         return machine
 

@@ -167,6 +167,29 @@ def arthas_bi_mitigation():
     return mitigation
 
 
+@pytest.fixture
+def f1_hang():
+    """A memcached wedged by f1 (refcount wrap, reap, re-insert into the
+    freed block) and the hang its probe raises, with no restart between:
+    a plan over it has PM slice nodes on both sides of
+    ``MAX_SLICE_DISTANCE``.  Returns ``(adapter, outcome)``."""
+    from repro.detector.monitor import Detector
+    from repro.systems.memcached import MemcachedAdapter
+
+    mc = MemcachedAdapter()
+    mc.start()
+    for k in range(40):
+        mc.insert(k, 900_000_000 + k)
+    victim = 5
+    while mc.call("mc_refcount", mc.root, victim) != 0:
+        mc.lookup(victim)
+    mc.reap()
+    mc.insert(victim + (1 << 20), 1)
+    outcome = Detector().observe(mc.machine, lambda: mc.lookup(victim + (1 << 21)))
+    assert outcome.fault is not None and outcome.fault.kind == "hang"
+    return mc, outcome
+
+
 @pytest.fixture(scope="session")
 def cluster_quick_report():
     """The cluster sweep's quick subset (the CI drift scope), shared by

@@ -24,7 +24,8 @@ with ``monkeypatch`` on the name production code looks up:
 * :class:`LinearScanReverter` — a ``Reverter`` whose range
   reconstruction, rollback and dangling-pointer guard run those scans;
 * :func:`reference_compute_plan` — the seed plan join: re-slice every
-  round (PDG caches cleared) and join traced addresses by full scan;
+  round (PDG cache cleared), join traced addresses by full scan, rank
+  in the production order;
 * :func:`seed_instrument_module` — the seed instrumentation pass, a
   tracing call at every PM instruction (no covered geps).
 """

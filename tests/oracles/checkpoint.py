@@ -11,15 +11,20 @@ ordering) to the scans.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis import AnalysisResult
-from repro.analysis.slicing import backward_slice
+from repro.analysis.slicing import slice_distances
 from repro.checkpoint.log import CheckpointEntry, CheckpointLog, LogEvent
 from repro.errors import AllocationError
 from repro.instrument.guids import GuidMap
 from repro.instrument.tracer import PMTrace
-from repro.reactor.plan import Candidate, PlanContext, ReversionPlan
+from repro.reactor.plan import (
+    _VALUE_FLOW_OPS,
+    MAX_SLICE_DISTANCE,
+    Candidate,
+    ReversionPlan,
+)
 from repro.reactor.revert import Reverter
 
 
@@ -127,7 +132,7 @@ def structural_digest(log: CheckpointLog) -> int:
 
 
 # ----------------------------------------------------------------------
-# the seed planning join, verbatim
+# the seed planning join, in the production order
 # ----------------------------------------------------------------------
 def reference_compute_plan(
     analysis: AnalysisResult,
@@ -135,15 +140,18 @@ def reference_compute_plan(
     trace: PMTrace,
     log: CheckpointLog,
     fault_iid: int,
-    policy,
 ) -> ReversionPlan:
     """The seed planning path: re-slice every round (no PDG memoization)
-    and join each traced address through the full-entry-table scan."""
-    analysis.pdg._slice_cache.clear()
+    and join each traced address through the full-entry-table scan.
+
+    The candidates are then ranked the way production ranks them
+    (value-flow rank, slice distance, newest first; one per seq; nothing
+    past :data:`MAX_SLICE_DISTANCE`): this pins the join, not the order.
+    """
     analysis.pdg._dist_cache.clear()
     trace.flush()
-    full_slice = backward_slice(analysis.pdg, fault_iid)
-    pm_nodes = {n for n in full_slice if analysis.pm.is_pm_instr(n)}
+    dist = slice_distances(analysis.pdg, fault_iid)
+    pm_nodes = {n for n in dist if analysis.pm.is_pm_instr(n)}
     candidates: List[Candidate] = []
     for iid in pm_nodes:
         guid = guid_map.guid_of(iid)
@@ -154,12 +162,20 @@ def reference_compute_plan(
                 candidates.append(
                     Candidate(seq=seq, addr=addr, guid=guid, slice_iid=iid)
                 )
-    ctx = PlanContext(analysis=analysis, fault_iid=fault_iid)
-    ordered = policy(candidates, ctx)
+    best: Dict[int, Tuple[Tuple[int, int], Candidate]] = {}
+    for c in candidates:
+        d = dist[c.slice_iid]
+        if d > MAX_SLICE_DISTANCE:
+            continue
+        op = analysis.module.instr(c.slice_iid).op
+        key = (0 if op in _VALUE_FLOW_OPS else 1, d)
+        if c.seq not in best or key < best[c.seq][0]:
+            best[c.seq] = (key, c)
+    ranked = sorted(best.values(), key=lambda kc: (kc[0], -kc[1].seq))
     return ReversionPlan(
         fault_iid=fault_iid,
-        candidates=ordered,
-        slice_size=len(full_slice),
+        candidates=[c for _key, c in ranked],
+        slice_size=len(dist),
         pm_slice_size=len(pm_nodes),
     )
 

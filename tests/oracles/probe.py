@@ -2,6 +2,7 @@
 
 from typing import List
 
+from repro.lang.interp import park
 from repro.pmem.snapshot import restore_snapshot, take_snapshot
 
 
@@ -25,7 +26,7 @@ class SnapshotProbeEngine:
         restore_snapshot(self.r.pool, self.baseline, self.r.allocator)
         applied: List[int] = []
         for group in self.groups[:k]:
-            self.r._maybe_yield()
+            park()
             for s in sorted(group, reverse=True):
                 if self.r.revert_update_seq(s, 1, guard_dangling=True):
                     applied.append(s)

@@ -3,7 +3,7 @@
 from typing import List, Tuple
 
 from repro.errors import HangTrap, SegfaultTrap, Trap
-from repro.lang.interp import Machine, Thread
+from repro.lang.interp import YIELD_EVERY_STEPS, Machine, Thread
 from repro.lang.ir import Instr
 from repro.pmem.pool import PM_BASE
 
@@ -13,7 +13,7 @@ class TableMachine(Machine):
     dispatch, so compiled segments never execute.
 
     The scheduler below is a standalone copy of the production loop's
-    per-step path (budget, step hook, preemption, thread switching), so
+    per-step path (budget, park hook, preemption, thread switching), so
     a change to :meth:`Machine._run` is checked against it rather than
     against itself.  Its PM loads and stores are the checked access the
     production machine inlined: ``pool.contains``, then the pool's own
@@ -82,9 +82,9 @@ class TableMachine(Machine):
                 )
                 self._record_fault(trap, thread)
                 raise trap
-            if hook is not None and self.steps_executed >= self._next_step_hook:
+            if hook is not None and self.steps_executed >= self._next_park:
                 hook()
-                self._next_step_hook = self.steps_executed + self.step_hook_every
+                self._next_park = self.steps_executed + YIELD_EVERY_STEPS
             if thread.done:
                 live = [t for t in live if not t.done]
                 current = 0

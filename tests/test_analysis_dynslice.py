@@ -11,7 +11,7 @@ def _run_with_recorder(src, calls, structs=None):
     module = compile_module("d", src, structs=structs or {})
     machine = Machine(module)
     recorder = DynamicDependenceRecorder()
-    machine.dep_recorder = recorder
+    recorder.attach(machine)
     results = [machine.call(fname, *args) for fname, args in calls]
     return module, machine, recorder, results
 
@@ -72,7 +72,7 @@ def test_dynamic_slice_is_subset_of_static_slice(kv_module):
     analysis = analyze_module(kv_module)
     machine = Machine(kv_module)
     recorder = DynamicDependenceRecorder()
-    machine.dep_recorder = recorder
+    recorder.attach(machine)
     root = machine.call("kv_init")
     for k in range(8):
         machine.call("kv_put", root, k, 50 + k)
@@ -102,7 +102,7 @@ def test_crash_clears_frame_shadows_only():
     module = compile_module("d", src)
     machine = Machine(module)
     recorder = DynamicDependenceRecorder()
-    machine.dep_recorder = recorder
+    recorder.attach(machine)
     machine.call("setv")
     machine.crash()
     recorder.crash()
@@ -117,7 +117,7 @@ def test_crash_clears_frame_shadows_only():
 def test_recorder_counts(kv_module):
     machine = Machine(kv_module)
     recorder = DynamicDependenceRecorder()
-    machine.dep_recorder = recorder
+    recorder.attach(machine)
     root = machine.call("kv_init")
     machine.call("kv_put", root, 1, 2)
     assert recorder.instructions_recorded > 20

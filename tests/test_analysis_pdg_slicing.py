@@ -1,8 +1,12 @@
 """Tests for PDG construction and program slicing."""
 
 from repro.analysis import analyze_module
-from repro.analysis.slicing import backward_slice, pm_slice, slice_distances
+from repro.analysis.slicing import backward_slice, slice_distances
+from repro.checkpoint.log import CheckpointLog
+from repro.instrument.guids import GuidMap
+from repro.instrument.tracer import PMTrace
 from repro.lang.compiler import compile_module
+from repro.reactor.plan import compute_plan
 
 
 def _analyze(src, structs=None):
@@ -86,10 +90,14 @@ def test_pm_slice_keeps_only_pm_instrs(kv_module):
         i for i in kv_module.functions["kv_get"].instructions() if i.op == "load"
     )
     full = backward_slice(res.pdg, get_loop_load.iid)
-    pm_only = pm_slice(res.pdg, res.pm, get_loop_load.iid)
-    assert pm_only <= full
-    assert all(res.pm.is_pm_instr(i) for i in pm_only)
+    pm_only = {i for i in full if res.pm.is_pm_instr(i)}
     assert pm_only, "PM slice should not be empty for a PM load"
+    assert len(pm_only) < len(full)
+    plan = compute_plan(
+        res, GuidMap("kv"), PMTrace(), CheckpointLog(), get_loop_load.iid
+    )
+    assert plan.slice_size == len(full)
+    assert plan.pm_slice_size == len(pm_only)
 
 
 def test_slice_includes_cross_function_root_cause(kv_module):
@@ -113,15 +121,7 @@ def test_slice_distances_monotone():
     dist = slice_distances(res.pdg, ret.iid)
     assert dist[ret.iid] == 0
     assert all(v >= 0 for v in dist.values())
-
-
-def test_max_nodes_caps_slice(kv_module):
-    res = analyze_module(kv_module)
-    get_load = next(
-        i for i in kv_module.functions["kv_get"].instructions() if i.op == "load"
-    )
-    capped = backward_slice(res.pdg, get_load.iid, max_nodes=5)
-    assert len(capped) <= 6
+    assert backward_slice(res.pdg, ret.iid) == set(dist)
 
 
 def test_pdg_counts(kv_module):

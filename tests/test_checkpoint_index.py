@@ -29,7 +29,7 @@ from repro.checkpoint.log import CheckpointLog
 from repro.instrument.artifacts import load_checkpoint_log, save_checkpoint_log
 from repro.pmem.allocator import PMAllocator
 from repro.pmem.pool import PMPool
-from repro.reactor.plan import compute_plan, distance_policy
+from repro.reactor.plan import compute_plan
 from repro.reactor.revert import Reverter
 from tests.oracles import LinearScanReverter, reference_compute_plan
 from tests.oracles import checkpoint as reference
@@ -213,13 +213,10 @@ def test_plan_candidates_match_reference():
     """compute_plan ranks the same seqs as the seed join, memo hit or not."""
     for seed in (0, 7):
         analysis, guid_map, trace, log, fault_iid = _plan_inputs(2_000, seed)
-        policy = distance_policy()
         for _ in range(2):
-            plan = compute_plan(
-                analysis, guid_map, trace, log, fault_iid, policy=policy
-            )
+            plan = compute_plan(analysis, guid_map, trace, log, fault_iid)
             ref = reference_compute_plan(
-                analysis, guid_map, trace, log, fault_iid, policy
+                analysis, guid_map, trace, log, fault_iid
             )
             assert plan.candidates, seed
             assert [c.seq for c in plan.candidates] == [
@@ -239,12 +236,10 @@ def test_hotpath_perf_regression():
     start = time.perf_counter()
     analysis, guid_map, trace, log, fault_iid = _plan_inputs(5_000, 0)
     build_seconds = time.perf_counter() - start
-    analysis.pdg._slice_cache.clear()
     analysis.pdg._dist_cache.clear()
-    policy = distance_policy()
     start = time.perf_counter()
     for _ in range(4):
-        compute_plan(analysis, guid_map, trace, log, fault_iid, policy=policy)
+        compute_plan(analysis, guid_map, trace, log, fault_iid)
     for mode in ("purge", "rollback", "bisect"):
         fresh = build_synthetic_state(5_000, seed=0)
         rv = Reverter(fresh.log, fresh.pool, fresh.allocator, fresh.reexec())

@@ -79,7 +79,7 @@ class TestLeakMonitor:
         pool = PMPool(128)
         allocator = PMAllocator(pool)
         allocator.zalloc(110)
-        monitor = LeakMonitor(allocator, lambda: 110, usage_limit=0.9)
+        monitor = LeakMonitor(allocator, lambda: 110)
         assert monitor.check() is not None
 
 

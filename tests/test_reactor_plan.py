@@ -1,6 +1,7 @@
 """Tests for reversion-plan computation (slice x trace x log)."""
 
 from repro.analysis import analyze_module
+from repro.analysis.slicing import slice_distances
 from repro.checkpoint.manager import CheckpointManager
 from repro.detector.monitor import Detector
 from repro.errors import Trap
@@ -8,7 +9,7 @@ from repro.instrument.passes import instrument_module
 from repro.instrument.tracer import PMTrace
 from repro.lang.compiler import compile_module
 from repro.lang.interp import Machine
-from repro.reactor.plan import compute_plan, default_policy, distance_policy
+from repro.reactor.plan import _VALUE_FLOW_OPS, MAX_SLICE_DISTANCE, compute_plan
 from repro.reactor.server import ReactorServer
 
 #: a program where a bad persisted flag causes a later panic
@@ -99,25 +100,40 @@ def CheckpointLog_empty():
     return CheckpointLog()
 
 
-def test_distance_policy_orders_and_caps():
-    module, analysis, guid_map, machine, manager, trace = _setup()
-    root = machine.call("init")
-    machine.call("poke", root, 1)
-    detector = Detector()
-    out = detector.observe(machine, lambda: machine.call("use", root))
-    plan_default = compute_plan(
-        analysis, guid_map, trace, manager.log, out.fault.iid,
-        policy=default_policy,
-    )
-    plan_capped = compute_plan(
-        analysis, guid_map, trace, manager.log, out.fault.iid,
-        policy=distance_policy(max_distance=0),
-    )
-    assert len(plan_capped.candidates) <= len(plan_default.candidates)
-    # seqs unique in both
-    for plan in (plan_default, plan_capped):
-        seqs = plan.seqs()
-        assert len(seqs) == len(set(seqs))
+def test_plan_ranks_by_value_flow_then_distance_then_newest(f1_hang):
+    """compute_plan's one order, on memcached's f1 hang: one candidate
+    per seq, found through its best-ranked slice node — value-flow rank,
+    then slice distance — and newest first among equals; no slice node
+    farther than MAX_SLICE_DISTANCE contributes, although farther PM
+    slice nodes reach logged updates."""
+    mc, out = f1_hang
+    analysis, log = mc.analysis, mc.ckpt.log
+    plan = compute_plan(analysis, mc.guid_map, mc.trace, log, out.fault.iid)
+    dist = slice_distances(analysis.pdg, out.fault.iid)
+
+    def key(iid):
+        flow = analysis.module.instr(iid).op in _VALUE_FLOW_OPS
+        return (0 if flow else 1, dist[iid])
+
+    # every slice node each logged seq is reachable through, cap or not
+    reach = {}
+    for iid in dist:
+        if not analysis.pm.is_pm_instr(iid):
+            continue
+        for carrier in mc.guid_map.carriers(iid):
+            for addr in mc.trace.addresses_for_guid(carrier):
+                for seq in log.update_seqs_for_address(addr):
+                    reach.setdefault(seq, set()).add(iid)
+    best = {
+        seq: min(key(i) for i in iids if dist[i] <= MAX_SLICE_DISTANCE)
+        for seq, iids in reach.items()
+        if any(dist[i] <= MAX_SLICE_DISTANCE for i in iids)
+    }
+    assert len(best) < len(reach), "the cap drops nothing here"
+    assert plan.seqs() == sorted(best, key=lambda seq: (best[seq], -seq))
+    assert [key(c.slice_iid) for c in plan.candidates] == [
+        best[c.seq] for c in plan.candidates
+    ]
 
 
 def test_reactor_server_precomputes_analysis():

@@ -5,7 +5,6 @@ import pytest
 from repro.detector.monitor import Detector
 from repro.errors import AssertTrap
 from repro.harness.simclock import ReexecDelay, SimClock
-from repro.reactor.plan import compute_plan, distance_policy
 from repro.reactor.revert import Reverter
 from repro.reactor.server import ReactorServer
 from repro.systems.levelhash import LevelHashAdapter
@@ -76,8 +75,7 @@ class TestWrongMaskResizeBug:
 
         server = ReactorServer(lv.module, analysis=lv.analysis)
         plan = server.compute_plan(
-            lv.guid_map, lv.trace, lv.ckpt.log, outcome.fault.iid,
-            policy=distance_policy(max_distance=8),
+            lv.guid_map, lv.trace, lv.ckpt.log, outcome.fault.iid
         )
         assert not plan.empty
 

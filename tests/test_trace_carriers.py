@@ -17,6 +17,8 @@ unflushed buffer, and the two passes fill it at different rates.
   they name every pointer they load.
 """
 
+import sys
+
 import pytest
 
 from repro.analysis import analyze_module
@@ -25,12 +27,8 @@ from repro.detector.monitor import Detector
 from repro.harness.experiment import forward_seqs
 from repro.instrument.passes import instrument_module
 from repro.lang.compiler import compile_module
-from repro.reactor.plan import (
-    Candidate,
-    compute_plan,
-    default_policy,
-    distance_policy,
-)
+from repro.reactor import plan
+from repro.reactor.plan import MAX_SLICE_DISTANCE, Candidate, compute_plan
 from repro.systems.common import SystemAdapter, _StaticArtifacts
 from repro.systems.memcached import MemcachedAdapter
 from tests.oracles import seed_instrument_module
@@ -153,12 +151,15 @@ def test_carriers_hold_every_gep_address_the_seed_pass_records(runs):
     assert len(production.trace) < 0.75 * len(seed.trace)
 
 
-@pytest.mark.parametrize("policy", [
-    default_policy, distance_policy(max_distance=8),
+@pytest.mark.parametrize("reach", [
+    sys.maxsize, MAX_SLICE_DISTANCE,
 ], ids=["default", "distance"])
-def test_plan_equals_the_seed_pass_plan(runs, policy):
+def test_plan_equals_the_seed_pass_plan(runs, reach, monkeypatch):
     # the fault's slice, then its geps alone: a plan found only through
-    # carriers must match in candidates and order too
+    # carriers must match in candidates and order too.  ``default``
+    # joins every PM slice node, as the seed's newest-first plan did;
+    # ``distance`` keeps compute_plan's MAX_SLICE_DISTANCE cap
+    monkeypatch.setattr(plan, "MAX_SLICE_DISTANCE", reach)
     production, seed, fault_iid = runs
     gep_slice = _pm_geps(production) & set(
         backward_slice(production.analysis.pdg, fault_iid)
@@ -170,7 +171,7 @@ def test_plan_equals_the_seed_pass_plan(runs, policy):
                 (c.seq, c.addr, c.slice_iid)
                 for c in compute_plan(
                     r.analysis, r.guid_map, r.trace, r.ckpt.log, fault_iid,
-                    policy=policy, slice_override=override,
+                    slice_override=override,
                 ).candidates
             ]
             for r in (production, seed)
@@ -181,14 +182,10 @@ def test_plan_equals_the_seed_pass_plan(runs, policy):
 def test_forward_pass_equals_the_seed_pass(runs):
     # every plan candidate, and a probe at every PM instruction
     production, seed, fault_iid = runs
-    cands = [
-        c
-        for policy in (default_policy, distance_policy(max_distance=8))
-        for c in compute_plan(
-            production.analysis, production.guid_map, production.trace,
-            production.ckpt.log, fault_iid, policy=policy,
-        ).candidates
-    ]
+    cands = compute_plan(
+        production.analysis, production.guid_map, production.trace,
+        production.ckpt.log, fault_iid,
+    ).candidates
     assert cands
     cands += [
         Candidate(seq=0, addr=0, guid="", slice_iid=iid)
